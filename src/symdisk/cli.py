@@ -23,15 +23,14 @@ from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
 from .extend import branch_trace, build_extension, unique_value
 from .gamma import GammaPoint
-from .linalg import cluster_eigenvalues, spectrum
-from .numrange import is_cnu, numerical_radius
+from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
                    psd_report)
 from .realization import (RealizationModel, boundary_unitarity_audit,
                           inner_defect)
 from .sweeps import equivalence_sweep, pu_sweep, random_g_point
-from .variety import (PencilVariety, defining_poly, membership_residual,
-                      region_audit, slice_points)
+from .variety import (PencilVariety, defining_poly, is_distinguished,
+                      membership_residual, region_audit, slice_points)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -155,12 +154,11 @@ def _poly_string(P) -> str:
 # ---------------------------------------------------------------- commands
 
 def cmd_classify(args, cfg: Tolerances) -> int:
-    F = load_matrix(args.input)
-    nu = numerical_radius(F, cfg)
-    eigs = sorted(spectrum(F, cfg), key=lambda z: (z.real, z.imag))
-    clusters = cluster_eigenvalues(eigs, float(np.linalg.norm(F)), cfg)
-    verdict = is_cnu(F, cfg)
-    V = PencilVariety(F)
+    V = PencilVariety(load_matrix(args.input), cfg)
+    nu = V.nu
+    eigs = V.eigenvalues
+    clusters = cluster_eigenvalues(eigs, float(np.linalg.norm(V.F)), cfg)
+    verdict = is_distinguished(V, cfg)
     poly = defining_poly(V)
     grid = None
     if args.grid_radius:

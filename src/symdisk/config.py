@@ -46,7 +46,7 @@ class Tolerances:
     # discretization knobs
     n_quad: int = 64              # trapezoid nodes for contour integrals
     dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius
-    n_theta: int = 257            # coarse grid for the numerical radius
+    n_theta: int = 257            # starting scan of the numerical-radius level-set iteration
     trunc: int = 200              # truncation order of the dilation isometry
     n_steps: int = 20             # samples along a branch-trace path
 

@@ -18,7 +18,8 @@ is evaluated along the variety (gamma a Pick-matrix null vector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 from .gamma import GammaPoint
 from .linalg import spectrum, spectral_projection
-from .numrange import cnu_decompose, is_cnu
+from .numrange import cnu_decompose
 from .pick import KernelMatrix, _fundamental_model, admissibility_audit
-from .variety import PencilVariety, membership_residual
+from .variety import PencilVariety, is_distinguished, membership_residual
 
 _EPS = np.finfo(float).eps
 
@@ -39,10 +40,12 @@ class ExtensionModel:
     F: np.ndarray
     nodes: tuple
     u_nodes: tuple
+    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
-    @property
+    @cached_property
     def variety(self) -> PencilVariety:
-        return PencilVariety(self.F)
+        """The pencil variety of F, built (and nu(F) computed) on first use."""
+        return PencilVariety(self.F, self.cfg)
 
 
 def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionModel:
@@ -85,10 +88,10 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
             raise NumericalError(
                 f"node {j} violates the pencil equation: residual {resid:.3e}")
         us.append(u)
-    verdict = is_cnu(F, cfg)
-    if not verdict:
+    ext = ExtensionModel(F, tuple(nodes), tuple(us), cfg)
+    if not is_distinguished(ext.variety, cfg):
         raise NumericalError("extension block is not completely non-unitary")
-    return ExtensionModel(F, tuple(nodes), tuple(us))
+    return ext
 
 
 def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
@@ -100,7 +103,7 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
     choice among many; the uniqueness-value ratio does not depend on it.
     """
     for j, nd in enumerate(model.nodes):
-        if abs(complex(x.s) - nd.s) + abs(complex(x.p) - nd.p) <= cfg.tol_node:
+        if _coincide(x, nd, cfg):
             return model.u_nodes[j]
     F = model.F
     M = F + np.conj(complex(x.p)) * F.conj().T - np.conj(complex(x.s)) * np.eye(F.shape[0])
@@ -113,15 +116,22 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
     return v * (np.conj(v[k]) / abs(v[k]))
 
 
-def extended_kernel(model: ExtensionModel, x: GammaPoint, y: GammaPoint,
-                    cfg: Tolerances = DEFAULT) -> complex:
-    """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the variety."""
-    ux = kernel_vector_at(model, x, cfg)
-    uy = kernel_vector_at(model, y, cfg)
+def _coincide(x: GammaPoint, y: GammaPoint, cfg: Tolerances) -> bool:
+    return abs(complex(x.s) - y.s) + abs(complex(x.p) - y.p) <= cfg.tol_node
+
+
+def _kernel_entry(ux: np.ndarray, uy: np.ndarray, x: GammaPoint, y: GammaPoint) -> complex:
     den = 1.0 - complex(x.p) * np.conj(complex(y.p))
     if abs(den) <= 1e-14:
         raise InputError("extended kernel denominator vanishes")
     return complex(np.vdot(ux, uy) / den)
+
+
+def extended_kernel(model: ExtensionModel, x: GammaPoint, y: GammaPoint,
+                    cfg: Tolerances = DEFAULT) -> complex:
+    """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the variety."""
+    return _kernel_entry(kernel_vector_at(model, x, cfg), kernel_vector_at(model, y, cfg),
+                         x, y)
 
 
 @dataclass(frozen=True)
@@ -252,18 +262,23 @@ def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets,
     gamma must annihilate the Pick matrix of (K, targets); the value is the
     ratio of extended-kernel sums and is exactly invariant under rescaling
     gamma.  Raises when the denominator vanishes ("sheet inconclusive") and
-    when the result escapes the closed unit disk.
+    when the result escapes the closed unit disk.  The model must be built on
+    the nodes of K; u(x) is computed once and paired with the stored u_j.
     """
     gamma = np.asarray(gamma, dtype=complex).ravel()
     w = np.asarray(targets, dtype=complex).ravel()
     n = len(K)
     if len(gamma) != n or len(w) != n:
         raise InputError("gamma and targets must match the node count")
+    if len(model.nodes) != n or not all(_coincide(a, b, cfg)
+                                        for a, b in zip(K.nodes, model.nodes)):
+        raise InputError("the extension model is not built on the kernel's nodes")
     pick = (1.0 - np.outer(w, w.conj())) * K.gram
     resid = np.linalg.norm(pick @ gamma)
     if resid > 1e-7 * max(1.0, np.linalg.norm(pick)) * np.linalg.norm(gamma):
         raise InputError(f"gamma is not a Pick-matrix null vector: residual {resid:.3e}")
-    col = np.array([extended_kernel(model, x, nd, cfg) for nd in K.nodes])
+    ux = kernel_vector_at(model, x, cfg)
+    col = np.array([_kernel_entry(ux, u, x, nd) for u, nd in zip(model.u_nodes, K.nodes)])
     num = col @ gamma
     den = (w.conj() * col) @ gamma
     scale = float(np.abs(col) @ np.abs(gamma))

@@ -48,7 +48,7 @@ def model(F, cfg: Tolerances = DEFAULT) -> callable:
     with unit kernel vectors u chosen deterministically per point.  Values are
     cached per point so repeated requests see one consistent vector choice.
     """
-    V = PencilVariety(F)
+    V = PencilVariety(F, cfg)
     cache: dict[tuple[complex, complex], np.ndarray] = {}
 
     def u_of(x: GammaPoint) -> np.ndarray:

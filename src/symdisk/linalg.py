@@ -1,11 +1,8 @@
 """Dense complex linear algebra used by every other module.
 
-The general eigenvalue solver is a hand-written Hessenberg + implicitly
-shifted QR iteration (single Wilkinson shift, ad-hoc exceptional shifts).
-Matrices in this artifact stay small (d <= ~16), so the implementation is
-tuned for robustness rather than speed.  Hermitian eigensolves, SVD-based
-null spaces, and PSD square roots are delegated to numpy behind the same
-contracts.
+General eigenvalues, Hermitian eigensolves, SVD-based null spaces and PSD
+square roots are numpy/LAPACK calls behind validated contracts; contour-integral
+spectral projections and unitary completions are built on top of them.
 """
 
 from __future__ import annotations
@@ -32,115 +29,20 @@ def as_complex_matrix(A, square: bool = False) -> np.ndarray:
     return M
 
 
-def _givens(a: complex, b: complex):
-    """Rotation [[c, s], [-conj(s), c]] with c real sending (a, b) to (r, 0)."""
-    if b == 0:
-        return 1.0, 0.0 + 0.0j
-    if a == 0:
-        return 0.0, 1.0 + 0.0j
-    rho = np.hypot(abs(a), abs(b))
-    c = abs(a) / rho
-    s = (a / abs(a)) * np.conj(b) / rho
-    return c, s
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    H = np.array(A, dtype=complex, copy=True)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        normx = np.linalg.norm(x)
-        if normx <= _EPS * max(1.0, np.linalg.norm(H)):
-            H[k + 2:, k] = 0.0
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * normx
-        v /= np.linalg.norm(v)
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v.conj())
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _trailing_eigs(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]], larger-|.| root first for stability."""
-    t = 0.5 * (a + d)
-    disc = np.sqrt(0.25 * (a - d) ** 2 + b * c)
-    l1 = t + disc if abs(t + disc) >= abs(t - disc) else t - disc
-    det = a * d - b * c
-    l2 = det / l1 if l1 != 0 else t - disc
-    return l1, l2
-
-
-def _qr_sweep(H: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One implicit single-shift QR step on the active window [lo, hi]."""
-    n = H.shape[0]
-    x = H[lo, lo] - mu
-    y = H[lo + 1, lo]
-    for k in range(lo, hi):
-        c, s = _givens(x, y)
-        G = np.array([[c, s], [-np.conj(s), c]], dtype=complex)
-        left = max(0, k - 1)
-        H[k:k + 2, left:] = G @ H[k:k + 2, left:]
-        top = min(hi, k + 2) + 1
-        H[:top, k:k + 2] = H[:top, k:k + 2] @ G.conj().T
-        if k < hi - 1:
-            x = H[k + 1, k]
-            y = H[k + 2, k]
-
-
 def spectrum(A, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """All eigenvalues of a square complex matrix, with multiplicity.
 
-    Hessenberg reduction followed by implicitly shifted QR with Wilkinson
-    shifts; every 12 stalled iterations an exceptional shift is injected.
-    The order of the returned eigenvalues is the deflation order.
+    LAPACK ``zgeev`` through ``np.linalg.eigvals``.  The order of the returned
+    eigenvalues is unspecified; callers that print or serialize them sort by
+    (real, imag).
     """
     A = as_complex_matrix(A, square=True)
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return np.zeros(0, dtype=complex)
-    if n == 1:
-        return A[0, 0:1].copy()
-    H = _hessenberg(A)
-    anorm = max(np.linalg.norm(H), _EPS)
-    eigs: list[complex] = []
-    hi = n - 1
-    stall = 0
-    budget = 200 * n
-    while hi >= 0:
-        if budget <= 0:
-            raise NumericalError("QR iteration failed to converge")
-        for k in range(1, hi + 1):
-            thresh = _EPS * (abs(H[k - 1, k - 1]) + abs(H[k, k]))
-            if abs(H[k, k - 1]) <= max(thresh, _EPS * _EPS * anorm):
-                H[k, k - 1] = 0.0
-        if hi == 0 or H[hi, hi - 1] == 0:
-            eigs.append(H[hi, hi])
-            hi -= 1
-            stall = 0
-            continue
-        lo = hi
-        while lo > 0 and H[lo, lo - 1] != 0:
-            lo -= 1
-        if hi - lo == 1:
-            l1, l2 = _trailing_eigs(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi])
-            eigs.extend([l1, l2])
-            hi -= 2
-            stall = 0
-            continue
-        stall += 1
-        budget -= 1
-        if stall % 12 == 0:
-            mu = H[hi, hi] + 0.75 * abs(H[hi, hi - 1])
-        else:
-            l1, l2 = _trailing_eigs(H[hi - 1, hi - 1], H[hi - 1, hi],
-                                    H[hi, hi - 1], H[hi, hi])
-            mu = l1 if abs(l1 - H[hi, hi]) <= abs(l2 - H[hi, hi]) else l2
-        _qr_sweep(H, lo, hi, mu)
-    return np.array(eigs[::-1], dtype=complex)
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
 
 
 def cluster_eigenvalues(eigs, scale: float, cfg: Tolerances = DEFAULT):

@@ -1,5 +1,9 @@
 """Numerical range and radius, unitary (+) c.n.u. splitting, and the PU family.
 
+The numerical radius is a stacked eigvalsh scan of the support function,
+certified to tol_nu by a level-set iteration on the quadratic pencil
+z^2 F* - 2rzI + F, which is the variety's own pencil along (s, p) = (2rz, z^2).
+
 For a numerical contraction the unitary part is spanned by joint eigenvectors
 of F and F* at unimodular eigenvalues; peeling those off leaves a block with
 no spectrum on the circle.  The family PU + U*(I-P) (P a projection, U a
@@ -14,9 +18,25 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .linalg import as_complex_matrix, hermitian_eig, null_space, spectrum
+from .linalg import as_complex_matrix, null_space, spectrum
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Shift of the shift-and-invert level-set solve: any point off the unit
+# circle that is not an eigenvalue of the pencil will do.
+_SHIFT = 0.5 * np.exp(1j)
+# Where the support function only touches a level, the level-set point is a
+# double eigenvalue on the circle, and a backward-stable eigensolver moves a
+# double eigenvalue by O(sqrt(eps)).  A band of 100*sqrt(eps) keeps such
+# points; a spurious point it lets in costs one midpoint evaluation, which
+# cannot raise the estimate above the true maximum.
+_UNIMODULAR_BAND = 100 * np.sqrt(np.finfo(float).eps)
+# the level-set iteration converges quadratically and stops within a few levels
+_MAX_LEVELS = 50
+
+
+def _support_values(F: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Support function at every angle: one eigvalsh on the stacked Re(e^{-i theta} F)."""
+    e = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
+    return np.linalg.eigvalsh((e * F + np.conj(e) * F.conj().T) / 2)[:, -1]
 
 
 def support_function(F, theta: float, cfg: Tolerances = DEFAULT) -> float:
@@ -24,43 +44,64 @@ def support_function(F, theta: float, cfg: Tolerances = DEFAULT) -> float:
     F = as_complex_matrix(F, square=True)
     if F.shape[0] == 0:
         return 0.0
-    H = (np.exp(-1j * theta) * F + np.exp(1j * theta) * F.conj().T) / 2
-    vals, _ = hermitian_eig(H, cfg)
-    return float(vals[-1])
+    return float(_support_values(F, [theta])[0])
+
+
+def _level_set_angles(F: np.ndarray, r: float) -> np.ndarray:
+    """Sorted angles theta at which r is an eigenvalue of Re(e^{-i theta} F).
+
+    With z = e^{i theta} this happens exactly when z^2 F* - 2 r z I + F is
+    singular: the pencil F* + pF - sI sliced along (s, p) = (2rz, z^2).  The
+    quadratic pencil is linearized to A - zB and solved by shift and invert.
+    """
+    d = F.shape[0]
+    eye, zero = np.eye(d), np.zeros((d, d))
+    A = np.block([[zero, eye], [-F, 2 * r * eye]])
+    B = np.block([[eye, zero], [zero, F.conj().T]])
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(A - _SHIFT * B, B))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"level-set pencil solve failed at r = {r:.17g}: {exc}")
+    # unimodular z lie within 1 + |_SHIFT| < 2 of the shift, so |mu| > 1/2;
+    # mu = 0 belongs to the infinite eigenvalues of a singular F
+    mu = mu[np.abs(mu) > 0.5]
+    z = _SHIFT + 1.0 / mu
+    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_BAND]))
 
 
 def numerical_radius(F, cfg: Tolerances = DEFAULT) -> float:
-    """max_theta of the support function, by coarse grid + golden-section refine.
+    """max_theta of the support function, certified to tol_nu by a level set.
 
-    The support function is smooth away from eigenvalue crossings; a 257-point
-    grid brackets the maximum well enough at this scale, and golden-section
-    narrows the bracket until the value is resolved to tol_nu.
+    A stacked scan over cfg.n_theta angles gives a lower bound ``best``.  At
+    the level r = best + tol_nu/2 the level-set angles split the circle into
+    arcs, on each of which the support function stays on one side of r; the
+    arc midpoints are evaluated in one stacked call and the best one taken
+    (Mengi & Overton 2005; He & Watson 1997).  The iteration stops when no
+    midpoint rises above ``best``: then nu < r, and the returned ``best`` is a
+    support value within tol_nu of nu.
     """
     F = as_complex_matrix(F, square=True)
     if F.shape[0] == 0:
         return 0.0
     thetas = 2 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    vals = np.array([support_function(F, t, cfg) for t in thetas])
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    step = 2 * np.pi / cfg.n_theta
-    a = thetas[k] - step
-    b = thetas[k] + step
-    # golden-section on the bracket; crossings at the max only flatten it
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = support_function(F, x1, cfg)
-    f2 = support_function(F, x2, cfg)
-    while (b - a) > 1e-7:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = support_function(F, x2, cfg)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = support_function(F, x1, cfg)
-    return max(best, f1, f2)
+    best = float(_support_values(F, thetas).max())
+    for _ in range(_MAX_LEVELS):
+        angles = _level_set_angles(F, best + cfg.tol_nu / 2)
+        if len(angles) == 0:
+            return best
+        wrapped = np.append(angles[1:], angles[0] + 2 * np.pi)
+        top = float(_support_values(F, (angles + wrapped) / 2).max())
+        if top <= best:
+            return best
+        best = top
+    raise NumericalError(
+        f"numerical radius level set did not settle in {_MAX_LEVELS} levels")
+
+
+def check_numerical_contraction(nu: float, cfg: Tolerances = DEFAULT) -> None:
+    """Raise InputError unless nu <= 1 + tol_nu."""
+    if nu > 1.0 + cfg.tol_nu:
+        raise InputError(f"not a numerical contraction: nu = {nu:.12f}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +114,17 @@ class CnuVerdict:
         return self.is_cnu
 
 
+def cnu_verdict(eigs, cfg: Tolerances = DEFAULT) -> CnuVerdict:
+    """c.n.u. verdict of a numerical contraction from its eigenvalues.
+
+    Witnesses are the eigenvalues within tol_mod of the unit circle, sorted
+    by (real, imag).
+    """
+    witnesses = tuple(sorted((complex(ev) for ev in eigs if abs(abs(ev) - 1.0) <= cfg.tol_mod),
+                             key=lambda z: (z.real, z.imag)))
+    return CnuVerdict(len(witnesses) == 0, witnesses)
+
+
 def is_cnu(F, cfg: Tolerances = DEFAULT) -> CnuVerdict:
     """True iff no eigenvalue lies within tol_mod of the unit circle.
 
@@ -80,12 +132,8 @@ def is_cnu(F, cfg: Tolerances = DEFAULT) -> CnuVerdict:
     numerical contractions, so nu(F) <= 1 + tol_nu is enforced first.
     """
     F = as_complex_matrix(F, square=True)
-    nu = numerical_radius(F, cfg)
-    if nu > 1.0 + cfg.tol_nu:
-        raise InputError(f"not a numerical contraction: nu = {nu:.12f}")
-    eigs = spectrum(F, cfg)
-    witnesses = tuple(complex(ev) for ev in eigs if abs(abs(ev) - 1.0) <= cfg.tol_mod)
-    return CnuVerdict(len(witnesses) == 0, witnesses)
+    check_numerical_contraction(numerical_radius(F, cfg), cfg)
+    return cnu_verdict(spectrum(F, cfg), cfg)
 
 
 @dataclass(frozen=True)
@@ -128,9 +176,7 @@ def cnu_decompose(F, cfg: Tolerances = DEFAULT) -> CnuDecomposition:
     the peeling repeats until the remaining block is c.n.u.
     """
     F = as_complex_matrix(F, square=True)
-    nu = numerical_radius(F, cfg)
-    if nu > 1.0 + cfg.tol_nu:
-        raise InputError(f"not a numerical contraction: nu = {nu:.12f}")
+    check_numerical_contraction(numerical_radius(F, cfg), cfg)
     n = F.shape[0]
     transform = np.eye(n, dtype=complex)
     block = F.copy()
@@ -200,8 +246,8 @@ def _check_reassembly(F: np.ndarray, dec: CnuDecomposition) -> None:
         raise NumericalError(f"c.n.u. decomposition reassembly residual {err:.3e}")
 
 
-def pu_compress(P, U, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """The numerical contraction PU + U*(I - P) for a projection P, unitary U."""
+def _pu_matrix(P, U, cfg: Tolerances) -> np.ndarray:
+    """PU + U*(I - P) after validating P as a projection and U as a unitary."""
     P = as_complex_matrix(P, square=True)
     U = as_complex_matrix(U, square=True)
     if P.shape != U.shape:
@@ -213,7 +259,12 @@ def pu_compress(P, U, cfg: Tolerances = DEFAULT) -> np.ndarray:
         raise InputError("P is not an orthogonal projection to tolerance")
     if np.linalg.norm(U.conj().T @ U - np.eye(n)) > cfg.tol_op:
         raise InputError("U is not unitary to tolerance")
-    T = P @ U + U.conj().T @ (np.eye(n) - P)
+    return P @ U + U.conj().T @ (np.eye(n) - P)
+
+
+def pu_compress(P, U, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """The numerical contraction PU + U*(I - P) for a projection P, unitary U."""
+    T = _pu_matrix(P, U, cfg)
     nu = numerical_radius(T, cfg)
     if nu > 1.0 + cfg.tol_nu:
         raise NumericalError(f"PU compression has nu = {nu:.12f} > 1")
@@ -276,11 +327,13 @@ def pu_witness_search(P, U, cfg: Tolerances = DEFAULT):
 
     Enumerates subspaces spanned by subsets of the computed joint eigenvectors
     only; this suffices at desk scale but is not a complete reducing-subspace
-    search.  Returns an orthonormal witness basis, or None.
+    search.  Returns an orthonormal witness basis, or None.  The search reads
+    only the unimodular eigenstructure of T, so it does not repeat the
+    numerical-radius audit of :func:`pu_compress`.
     """
     from itertools import combinations
 
-    T = pu_compress(P, U, cfg)
+    T = _pu_matrix(P, U, cfg)
     scale = max(np.linalg.norm(T), 1.0)
     basis: list[np.ndarray] = []
     for ev in _unimodular_reps(spectrum(T, cfg), scale, cfg):

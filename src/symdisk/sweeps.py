@@ -19,8 +19,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .gamma import GammaPoint, Region
-from .numrange import is_cnu, numerical_radius, pu_compress, pu_witness_search
-from .variety import PencilVariety, distinguished_property_check, region_audit
+from .numrange import numerical_radius, pu_compress, pu_witness_search
+from .variety import (PencilVariety, distinguished_property_check, is_distinguished,
+                      region_audit)
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -88,8 +89,8 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
                 blocks[k:, k:] = ginibre_contraction(rng, d - k, cfg)
             W = haar_unitary(rng, d)
             F = W @ blocks @ W.conj().T
-        V = PencilVariety(F)
-        verdict = bool(is_cnu(F, cfg))
+        V = PencilVariety(F, cfg)
+        verdict = bool(is_distinguished(V, cfg))
         audit = region_audit(V, cfg=cfg)
         prop = distinguished_property_check(V, audit.samples, cfg=cfg)
         if audit.counts[Region.R2.value] != 0:
@@ -111,11 +112,11 @@ def pu_sweep(n_cases: int = 100, d_max: int = 4, seed: int = 0,
         U = haar_unitary(rng, d)
         P = random_projection(rng, d)
         T = pu_compress(P, U, cfg)
-        nu = numerical_radius(T, cfg)
-        if nu > 1.0 + 1e-9:
-            failures.append((case, f"nu = {nu:.12f}"))
+        V = PencilVariety(T, cfg)
+        if V.nu > 1.0 + 1e-9:
+            failures.append((case, f"nu = {V.nu:.12f}"))
             continue
-        verdict = bool(is_cnu(T, cfg))
+        verdict = bool(is_distinguished(V, cfg))
         witness = pu_witness_search(P, U, cfg)
         if verdict != (witness is None):
             failures.append(

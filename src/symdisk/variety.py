@@ -10,15 +10,16 @@ region audits, and containment of boundary sheets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._parallel import pmap
 from .config import DEFAULT, Tolerances
 from .errors import InputError
 from .gamma import GammaPoint, Region, classify_region, fibers
 from .linalg import as_complex_matrix, spectrum
-from .numrange import CnuVerdict, cnu_decompose, is_cnu, numerical_radius
+from .numrange import (CnuVerdict, check_numerical_contraction, cnu_decompose,
+                       cnu_verdict, numerical_radius)
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,27 @@ def _trim(C: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilVariety:
-    """The zero set of det(F* + p F - s I) for a numerical contraction F."""
+    """The zero set of det(F* + p F - s I) for a numerical contraction F.
+
+    nu(F) is computed at construction and the eigenvalues of F on first use;
+    both are stored and reused by every verdict on the variety.
+    """
     F: np.ndarray
+    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
     nu: float = field(init=False)
 
     def __post_init__(self):
         F = as_complex_matrix(self.F, square=True)
         object.__setattr__(self, "F", F)
-        nu = numerical_radius(F)
-        if nu > 1.0 + DEFAULT.tol_nu:
-            raise InputError(f"not a numerical contraction: nu = {nu:.12f}")
+        nu = numerical_radius(F, self.cfg)
+        check_numerical_contraction(nu, self.cfg)
         object.__setattr__(self, "nu", float(nu))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of F, sorted by (real, imag)."""
+        eigs = sorted(spectrum(self.F, self.cfg), key=lambda z: (z.real, z.imag))
+        return np.array(eigs, dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -142,8 +153,12 @@ def is_member(V: PencilVariety, x: GammaPoint, cfg: Tolerances = DEFAULT) -> boo
 
 
 def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
-    """Distinguished iff F is c.n.u.; witnesses are unimodular eigenvalues."""
-    return is_cnu(V.F, cfg)
+    """Distinguished iff F is c.n.u.; witnesses are unimodular eigenvalues.
+
+    F is a numerical contraction by construction of V, so the verdict reads
+    the stored spectrum.
+    """
+    return cnu_verdict(V.eigenvalues, cfg)
 
 
 @dataclass(frozen=True)
@@ -174,9 +189,11 @@ def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> Re
     counts = {label: 0 for label in Region}
     offenders = []
     samples = []
-    slices = pmap(lambda p: slice_points(V, p, cfg), p_grid)
+    # all slices in one stacked eigvals call on F* + p F; see slice_points
+    p_arr = np.asarray(p_grid, dtype=complex).reshape(-1, 1, 1)
+    slices = np.linalg.eigvals(V.F.conj().T + p_arr * V.F)
     for p, svals in zip(p_grid, slices):
-        for s in svals:
+        for s in sorted(map(complex, svals), key=lambda z: (z.real, z.imag)):
             x = GammaPoint(s, p)
             label = classify_region(x, cfg=cfg)
             counts[label] += 1
@@ -234,7 +251,7 @@ def distinguished_property_check(V: PencilVariety, samples, g_closure_only: bool
         dec = cnu_decompose(V.F, cfg)
         if dec.cnu_block.shape[0] == 0:
             return True
-        sub = PencilVariety(dec.cnu_block)
+        sub = PencilVariety(dec.cnu_block, cfg)
     for x in samples:
         if sub is not None and not is_member(sub, x, cfg):
             continue

@@ -54,6 +54,13 @@ class TestClassify:
         assert "distinguished: False" in out
         assert "witnesses" in out
 
+    def test_peak_between_scan_angles_exit_2(self, tmp_path, capsys):
+        # nu = 1.00002 at an angle halfway between two of the 257 scan angles
+        f = write_matrix(tmp_path / "m.json",
+                         np.diag([1.0, (1 + 2e-5) * np.exp(1j * 100.5 * 2 * np.pi / 257)]))
+        assert main(["classify", "--input", f]) == 2
+        assert "not a numerical contraction: nu = 1.000020000000" in capsys.readouterr().err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -168,6 +175,16 @@ class TestTolOverridesAndThreads:
         assert main(["pick", "--input", data, "--kernel", "szego",
                      "--tol-active=1.0"]) == 0
         assert "active: gamma" in capsys.readouterr().out
+
+    def test_tol_nu_override_reaches_pencil_variety(self, tmp_path, capsys):
+        # nu = 1.000001 is accepted at --tol-nu=1e-3 by every layer, the
+        # pencil variety included; --tol-mod=1e-5 makes 1.000001 a witness
+        f = write_matrix(tmp_path / "m.json", np.diag([1.000001, 0.2]))
+        assert main(["classify", "--input", f]) == 2
+        assert main(["classify", "--input", f, "--tol-nu=1e-3", "--tol-mod=1e-5"]) == 0
+        out = capsys.readouterr().out
+        assert "nu(F) = 1.000001000000" in out
+        assert "unimodular witnesses: 1.000001+0j" in out
 
     def test_threads_env(self, tmp_path, royal_matrix, monkeypatch, capsys):
         monkeypatch.setenv("SYMDISK_THREADS", "2")

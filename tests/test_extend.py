@@ -60,6 +60,9 @@ class TestBuildExtension:
     def test_cnu_invariant(self, model_royal):
         assert bool(sd.is_cnu(model_royal.F))
 
+    def test_variety_built_once(self, model_royal):
+        assert model_royal.variety is model_royal.variety
+
 
 class TestComplexNodePipeline:
     def test_extension_reproduces_complex_gram(self, rng):

@@ -53,6 +53,49 @@ class TestNumericalRadius:
         assert sd.numerical_radius(F) >= rho - 1e-10
 
 
+class TestCertifiedNumericalRadius:
+    # normal, so nu = 1.00002; the second peak sits halfway between two of
+    # the 257 scan angles, below the first peak at every scanned angle
+    PEAK_BETWEEN_SCAN_ANGLES = np.diag(
+        [1.0, (1 + 2e-5) * np.exp(1j * 100.5 * 2 * np.pi / 257)])
+
+    def test_peak_between_scan_angles(self):
+        nu = sd.numerical_radius(self.PEAK_BETWEEN_SCAN_ANGLES)
+        assert abs(nu - (1 + 2e-5)) <= sd.DEFAULT.tol_nu
+
+    def test_peak_between_scan_angles_not_a_contraction(self):
+        with pytest.raises(InputError):
+            sd.is_cnu(self.PEAK_BETWEEN_SCAN_ANGLES)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_shift(self, d):
+        # W(shift) is the disk of radius cos(pi/(d+1)): a flat support function
+        S = np.diag(np.ones(d - 1), 1)
+        assert abs(sd.numerical_radius(S) - np.cos(np.pi / (d + 1))) <= sd.DEFAULT.tol_nu
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2 ** 31),
+           st.floats(min_value=0.01, max_value=100.0))
+    def test_enclosure(self, d, seed, scale):
+        rng = np.random.default_rng(seed)
+        F = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        nu = sd.numerical_radius(F)
+        norm2 = np.linalg.norm(F, 2)
+        rho = np.abs(np.linalg.eigvals(F)).max()
+        slack = 1e-12 * norm2 + sd.DEFAULT.tol_nu
+        assert rho - slack <= nu <= norm2 + slack
+        assert nu >= norm2 / 2 - slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2 ** 31))
+    def test_normal_equals_spectral_radius(self, d, seed):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.0, 2.0, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        U = haar_unitary(rng, d)
+        F = U @ np.diag(lam) @ U.conj().T
+        assert abs(sd.numerical_radius(F) - np.abs(lam).max()) <= sd.DEFAULT.tol_nu
+
+
 class TestIsCnu:
     def test_nilpotent_true(self):
         assert bool(sd.is_cnu([[0, 2], [0, 0]]))
@@ -61,6 +104,13 @@ class TestIsCnu:
         verdict = sd.is_cnu(np.eye(2))
         assert not verdict
         assert any(abs(w - 1) < 1e-9 for w in verdict.witnesses)
+
+    def test_witnesses_sorted(self, rng):
+        betas = np.exp(2j * np.pi * np.array([0.8, 0.1, 0.45, 0.6]))
+        U = haar_unitary(rng, 4)
+        verdict = sd.is_cnu(U @ np.diag(betas) @ U.conj().T)
+        keys = [(w.real, w.imag) for w in verdict.witnesses]
+        assert len(keys) == 4 and keys == sorted(keys)
 
     def test_jordan_halves_true(self, jordan_halves):
         assert bool(sd.is_cnu(jordan_halves))

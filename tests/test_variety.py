@@ -201,3 +201,12 @@ class TestTheoremLevelProperties:
 def test_rejects_non_contraction():
     with pytest.raises(InputError):
         sd.PencilVariety(np.array([[2.0]]))
+
+
+def test_honours_tol_nu_override():
+    F = np.diag([1.000001, 0.2])
+    with pytest.raises(InputError):
+        sd.PencilVariety(F)
+    V = sd.PencilVariety(F, sd.with_overrides(sd.DEFAULT, tol_nu=1e-3))
+    assert abs(V.nu - 1.000001) <= 1e-10
+    assert np.allclose(V.eigenvalues, [0.2, 1.000001])
