@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
@@ -38,6 +39,8 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CERTIFICATE = 4
 
 _TOL_FLAG = re.compile(r"^--tol-([a-z0-9-]+)=(.*)$")
+# declared type of every Tolerances field, used to parse its --tol- value
+_TOL_TYPES = typing.get_type_hints(Tolerances)
 
 
 # ---------------------------------------------------------------- JSON I/O
@@ -74,7 +77,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"rows": [[_complex_to_json(z) for z in row] for row in np.atleast_2d(M)]}
 
 
-def load_pick_data(path: str) -> PickData:
+def load_pick_data(path: str, cfg: Tolerances = DEFAULT) -> PickData:
     data = _load_json(path)
     if not isinstance(data, dict) or "nodes" not in data or "targets" not in data:
         raise InputError(f"{path}: Pick data needs 'nodes' and 'targets'")
@@ -84,7 +87,7 @@ def load_pick_data(path: str) -> PickData:
             raise InputError(f"{path}: each node needs 's' and 'p'")
         nodes.append(GammaPoint(_complex_from_json(nd["s"]), _complex_from_json(nd["p"])))
     targets = [_complex_from_json(w) for w in data["targets"]]
-    return PickData(tuple(nodes), tuple(targets))
+    return PickData(tuple(nodes), tuple(targets), cfg)
 
 
 def _load_json(path: str):
@@ -195,7 +198,7 @@ def cmd_classify(args, cfg: Tolerances) -> int:
 
 
 def cmd_pick(args, cfg: Tolerances) -> int:
-    data = load_pick_data(args.input)
+    data = load_pick_data(args.input, cfg)
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
     P = pick_matrix(data, K, cfg)
@@ -244,7 +247,7 @@ def cmd_pick(args, cfg: Tolerances) -> int:
 
 
 def cmd_trace(args, cfg: Tolerances) -> int:
-    data = load_pick_data(args.input)
+    data = load_pick_data(args.input, cfg)
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
     P = pick_matrix(data, K, cfg)
@@ -345,7 +348,12 @@ def cmd_verify(args, cfg: Tolerances) -> int:
 # ---------------------------------------------------------------- plumbing
 
 def _extract_tolerance_flags(argv):
-    """Split --tol-<name>=<value> flags from the rest of argv."""
+    """Split --tol-<name>=<value> flags from the rest of argv.
+
+    <name> selects the first existing field among tol_<name>, <name> and
+    <name>_tol (dashes read as underscores); the value is parsed with the
+    field's declared type.
+    """
     rest, overrides = [], {}
     for arg in argv:
         m = _TOL_FLAG.match(arg)
@@ -353,9 +361,10 @@ def _extract_tolerance_flags(argv):
             rest.append(arg)
             continue
         name = m.group(1).replace("-", "_")
-        field = "rank_tol" if name == "rank" else f"tol_{name}"
+        candidates = (f"tol_{name}", name, f"{name}_tol")
+        field = next((f for f in candidates if f in _TOL_TYPES), candidates[0])
         try:
-            overrides[field] = float(m.group(2))
+            overrides[field] = _TOL_TYPES.get(field, float)(m.group(2))
         except ValueError:
             raise InputError(f"bad tolerance value in {arg!r}")
     return rest, overrides

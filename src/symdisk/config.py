@@ -8,7 +8,6 @@ run can be tightened or loosened coherently, e.g. from the CLI via
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -66,12 +65,3 @@ def with_overrides(cfg: Tolerances, **overrides) -> Tolerances:
         raise InputError(f"unknown tolerance name(s): {sorted(unknown)}")
     return dataclasses.replace(cfg, **overrides)
 
-
-def thread_count() -> int:
-    """Parallelism cap from SYMDISK_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("SYMDISK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"SYMDISK_THREADS must be an integer, got {raw!r}")
-    return max(1, n)

@@ -26,10 +26,11 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 from .gamma import GammaPoint
-from .linalg import spectrum, spectral_projection
-from .numrange import cnu_decompose
-from .pick import KernelMatrix, _fundamental_model, admissibility_audit
-from .variety import PencilVariety, is_distinguished, membership_residual
+from .kernels import kernel_entry, unit_kernel_vector
+from .linalg import cluster_indices, spectrum, spectral_projection
+from .numrange import _peel_unitary
+from .pick import KernelMatrix, _audit_model, _fundamental_model
+from .variety import PencilVariety, is_distinguished, membership_residual, pencil_matrix
 
 _EPS = np.finfo(float).eps
 
@@ -53,14 +54,16 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
 
     The kernel must pass the admissibility audit.  The u_j may not leak into
     the unitary block of the fundamental operator (nodes come from the open
-    domain), and each must be annihilated by the node's pencil.
+    domain), and each must be annihilated by the node's pencil.  The
+    fundamental model is built once; its passed audit certifies nu(F') for
+    the peeling of the unitary block.
     """
-    report = admissibility_audit(K, cfg=cfg)
+    model = _fundamental_model(K, cfg)
+    report = _audit_model(model, None, cfg)
     if not report.passed:
         raise InputError(
             f"kernel failed the admissibility audit: {', '.join(report.failures)}")
-    model = _fundamental_model(K, cfg)
-    dec = cnu_decompose(model.F, cfg)
+    dec = _peel_unitary(model.F, cfg)
     m_uni = model.F.shape[0] - dec.cnu_block.shape[0]
     F = dec.cnu_block
     if F.shape[0] == 0:
@@ -82,8 +85,7 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
             raise NumericalError(
                 f"node {j} leaks into the unitary block: {leak:.3e}")
         u = tilted[m_uni:]
-        pencil = F + np.conj(x.p) * F.conj().T - np.conj(x.s) * np.eye(F.shape[0])
-        resid = np.linalg.norm(pencil @ u)
+        resid = np.linalg.norm(pencil_matrix(F, x.s, x.p).conj().T @ u)
         if resid > cfg.tol_ext * max(1.0, norm_u):
             raise NumericalError(
                 f"node {j} violates the pencil equation: residual {resid:.3e}")
@@ -98,40 +100,25 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
                      cfg: Tolerances = DEFAULT) -> np.ndarray:
     """u(x) in ker(F + conj(p) F* - conj(s) I); stored u_j at the nodes.
 
-    Off the nodes the smallest right singular vector is returned (unit norm,
-    deterministic phase).  When the null space has dimension > 1 this is one
+    Off the nodes this is :func:`symdisk.kernels.unit_kernel_vector` on the
+    model's variety.  When the null space has dimension > 1 that is one
     choice among many; the uniqueness-value ratio does not depend on it.
     """
     for j, nd in enumerate(model.nodes):
         if _coincide(x, nd, cfg):
             return model.u_nodes[j]
-    F = model.F
-    M = F + np.conj(complex(x.p)) * F.conj().T - np.conj(complex(x.s)) * np.eye(F.shape[0])
-    _, sv, Vh = np.linalg.svd(M)
-    scale = max(1.0, sv[0]) if len(sv) else 1.0
-    if len(sv) == 0 or sv[-1] > cfg.tol_memb * scale:
-        raise InputError(f"point ({x.s}, {x.p}) is off the variety")
-    v = Vh[-1].conj()
-    k = int(np.argmax(np.abs(v)))
-    return v * (np.conj(v[k]) / abs(v[k]))
+    return unit_kernel_vector(model.variety, x, cfg)
 
 
 def _coincide(x: GammaPoint, y: GammaPoint, cfg: Tolerances) -> bool:
     return abs(complex(x.s) - y.s) + abs(complex(x.p) - y.p) <= cfg.tol_node
 
 
-def _kernel_entry(ux: np.ndarray, uy: np.ndarray, x: GammaPoint, y: GammaPoint) -> complex:
-    den = 1.0 - complex(x.p) * np.conj(complex(y.p))
-    if abs(den) <= 1e-14:
-        raise InputError("extended kernel denominator vanishes")
-    return complex(np.vdot(ux, uy) / den)
-
-
 def extended_kernel(model: ExtensionModel, x: GammaPoint, y: GammaPoint,
                     cfg: Tolerances = DEFAULT) -> complex:
     """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the variety."""
-    return _kernel_entry(kernel_vector_at(model, x, cfg), kernel_vector_at(model, y, cfg),
-                         x, y)
+    return kernel_entry(kernel_vector_at(model, x, cfg), kernel_vector_at(model, y, cfg),
+                        x, y)
 
 
 @dataclass(frozen=True)
@@ -147,19 +134,6 @@ class SheetTrace:
     membership_residuals: tuple  # per path point: worst residual of (conj a, conj z)
     projection_defects: tuple    # per path point: ||P^2 - P|| of the enclosing P(z)
     contour_radius: float
-
-
-def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    groups: list[list[int]] = []
-    for i in order:
-        for g in groups:
-            if abs(values[i] - np.mean([values[k] for k in g])) <= tol:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
 
 
 def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = None,
@@ -204,7 +178,6 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     eps_used = eps0
     for z in z_path:
         pencil = F + z * F.conj().T
-        evs = spectrum(pencil, cfg)
         proj = None
         eps = eps_used
         for _ in range(4):
@@ -217,12 +190,13 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
             raise IllPlacedContour(
                 f"no admissible contour around {sbar} at z = {z}")
         eps_used = eps
+        evs = proj.eigenvalues
         inside = [i for i in range(d) if abs(evs[i] - sbar) < eps]
         vsum = proj.matrix @ u_j
         proj_defects.append(proj.idempotency_defect)
         sum_errors.append(float(np.linalg.norm(vsum - u_j)))
         ctol = cfg.tol_cluster * max(1.0, np.linalg.norm(pencil))
-        groups = _cluster_indices(np.array([evs[i] for i in inside]), ctol)
+        groups = cluster_indices(np.array([evs[i] for i in inside]), ctol)
         means, vecs = [], []
         for g in groups:
             mean = complex(np.mean([evs[inside[i]] for i in g]))
@@ -278,7 +252,7 @@ def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets,
     if resid > 1e-7 * max(1.0, np.linalg.norm(pick)) * np.linalg.norm(gamma):
         raise InputError(f"gamma is not a Pick-matrix null vector: residual {resid:.3e}")
     ux = kernel_vector_at(model, x, cfg)
-    col = np.array([_kernel_entry(ux, u, x, nd) for u, nd in zip(model.u_nodes, K.nodes)])
+    col = np.array([kernel_entry(ux, u, x, nd) for u, nd in zip(model.u_nodes, K.nodes)])
     num = col @ gamma
     den = (w.conj() * col) @ gamma
     scale = float(np.abs(col) @ np.abs(gamma))

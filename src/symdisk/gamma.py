@@ -111,18 +111,33 @@ def phi_scalar(alpha: complex, x: GammaPoint) -> complex:
     return (2.0 * alpha * p - s) / den
 
 
-def phi_operator(tau, x: GammaPoint, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Operator version (2*tau*p - s*I)(2*I - s*tau)^{-1} for a contraction tau."""
+def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}.
+
+    ``s`` and ``p`` are equal-length sequences; the result has shape
+    (len(s), h, h).  The contraction check on tau runs once per stack.
+    """
     tau = as_complex_matrix(tau, square=True)
-    s, p = complex(x.s), complex(x.p)
+    s = np.asarray(s, dtype=complex)[:, None, None]
+    p = np.asarray(p, dtype=complex)[:, None, None]
     if np.linalg.norm(tau, 2) > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
-    n = tau.shape[0]
-    pencil = 2.0 * np.eye(n) - s * tau
+    # tau and I get the stack axis too: numpy multiplies a (1, 1, 1) complex
+    # array by a (1, 1) one in another inner loop than by a (1, 1, 1) one,
+    # and only the latter keeps the last bits of a scalar times a 1 x 1 tau
+    tau = tau[None]
+    eye = np.eye(tau.shape[1])[None]
+    pencil = 2.0 * eye - s * tau
     sv = np.linalg.svd(pencil, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(sv[0], 1.0):
+    if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
         raise InputError("singular pencil 2*I - s*tau")
-    return np.linalg.solve(pencil.T, (2.0 * p * tau - s * np.eye(n)).T).T
+    rhs = 2.0 * p * tau - s * eye
+    return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def phi_operator(tau, x: GammaPoint, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Operator version (2*tau*p - s*I)(2*I - s*tau)^{-1} for a contraction tau."""
+    return phi_operators(tau, [x.s], [x.p], cfg)[0]
 
 
 def szego_kernel(x: GammaPoint, y: GammaPoint) -> complex:

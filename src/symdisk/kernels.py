@@ -13,7 +13,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import InputError
 from .gamma import GammaPoint, szego_kernel
-from .variety import PencilVariety
+from .variety import PencilVariety, pencil_matrix
 
 
 def szego() -> callable:
@@ -29,15 +29,23 @@ def unit_kernel_vector(V: PencilVariety, x: GammaPoint,
     positive real.  Raises when x is off the variety at the tol_memb scale.
     """
     s, p = complex(x.s), complex(x.p)
-    M = V.F + np.conj(p) * V.F.conj().T - np.conj(s) * np.eye(V.dim)
-    _, sv, Vh = np.linalg.svd(M)
-    scale = max(1.0, sv[0]) if len(sv) else 1.0
-    if len(sv) and sv[-1] > cfg.tol_memb * scale:
+    _, sv, Vh = np.linalg.svd(pencil_matrix(V.F, s, p).conj().T)
+    if len(sv) == 0:
+        raise InputError("the variety of an empty pencil has no points")
+    if sv[-1] > cfg.tol_memb * max(1.0, sv[0]):
         raise InputError(f"point ({s}, {p}) is off the variety: "
                          f"residual {sv[-1]:.3e}")
     v = Vh[-1].conj()
     k = int(np.argmax(np.abs(v)))
     return v * (np.conj(v[k]) / abs(v[k]))
+
+
+def kernel_entry(ux: np.ndarray, uy: np.ndarray, x: GammaPoint, y: GammaPoint) -> complex:
+    """<u(y), u(x)> / (1 - p conj(q)) from the kernel vectors at x = (s, p), y = (t, q)."""
+    den = 1.0 - complex(x.p) * np.conj(complex(y.p))
+    if abs(den) <= 1e-14:
+        raise InputError("kernel denominator 1 - p conj(q) vanishes")
+    return complex(np.vdot(ux, uy) / den)
 
 
 def model(F, cfg: Tolerances = DEFAULT) -> callable:
@@ -58,10 +66,7 @@ def model(F, cfg: Tolerances = DEFAULT) -> callable:
         return cache[key]
 
     def evaluate(x: GammaPoint, y: GammaPoint) -> complex:
-        den = 1.0 - complex(x.p) * np.conj(complex(y.p))
-        if abs(den) <= 1e-14:
-            raise InputError("model kernel denominator vanishes")
-        return complex(np.vdot(u_of(x), u_of(y)) / den)
+        return kernel_entry(u_of(x), u_of(y), x, y)
 
     return evaluate
 

@@ -45,29 +45,42 @@ def spectrum(A, cfg: Tolerances = DEFAULT) -> np.ndarray:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
 
 
+def cluster_indices(values, tol: float) -> list[list[int]]:
+    """Greedy clusters of values in (real, imag) order, as index lists.
+
+    A value joins the first cluster whose current mean lies within ``tol``.
+    """
+    values = np.asarray(values, dtype=complex)
+    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
+    groups: list[list[int]] = []
+    for i in order:
+        for g in groups:
+            if abs(values[i] - np.mean(values[g])) <= tol:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
 def cluster_eigenvalues(eigs, scale: float, cfg: Tolerances = DEFAULT):
     """Group eigenvalues within tol_cluster*scale; returns (mean, count) pairs."""
     eigs = np.asarray(eigs, dtype=complex)
-    tol = cfg.tol_cluster * max(scale, 1.0)
-    groups: list[list[complex]] = []
-    for ev in sorted(eigs, key=lambda z: (z.real, z.imag)):
-        for g in groups:
-            if abs(ev - np.mean(g)) <= tol:
-                g.append(ev)
-                break
-        else:
-            groups.append([ev])
-    return [(complex(np.mean(g)), len(g)) for g in groups]
+    groups = cluster_indices(eigs, cfg.tol_cluster * max(scale, 1.0))
+    return [(complex(np.mean(eigs[g])), len(g)) for g in groups]
+
+
+def hermitian_part(M, cfg: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
+    """(M + M*)/2 for a square M that is Hermitian to tol_herm (relative)."""
+    M = as_complex_matrix(M, square=True)
+    if np.linalg.norm(M - M.conj().T) > cfg.tol_herm * max(np.linalg.norm(M), 1.0):
+        raise InputError(f"{what} is not Hermitian to tolerance")
+    return (M + M.conj().T) / 2
 
 
 def hermitian_eig(H, cfg: Tolerances = DEFAULT):
     """Eigendecomposition of a Hermitian matrix: ascending values, orthonormal vectors."""
-    H = as_complex_matrix(H, square=True)
-    scale = max(np.linalg.norm(H), 1.0)
-    if np.linalg.norm(H - H.conj().T) > cfg.tol_herm * scale:
-        raise InputError("matrix is not Hermitian to tolerance")
-    vals, vecs = np.linalg.eigh((H + H.conj().T) / 2)
-    return vals, vecs
+    return np.linalg.eigh(hermitian_part(H, cfg))
 
 
 def null_space(A, rank_tol: float | None = None, cfg: Tolerances = DEFAULT):
@@ -93,9 +106,7 @@ def psd_sqrt(M, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Hermitian PSD square root; rejects matrices indefinite beyond tol_psd."""
     M = as_complex_matrix(M, square=True)
     scale = max(np.linalg.norm(M), 1.0)
-    if np.linalg.norm(M - M.conj().T) > cfg.tol_herm * scale:
-        raise InputError("matrix is not Hermitian to tolerance")
-    vals, vecs = np.linalg.eigh((M + M.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitian_part(M, cfg))
     if len(vals) and vals[0] < -cfg.tol_psd * scale:
         raise InputError(f"matrix is indefinite: min eigenvalue {vals[0]:.3e}")
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
@@ -110,6 +121,7 @@ class SpectralProjection:
     center: complex
     radius: float
     idempotency_defect: float
+    eigenvalues: np.ndarray   # the full spectrum of the matrix, unsorted
 
 
 def spectral_projection(A, center: complex, radius: float, n_quad: int | None = None,
@@ -148,7 +160,7 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
     if abs(tr - round(tr.real)) > 0.01 or round(tr.real) != enclosed:
         raise NumericalError(
             f"projection rank {tr:.6f} disagrees with enclosed count {enclosed}")
-    return SpectralProjection(P, enclosed, complex(center), float(radius), defect)
+    return SpectralProjection(P, enclosed, complex(center), float(radius), defect, eigs)
 
 
 def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,

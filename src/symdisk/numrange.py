@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .linalg import as_complex_matrix, null_space, spectrum
+from .linalg import _orthogonal_complement, as_complex_matrix, null_space, spectrum
 
 # Shift of the shift-and-invert level-set solve: any point off the unit
 # circle that is not an eigenvalue of the pencil will do.
@@ -177,6 +177,11 @@ def cnu_decompose(F, cfg: Tolerances = DEFAULT) -> CnuDecomposition:
     """
     F = as_complex_matrix(F, square=True)
     check_numerical_contraction(numerical_radius(F, cfg), cfg)
+    return _peel_unitary(F, cfg)
+
+
+def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
+    """The peeling of :func:`cnu_decompose` for a certified numerical contraction F."""
     n = F.shape[0]
     transform = np.eye(n, dtype=complex)
     block = F.copy()
@@ -193,7 +198,7 @@ def cnu_decompose(F, cfg: Tolerances = DEFAULT) -> CnuDecomposition:
                 f"unimodular eigenvalue {beta:.6f} has no reducing eigenvector")
         Q = np.column_stack(basis)
         m = Q.shape[1]
-        rest = _complement(Q)
+        rest = _orthogonal_complement(Q)
         W = np.hstack([rest, Q])  # keep c.n.u. candidates in the leading block
         block_new = W.conj().T @ block @ W
         off = np.linalg.norm(block_new[: block.shape[0] - m, block.shape[0] - m:]) + \
@@ -220,15 +225,6 @@ def _embed_tail(W: np.ndarray, n: int) -> np.ndarray:
     out = np.eye(n, dtype=complex)
     out[:k, :k] = W
     return out
-
-
-def _complement(Q: np.ndarray) -> np.ndarray:
-    n, r = Q.shape
-    if r >= n:
-        return np.zeros((n, 0), dtype=complex)
-    M = np.eye(n, dtype=complex) - Q @ Q.conj().T
-    U_, _, _ = np.linalg.svd(M)
-    return U_[:, :n - r]
 
 
 def _check_reassembly(F: np.ndarray, dec: CnuDecomposition) -> None:

@@ -10,14 +10,14 @@ truncated dilation isometry with its intertwining relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
 from .gamma import GammaPoint, Region, classify_region
-from .linalg import as_complex_matrix, psd_sqrt
+from .linalg import as_complex_matrix, hermitian_part, psd_sqrt
 from .numrange import numerical_radius
 
 _EPS = np.finfo(float).eps
@@ -28,6 +28,7 @@ class PickData:
     """Interpolation nodes in the open domain with unit-disk targets."""
     nodes: tuple
     targets: tuple
+    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(GammaPoint(complex(x.s), complex(x.p)) for x in self.nodes)
@@ -36,14 +37,14 @@ class PickData:
             raise InputError("nodes and targets must have equal length")
         if not nodes:
             raise InputError("empty Pick datum")
-        cfg = DEFAULT
+        cfg = self.cfg
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 sep = abs(nodes[i].s - nodes[j].s) + abs(nodes[i].p - nodes[j].p)
                 if sep <= cfg.tol_node:
                     raise InputError(f"nodes {i} and {j} coincide")
         for i, x in enumerate(nodes):
-            if classify_region(x) is not Region.OPEN_G:
+            if classify_region(x, cfg=cfg) is not Region.OPEN_G:
                 raise InputError(f"node {i} = ({x.s}, {x.p}) is not in the open domain")
         for i, w in enumerate(targets):
             if abs(w) > 1.0 + 1e-14:
@@ -60,18 +61,15 @@ class KernelMatrix:
     """A kernel's Gram matrix on a node list (Hermitian PSD, positive diagonal)."""
     nodes: tuple
     gram: np.ndarray
+    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(GammaPoint(complex(x.s), complex(x.p)) for x in self.nodes)
         G = as_complex_matrix(self.gram, square=True)
         if G.shape[0] != len(nodes):
             raise InputError("gram dimension does not match the node count")
-        cfg = DEFAULT
-        scale = max(np.linalg.norm(G), 1.0)
-        if np.linalg.norm(G - G.conj().T) > cfg.tol_herm * scale:
-            raise InputError("gram matrix is not Hermitian to tolerance")
-        vals = np.linalg.eigvalsh((G + G.conj().T) / 2)
-        if len(vals) and vals[0] < -cfg.tol_psd * scale:
+        vals = np.linalg.eigvalsh(hermitian_part(G, self.cfg, "gram matrix"))
+        if len(vals) and vals[0] < -self.cfg.tol_psd * max(np.linalg.norm(G), 1.0):
             raise InputError(f"gram matrix is not PSD: min eigenvalue {vals[0]:.3e}")
         if np.any(G.diagonal().real <= 0):
             raise InputError("kernel diagonal entries must be positive")
@@ -87,10 +85,7 @@ def gram_on_nodes(data: PickData, k, cfg: Tolerances = DEFAULT) -> KernelMatrix:
     n = len(data)
     G = np.array([[k(data.nodes[i], data.nodes[j]) for j in range(n)]
                   for i in range(n)], dtype=complex)
-    scale = max(np.linalg.norm(G), 1.0)
-    if np.linalg.norm(G - G.conj().T) > cfg.tol_herm * scale:
-        raise InputError("kernel is not Hermitian on the nodes")
-    return KernelMatrix(data.nodes, (G + G.conj().T) / 2)
+    return KernelMatrix(data.nodes, hermitian_part(G, cfg, "kernel on the nodes"), cfg)
 
 
 def pick_matrix(data: PickData, k, cfg: Tolerances = DEFAULT) -> np.ndarray:
@@ -114,9 +109,7 @@ def psd_report(M, cfg: Tolerances = DEFAULT) -> PsdReport:
     """Smallest eigenvalue of a Hermitian matrix and a null vector if active."""
     M = as_complex_matrix(M, square=True)
     scale = max(np.linalg.norm(M), 1.0)
-    if np.linalg.norm(M - M.conj().T) > cfg.tol_herm * scale:
-        raise InputError("matrix is not Hermitian to tolerance")
-    vals, vecs = np.linalg.eigh((M + M.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitian_part(M, cfg))
     min_eig = float(vals[0])
     gamma = None
     if min_eig <= cfg.tol_active * scale:
@@ -249,10 +242,15 @@ def admissibility_audit(K: KernelMatrix, trunc: int | None = None,
     is an isometry intertwining (M_s*, M_p*) with the model pair, up to the
     geometric tail ||Mp||^trunc.  A PASS is evidence, not a proof.
     """
+    return _audit_model(_fundamental_model(K, cfg), trunc, cfg)
+
+
+def _audit_model(model: _FundamentalModel, trunc: int | None,
+                 cfg: Tolerances) -> AdmissibilityReport:
+    """The audit of :func:`admissibility_audit` on a prebuilt fundamental model."""
     if trunc is None:
         trunc = cfg.trunc
     failures = []
-    model = _fundamental_model(K, cfg)
     ops = model.ops
     mp_norm = float(np.linalg.norm(ops.Mp, 2))
     ms_norm = float(np.linalg.norm(ops.Ms, 2))

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pmap
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import GammaPoint, phi_operator, symmetrize
+from .gamma import GammaPoint, phi_operators, symmetrize
 from .linalg import as_complex_matrix, complete_to_unitary
 from .pick import PickData
 
@@ -59,18 +58,27 @@ class RealizationModel:
             raise InputError("realization block matrix is not unitary to tolerance")
 
 
+def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
+    """phi, (I - D phi)^{-1} C and Psi = A + B phi (I - D phi)^{-1} C, stacked.
+
+    ``s`` and ``p`` are equal-length sequences of point coordinates; each
+    result has one leading axis over the points.
+    """
+    phi = phi_operators(m.tau, s, p, cfg)
+    M = np.eye(m.tau.shape[0]) - m.D @ phi
+    sv = np.linalg.svd(M, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)):
+        raise NumericalError("I - D phi is singular at the requested point")
+    inv = np.linalg.solve(M, np.broadcast_to(m.C, (len(M),) + m.C.shape))
+    return phi, inv, m.A + m.B @ phi @ inv
+
+
 def eval_model(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT,
                validate: bool = True) -> np.ndarray:
     """Psi(x) = A + B phi (I - D phi)^{-1} C."""
     if validate:
         m.validate(cfg)
-    phi = phi_operator(m.tau, x, cfg)
-    h = phi.shape[0]
-    M = np.eye(h) - m.D @ phi
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise NumericalError("I - D phi is singular at the requested point")
-    return m.A + m.B @ phi @ np.linalg.solve(M, m.C)
+    return _transfer(m, [x.s], [x.p], cfg)[2][0]
 
 
 def inner_defect(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT):
@@ -79,13 +87,9 @@ def inner_defect(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT):
     The second form is the algebraic identity available for unitary models, so
     a mismatch flags an inconsistent model (e.g. a perturbed block).
     """
-    psi = eval_model(m, x, cfg, validate=False)
-    phi = phi_operator(m.tau, x, cfg)
-    h = phi.shape[0]
-    d = m.A.shape[0]
-    direct = np.eye(d) - psi.conj().T @ psi
-    inv = np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
-    middle = np.eye(h) - phi.conj().T @ phi
+    phi, inv, psi = (a[0] for a in _transfer(m, [x.s], [x.p], cfg))
+    direct = np.eye(m.A.shape[0]) - psi.conj().T @ psi
+    middle = np.eye(phi.shape[0]) - phi.conj().T @ phi
     identity_form = inv.conj().T @ middle @ inv
     if np.linalg.norm(direct - identity_form) > cfg.tol_id:
         raise NumericalError(
@@ -99,23 +103,21 @@ def boundary_unitarity_audit(m: RealizationModel, n_per_axis: int = 64,
     """Max of ||I - Psi* Psi|| over a midpoint grid on the distinguished boundary.
 
     The grid is offset by half a step so torus corners (potential pencil
-    singularities, e.g. s = 2 for tau = [1]) are never sampled exactly.  The
-    model is not validated here: a non-unitary block simply shows up as a
-    large defect, which is the audit's verdict to report.
+    singularities, e.g. s = 2 for tau = [1]) are never sampled exactly.  One
+    torus row is evaluated per stacked call.  The model is not validated
+    here: a non-unitary block simply shows up as a large defect, which is the
+    audit's verdict to report.
     """
-    d = m.A.shape[0]
-
-    def row_worst(a: int) -> float:
-        t1 = 2 * np.pi * (a + 0.5) / n_per_axis
-        worst = 0.0
-        for b in range(n_per_axis):
-            t2 = 2 * np.pi * (b + 0.5) / n_per_axis
-            x = symmetrize(np.exp(1j * t1), np.exp(1j * t2))
-            psi = eval_model(m, x, cfg, validate=False)
-            worst = max(worst, float(np.linalg.norm(np.eye(d) - psi.conj().T @ psi, 2)))
-        return worst
-
-    return max(pmap(row_worst, range(n_per_axis)))
+    eye = np.eye(m.A.shape[0])
+    worst = 0.0
+    for a in range(n_per_axis):
+        z1 = np.exp(1j * (2 * np.pi * (a + 0.5) / n_per_axis))
+        row = [symmetrize(z1, np.exp(1j * (2 * np.pi * (b + 0.5) / n_per_axis)))
+               for b in range(n_per_axis)]
+        psi = _transfer(m, [x.s for x in row], [x.p for x in row], cfg)[2]
+        defect = eye - psi.conj().transpose(0, 2, 1) @ psi
+        worst = max(worst, float(np.linalg.norm(defect, 2, axis=(1, 2)).max()))
+    return worst
 
 
 def lurking_isometry_interpolant(tau, f_values, data, targets=None,
@@ -155,7 +157,7 @@ def lurking_isometry_interpolant(tau, f_values, data, targets=None,
     if len(fvals) != len(nodes):
         raise InputError("one F-value per node is required")
 
-    phis = [phi_operator(tau, x, cfg) for x in nodes]
+    phis = phi_operators(tau, [x.s for x in nodes], [x.p for x in nodes], cfg)
     doms, rans = [], []
     for j, x in enumerate(nodes):
         X = np.vstack([np.eye(d, dtype=complex), phis[j] @ fvals[j]])

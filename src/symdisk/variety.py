@@ -73,6 +73,15 @@ def _trim(C: np.ndarray) -> np.ndarray:
     return C[: rows[-1] + 1, : cols[-1] + 1]
 
 
+def pencil_matrix(F: np.ndarray, s, p) -> np.ndarray:
+    """F* + pF - sI, singular exactly at the points (s, p) of the variety of F.
+
+    ``s`` and ``p`` may be arrays shaped to broadcast against F, giving a
+    stack of pencils.  The kernel side uses its adjoint F + conj(p) F* - conj(s) I.
+    """
+    return F.conj().T + p * F - s * np.eye(F.shape[0])
+
+
 @dataclass(frozen=True)
 class PencilVariety:
     """The zero set of det(F* + p F - s I) for a numerical contraction F.
@@ -109,18 +118,12 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
     d in p, so evaluating on a (d+1) x (d+1) tensor grid of scaled roots of
     unity (s-radius 2, p-radius 1) determines it exactly up to roundoff.
     """
-    F = V.F
-    d = V.dim
-    n = d + 1
-    Fs = F.conj().T
+    n = V.dim + 1
     omega = np.exp(2j * np.pi * np.arange(n) / n)
     s_nodes = 2.0 * omega
     p_nodes = 1.0 * omega
-    vals = np.empty((n, n), dtype=complex)
-    eye = np.eye(d)
-    for a in range(n):
-        for b in range(n):
-            vals[a, b] = np.linalg.det(Fs + p_nodes[b] * F - s_nodes[a] * eye)
+    vals = np.linalg.det(pencil_matrix(V.F, s_nodes[:, None, None, None],
+                                       p_nodes[None, :, None, None]))
     hatc = np.fft.fft2(vals) / (n * n)
     powers_s = 2.0 ** np.arange(n)
     powers_p = 1.0 ** np.arange(n)
@@ -130,8 +133,7 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
 
 def slice_points(V: PencilVariety, p: complex, cfg: Tolerances = DEFAULT) -> list[complex]:
     """All s with (s, p) on the variety: the spectrum of F* + p F, sorted."""
-    pencil = V.F.conj().T + complex(p) * V.F
-    eigs = spectrum(pencil, cfg)
+    eigs = spectrum(pencil_matrix(V.F, 0.0, complex(p)), cfg)
     return sorted((complex(ev) for ev in eigs), key=lambda z: (z.real, z.imag))
 
 
@@ -139,15 +141,13 @@ def membership_residual(V: PencilVariety, x: GammaPoint) -> float:
     """sigma_min(F* + p F - s I); zero exactly on the variety."""
     if V.dim == 0:
         return float("inf")  # det of the empty pencil is 1: the variety is empty
-    s, p = complex(x.s), complex(x.p)
-    M = V.F.conj().T + p * V.F - s * np.eye(V.dim)
+    M = pencil_matrix(V.F, complex(x.s), complex(x.p))
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
 def is_member(V: PencilVariety, x: GammaPoint, cfg: Tolerances = DEFAULT) -> bool:
     """Membership at the tol_memb scale (relative to the pencil norm)."""
-    s, p = complex(x.s), complex(x.p)
-    M = V.F.conj().T + p * V.F - s * np.eye(V.dim)
+    M = pencil_matrix(V.F, complex(x.s), complex(x.p))
     scale = max(1.0, np.linalg.norm(M, 2)) if V.dim else 1.0
     return membership_residual(V, x) <= cfg.tol_memb * scale
 
@@ -189,9 +189,9 @@ def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> Re
     counts = {label: 0 for label in Region}
     offenders = []
     samples = []
-    # all slices in one stacked eigvals call on F* + p F; see slice_points
+    # all slices in one stacked eigvals call; see slice_points
     p_arr = np.asarray(p_grid, dtype=complex).reshape(-1, 1, 1)
-    slices = np.linalg.eigvals(V.F.conj().T + p_arr * V.F)
+    slices = np.linalg.eigvals(pencil_matrix(V.F, 0.0, p_arr))
     for p, svals in zip(p_grid, slices):
         for s in sorted(map(complex, svals), key=lambda z: (z.real, z.imag)):
             x = GammaPoint(s, p)

@@ -186,9 +186,28 @@ class TestTolOverridesAndThreads:
         assert "nu(F) = 1.000001000000" in out
         assert "unimodular witnesses: 1.000001+0j" in out
 
-    def test_threads_env(self, tmp_path, royal_matrix, monkeypatch, capsys):
-        monkeypatch.setenv("SYMDISK_THREADS", "2")
-        assert main(["classify", "--input", royal_matrix]) == 0
+    def test_tol_mod_override_reaches_pick_data(self, tmp_path, capsys):
+        # s = 1 - 5e-10 is inside the default boundary band of 1e-9, so node 0
+        # counts as a boundary point unless --tol-mod reaches the datum
+        data = write_data(tmp_path / "d.json", [(0.9999999995, 0), (0.1, 0)], [0, 0.5])
+        assert main(["pick", "--input", data, "--kernel", "szego"]) == 2
+        assert "not in the open domain" in capsys.readouterr().err
+        assert main(["pick", "--input", data, "--kernel", "szego",
+                     "--tol-mod=1e-12"]) in (0, 4)
+        assert "not in the open domain" not in capsys.readouterr().err
+
+    def test_every_tolerance_field_reachable(self, royal_matrix):
+        # knobs without the tol_ prefix are reached by their own name
+        assert main(["classify", "--input", royal_matrix, "--tol-n-theta=33",
+                     "--tol-n-quad=32", "--tol-dist-guard=0.2", "--tol-rank=1e-12"]) == 0
+
+    def test_tolerance_value_parsed_with_field_type(self, royal_matrix, capsys):
+        from symdisk.cli import _extract_tolerance_flags
+        rest, overrides = _extract_tolerance_flags(["--tol-n-theta=33", "--tol-mod=1e-8"])
+        assert overrides == {"n_theta": 33, "tol_mod": 1e-8}
+        assert type(overrides["n_theta"]) is int
+        assert main(["classify", "--input", royal_matrix, "--tol-n-theta=3.5"]) == 2
+        assert "bad tolerance value" in capsys.readouterr().err
 
 
 def test_verify_runs_sweeps(tmp_path, capsys):

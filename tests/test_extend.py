@@ -123,6 +123,14 @@ class TestKernelVectorAt:
         u = sd.kernel_vector_at(model_royal, sd.GammaPoint(0, 0))
         assert u is model_royal.u_nodes[0]
 
+    def test_off_node_is_unit_kernel_vector(self, model_royal):
+        V = model_royal.variety
+        for p in (0.3, -0.2 + 0.5j, 0.7j):
+            for s in sd.slice_points(V, p):
+                x = sd.GammaPoint(s, p)
+                u = sd.kernel_vector_at(model_royal, x)
+                assert np.array_equal(u, kernels.unit_kernel_vector(V, x))
+
     def test_off_variety_rejected(self, model_sheet):
         with pytest.raises(InputError):
             sd.kernel_vector_at(model_sheet, sd.GammaPoint(1, 0))

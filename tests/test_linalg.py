@@ -81,6 +81,18 @@ class TestHermitianEig:
             sd.hermitian_eig([[0, 1], [0, 0]])
 
 
+class TestClustering:
+    def test_eigenvalues_agree_with_index_clusters(self):
+        from symdisk.linalg import cluster_eigenvalues, cluster_indices
+        # exact ties, a near tie within tol_cluster, and a tie in the real part
+        eigs = np.array([0.5, 1j, 0.5, 0.5 + 1e-12, -1, 1j, 0.5 + 0.5j, 0.5 - 0.5j])
+        groups = cluster_indices(eigs, sd.DEFAULT.tol_cluster)
+        assert sorted(map(len, groups)) == [1, 1, 1, 2, 3]
+        assert cluster_eigenvalues(eigs, 1.0) == [
+            (complex(np.mean(eigs[g])), len(g)) for g in groups]
+        assert [len(g) for g in groups] == [1, 2, 1, 3, 1]   # (real, imag) order
+
+
 class TestNullSpace:
     def test_simple(self):
         basis = sd.null_space(np.array([[0, 2], [0, 0]], dtype=complex))

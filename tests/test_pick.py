@@ -26,6 +26,19 @@ class TestPickData:
         with pytest.raises(InputError):
             sd.PickData((sd.GammaPoint(0, 0),), (1.5,))
 
+    def test_honours_cfg(self):
+        # s = 1 - 5e-10 lies in the default boundary band but not in a 1e-12 one
+        node = sd.GammaPoint(0.9999999995, 0)
+        with pytest.raises(InputError, match="not in the open domain"):
+            sd.PickData((node,), (0,))
+        cfg = sd.with_overrides(sd.DEFAULT, tol_mod=1e-12)
+        assert sd.PickData((node,), (0,), cfg).cfg is cfg
+        # two nodes 1e-8 apart coincide at a tol_node of 1e-7
+        pair = (sd.GammaPoint(0, 0), sd.GammaPoint(1e-8, 0))
+        sd.PickData(pair, (0, 0))
+        with pytest.raises(InputError, match="coincide"):
+            sd.PickData(pair, (0, 0), sd.with_overrides(sd.DEFAULT, tol_node=1e-7))
+
 
 class TestPickMatrix:
     def test_sheet_datum_all_ones(self, data_sheet, kernel_sheet):
@@ -88,6 +101,19 @@ class TestKernelBasisOperators:
     def test_sheet_model_contractive(self, kernel_sheet):
         ops = kernel_basis_operators(kernel_sheet)
         assert np.linalg.norm(ops.Mp, 2) <= 1.0 + 1e-10
+
+    def test_kernel_matrix_honours_cfg(self):
+        # a Hermitian defect of 1e-11 passes tol_herm = 1e-10 but not the default
+        G = np.array([[1.0, 1e-11], [0.0, 1.0]])
+        nodes = (sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5))
+        with pytest.raises(InputError, match="not Hermitian"):
+            sd.KernelMatrix(nodes, G)
+        cfg = sd.with_overrides(sd.DEFAULT, tol_herm=1e-10)
+        assert sd.KernelMatrix(nodes, G, cfg).cfg is cfg
+
+    def test_gram_on_nodes_passes_cfg(self, data_sheet):
+        cfg = sd.with_overrides(sd.DEFAULT, tol_psd=1e-6)
+        assert gram_on_nodes(data_sheet, kernels.szego(), cfg).cfg is cfg
 
     def test_rank_collapse_rejected(self):
         K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.9)),

@@ -87,6 +87,56 @@ class TestBoundaryAudit:
         m = sd.RealizationModel(one, 0.5 * one, one, one, 0 * one)
         assert sd.boundary_unitarity_audit(m, 8) > 1e-9
 
+    @pytest.mark.parametrize("d,h", [(1, 1), (2, 3), (3, 1), (1, 4), (3, 3)])
+    def test_equals_per_point_maximum(self, rng, d, h):
+        # the row-stacked audit reproduces a per-point loop bit for bit, both
+        # through eval_model and through the formula written out one point at a time
+        m = random_model(rng, d=d, h=h)
+        n = 12
+        worst = worst_ref = 0.0
+        for a in range(n):
+            for b in range(n):
+                x = sd.symmetrize(np.exp(1j * (2 * np.pi * (a + 0.5) / n)),
+                                  np.exp(1j * (2 * np.pi * (b + 0.5) / n)))
+                s, p = complex(x.s), complex(x.p)
+                phi = np.linalg.solve((2.0 * np.eye(h) - s * m.tau).T,
+                                      (2.0 * p * m.tau - s * np.eye(h)).T).T
+                ref = m.A + m.B @ phi @ np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
+                psi = sd.eval_model(m, x, validate=False)
+                assert np.array_equal(psi, ref)
+                worst = max(worst, float(np.linalg.norm(np.eye(d) - psi.conj().T @ psi, 2)))
+                worst_ref = max(worst_ref,
+                                float(np.linalg.norm(np.eye(d) - ref.conj().T @ ref, 2)))
+        assert sd.boundary_unitarity_audit(m, n) == worst == worst_ref
+
+    def _corner(self, n):
+        # the first grid point (z, z) of an n x n audit, z = exp(i pi / n)
+        z = np.exp(1j * (2 * np.pi * 0.5 / n))
+        return z, sd.symmetrize(z, z)
+
+    def test_singular_tau_pencil_raises_like_eval_model(self):
+        # tau = conj(z) makes 2 - s tau = 2 - 2|z|^2 vanish at the grid point (z, z)
+        z, x = self._corner(8)
+        one = np.array([[1.0]], dtype=complex)
+        m = sd.RealizationModel(np.conj(z) * one, 0 * one, one, one, 0 * one)
+        with pytest.raises(InputError, match="singular pencil") as single:
+            sd.eval_model(m, x, validate=False)
+        with pytest.raises(InputError, match="singular pencil") as stacked:
+            sd.boundary_unitarity_audit(m, 8)
+        assert type(single.value) is type(stacked.value)
+
+    def test_singular_transfer_raises_like_eval_model(self):
+        # D = 1 / phi(x) makes I - D phi vanish at the grid point x = (z, z)
+        z, x = self._corner(8)
+        one = np.array([[1.0]], dtype=complex)
+        phi = sd.phi_operator(one, x)[0, 0]
+        m = sd.RealizationModel(one, 0 * one, one, one, one / phi)
+        with pytest.raises(NumericalError, match="I - D phi is singular") as single:
+            sd.eval_model(m, x, validate=False)
+        with pytest.raises(NumericalError, match="I - D phi is singular") as stacked:
+            sd.boundary_unitarity_audit(m, 8)
+        assert type(single.value) is type(stacked.value)
+
 
 class TestLurkingIsometry:
     def test_single_node(self):
