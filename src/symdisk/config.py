@@ -45,7 +45,8 @@ class Tolerances:
     # discretization knobs
     n_quad: int = 64              # trapezoid nodes for contour integrals
     dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius
-    n_theta: int = 257            # starting scan of the numerical-radius level-set iteration
+    n_theta: int = 33             # warm-start scan of the numerical-radius level set; the
+                                  # certificate, not the scan, sets the accuracy (tol_nu)
     trunc: int = 200              # truncation order of the dilation isometry
     n_steps: int = 20             # samples along a branch-trace path
 

@@ -41,21 +41,27 @@ def symmetrize(z1: complex, z2: complex) -> GammaPoint:
     return GammaPoint(complex(z1) + complex(z2), complex(z1) * complex(z2))
 
 
-def fibers(x: GammaPoint) -> tuple[complex, complex]:
-    """The unordered root pair of l^2 - s*l + p (preimages under symmetrize).
+def stacked_fibers(s, p) -> tuple[np.ndarray, np.ndarray]:
+    """Root pairs of l^2 - s_k*l + p_k for equal-length arrays ``s`` and ``p``.
 
     Uses the cancellation-free quadratic formula: the sign of the square root
     is chosen to enlarge |s + sqrt|, the second root comes from p / root.
     """
-    s, p = complex(x.s), complex(x.p)
-    disc = np.sqrt(s * s - 4.0 * p + 0j)
-    if abs(s + disc) < abs(s - disc):
-        disc = -disc
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    disc = np.sqrt(s * s - 4.0 * p)
+    disc = np.where(np.abs(s + disc) < np.abs(s - disc), -disc, disc)
     r1 = (s + disc) / 2.0
     # companion division is unsafe near the subnormal range (complex division
     # can produce nan there); cancellation is a non-issue at that scale anyway
-    r2 = p / r1 if abs(r1) > 1e-150 else (s - disc) / 2.0
-    return complex(r1), complex(r2)
+    r2 = np.divide(p, r1, out=(s - disc) / 2.0, where=np.abs(r1) > 1e-150)
+    return r1, r2
+
+
+def fibers(x: GammaPoint) -> tuple[complex, complex]:
+    """The unordered root pair of l^2 - s*l + p (preimages under symmetrize)."""
+    r1, r2 = stacked_fibers([x.s], [x.p])
+    return complex(r1[0]), complex(r2[0])
 
 
 def beta_of(x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
@@ -66,30 +72,37 @@ def beta_of(x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
     return (s - np.conj(s) * p) / (1.0 - abs(p) ** 2)
 
 
-def classify_region(x: GammaPoint, tol: float | None = None,
-                    cfg: Tolerances = DEFAULT) -> Region:
-    """Label a point by fiber moduli, with a tolerance band around modulus 1.
+# the labels in the order of the codes returned by classify_regions
+REGIONS = tuple(Region)
 
-    Points whose fiber modulus lands inside the band count as boundary.
-    Membership in the open domain is decided by the strict inequality
-    |s - conj(s) p| < 1 - |p|^2.
+
+def classify_regions(s, p, tol: float | None = None,
+                     cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Label points by fiber moduli, with a tolerance band around modulus 1.
+
+    Returns one code per point, an index into ``REGIONS``.  Points whose
+    fiber modulus lands inside the band count as boundary.  Membership in the
+    open domain is decided by the strict inequality |s - conj(s) p| < 1 - |p|^2.
     """
     if tol is None:
         tol = cfg.tol_mod
-    z1, z2 = fibers(x)
-    m1, m2 = abs(z1), abs(z2)
-    on1 = abs(m1 - 1.0) <= tol
-    on2 = abs(m2 - 1.0) <= tol
-    if on1 and on2:
-        return Region.DIST_BOUNDARY
-    if on1 or on2:
-        return Region.R1
-    s, p = complex(x.s), complex(x.p)
-    if abs(s - np.conj(s) * p) < 1.0 - abs(p) ** 2:
-        return Region.OPEN_G
-    if m1 > 1.0 and m2 > 1.0:
-        return Region.SYM_EXTERIOR
-    return Region.R2
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    z1, z2 = stacked_fibers(s, p)
+    m1, m2 = np.abs(z1), np.abs(z2)
+    on1 = np.abs(m1 - 1.0) <= tol
+    on2 = np.abs(m2 - 1.0) <= tol
+    inside = np.abs(s - np.conj(s) * p) < 1.0 - np.abs(p) ** 2
+    labels = [Region.DIST_BOUNDARY, Region.R1, Region.OPEN_G, Region.SYM_EXTERIOR]
+    return np.select([on1 & on2, on1 | on2, inside, (m1 > 1.0) & (m2 > 1.0)],
+                     [REGIONS.index(label) for label in labels],
+                     default=REGIONS.index(Region.R2))
+
+
+def classify_region(x: GammaPoint, tol: float | None = None,
+                    cfg: Tolerances = DEFAULT) -> Region:
+    """Region label of one point; see :func:`classify_regions`."""
+    return REGIONS[classify_regions([x.s], [x.p], tol, cfg)[0]]
 
 
 def in_closed_gamma(x: GammaPoint, tol: float | None = None,

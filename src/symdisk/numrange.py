@@ -55,9 +55,14 @@ def _level_set_angles(F: np.ndarray, r: float) -> np.ndarray:
     quadratic pencil is linearized to A - zB and solved by shift and invert.
     """
     d = F.shape[0]
-    eye, zero = np.eye(d), np.zeros((d, d))
-    A = np.block([[zero, eye], [-F, 2 * r * eye]])
-    B = np.block([[eye, zero], [zero, F.conj().T]])
+    diag = np.arange(d)
+    A = np.zeros((2 * d, 2 * d), dtype=complex)
+    A[diag, d + diag] = 1.0
+    A[d:, :d] = -F
+    A[d + diag, d + diag] = 2 * r
+    B = np.zeros((2 * d, 2 * d), dtype=complex)
+    B[diag, diag] = 1.0
+    B[d:, d:] = F.conj().T
     try:
         mu = np.linalg.eigvals(np.linalg.solve(A - _SHIFT * B, B))
     except np.linalg.LinAlgError as exc:

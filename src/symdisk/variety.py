@@ -16,9 +16,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError
-from .gamma import GammaPoint, Region, classify_region, fibers
+from .gamma import REGIONS, GammaPoint, Region, classify_regions, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
-from .numrange import (CnuVerdict, check_numerical_contraction, cnu_decompose,
+from .numrange import (CnuVerdict, _peel_unitary, check_numerical_contraction,
                        cnu_verdict, numerical_radius)
 
 
@@ -145,11 +145,19 @@ def membership_residual(V: PencilVariety, x: GammaPoint) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
+def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) -> np.ndarray:
+    """Membership of every (s_k, p_k) at the tol_memb scale, one stacked SVD:
+    sigma_min <= tol_memb * max(1, sigma_max) of the pencil."""
+    if F.shape[0] == 0:
+        return np.zeros(len(s), dtype=bool)  # the empty pencil's variety is empty
+    sv = np.linalg.svd(pencil_matrix(F, s[:, None, None], p[:, None, None]),
+                       compute_uv=False)
+    return sv[:, -1] <= cfg.tol_memb * np.maximum(sv[:, 0], 1.0)
+
+
 def is_member(V: PencilVariety, x: GammaPoint, cfg: Tolerances = DEFAULT) -> bool:
     """Membership at the tol_memb scale (relative to the pencil norm)."""
-    M = pencil_matrix(V.F, complex(x.s), complex(x.p))
-    scale = max(1.0, np.linalg.norm(M, 2)) if V.dim else 1.0
-    return membership_residual(V, x) <= cfg.tol_memb * scale
+    return bool(_on_variety(V.F, np.array([complex(x.s)]), np.array([complex(x.p)]), cfg)[0])
 
 
 def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
@@ -186,26 +194,22 @@ def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> Re
     """
     if p_grid is None:
         p_grid = default_p_grid()
-    counts = {label: 0 for label in Region}
-    offenders = []
-    samples = []
-    # all slices in one stacked eigvals call; see slice_points
+    # all slices in one stacked eigvals call, each sorted by (real, imag) as
+    # in slice_points, and all points labelled in one classify_regions call
     p_arr = np.asarray(p_grid, dtype=complex).reshape(-1, 1, 1)
-    slices = np.linalg.eigvals(pencil_matrix(V.F, 0.0, p_arr))
-    for p, svals in zip(p_grid, slices):
-        for s in sorted(map(complex, svals), key=lambda z: (z.real, z.imag)):
-            x = GammaPoint(s, p)
-            label = classify_region(x, cfg=cfg)
-            counts[label] += 1
-            samples.append(x)
-            if label in (Region.R1, Region.R2):
-                offenders.append((x, label))
+    slices = np.sort(np.linalg.eigvals(pencil_matrix(V.F, 0.0, p_arr)), axis=1)
+    codes = classify_regions(slices.ravel(), np.repeat(p_arr.ravel(), V.dim), cfg=cfg)
+    counts = np.bincount(codes, minlength=len(REGIONS))
+    samples = tuple(GammaPoint(s, p) for p, row in zip(p_grid, slices.tolist()) for s in row)
+    code_r1, code_r2 = REGIONS.index(Region.R1), REGIONS.index(Region.R2)
+    offenders = tuple((samples[k], REGIONS[codes[k]])
+                      for k in np.flatnonzero((codes == code_r1) | (codes == code_r2)))
     return RegionAuditReport(
-        counts={label.value: n for label, n in counts.items()},
-        offenders=tuple(offenders),
-        samples=tuple(samples),
-        strict_pass=(counts[Region.R1] == 0 and counts[Region.R2] == 0),
-        r2_free=(counts[Region.R2] == 0),
+        counts={label.value: int(n) for label, n in zip(REGIONS, counts)},
+        offenders=offenders,
+        samples=samples,
+        strict_pass=bool(counts[code_r1] == 0 and counts[code_r2] == 0),
+        r2_free=bool(counts[code_r2] == 0),
     )
 
 
@@ -246,18 +250,14 @@ def distinguished_property_check(V: PencilVariety, samples, g_closure_only: bool
     the intersection with the open domain, which equals the c.n.u. part's
     variety; samples off that part are skipped.
     """
-    sub = None
+    s = np.array([complex(x.s) for x in samples], dtype=complex)
+    p = np.array([complex(x.p) for x in samples], dtype=complex)
     if g_closure_only:
-        dec = cnu_decompose(V.F, cfg)
-        if dec.cnu_block.shape[0] == 0:
-            return True
-        sub = PencilVariety(dec.cnu_block, cfg)
-    for x in samples:
-        if sub is not None and not is_member(sub, x, cfg):
-            continue
-        z1, z2 = fibers(x)
-        m_lo, m_hi = sorted((abs(z1), abs(z2)))
-        if abs(m_hi - 1.0) <= cfg.tol_mod and m_lo <= 1.0 + cfg.tol_mod:
-            if abs(m_lo - 1.0) > cfg.tol_mod:
-                return False
-    return True
+        # V certified nu already, so peel the unitary part without a second nu
+        on = _on_variety(_peel_unitary(V.F, cfg).cnu_block, s, p, cfg)
+        s, p = s[on], p[on]
+    z1, z2 = stacked_fibers(s, p)
+    m_lo = np.minimum(np.abs(z1), np.abs(z2))
+    m_hi = np.maximum(np.abs(z1), np.abs(z2))
+    on_boundary = (np.abs(m_hi - 1.0) <= cfg.tol_mod) & (m_lo <= 1.0 + cfg.tol_mod)
+    return not np.any(on_boundary & (np.abs(m_lo - 1.0) > cfg.tol_mod))

@@ -58,7 +58,7 @@ class TestClassify:
         # nu = 1.00002 at an angle halfway between two of the 257 scan angles
         f = write_matrix(tmp_path / "m.json",
                          np.diag([1.0, (1 + 2e-5) * np.exp(1j * 100.5 * 2 * np.pi / 257)]))
-        assert main(["classify", "--input", f]) == 2
+        assert main(["classify", "--input", f, "--tol-n-theta=257"]) == 2
         assert "not a numerical contraction: nu = 1.000020000000" in capsys.readouterr().err
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.gamma import Region, in_closed_gamma
+from symdisk.gamma import REGIONS, Region, classify_regions, in_closed_gamma
 
 from conftest import random_g_points
 
@@ -96,6 +96,98 @@ class TestClassify:
             assert sd.classify_region(x) is Region.OPEN_G
         elif outside and sd.classify_region(x) is Region.OPEN_G:
             assert abs(z1) < 1 and abs(z2) < 1
+
+
+TOL_MOD = sd.DEFAULT.tol_mod
+# fiber moduli on, just inside and just outside the tol_mod band, and far off it
+edge_moduli = st.sampled_from([
+    0.0, 0.5, 1.0, 2.0, 1.0 - TOL_MOD, 1.0 + TOL_MOD, np.nextafter(1.0 - TOL_MOD, 0.0),
+    np.nextafter(1.0 + TOL_MOD, 3.0), 1.0 - 2 * TOL_MOD, 1.0 + 2 * TOL_MOD])
+angles = st.floats(min_value=0, max_value=1, exclude_max=True)
+off_edge_moduli = st.floats(min_value=0, max_value=2).filter(
+    lambda r: abs(abs(r - 1.0) - TOL_MOD) > 1e-12)
+tiny = st.sampled_from([0.0, 5e-324, 1e-310, -2.2e-308, 1e-160, 3e-150])
+
+
+@st.composite
+def classified_points(draw):
+    """(s, p) from fibers at band edges, p = 0, double roots s^2 = 4p,
+    subnormal coordinates, or anywhere in a box."""
+    kind = draw(st.sampled_from(["fibers", "p_zero", "double", "subnormal", "box"]))
+    z1 = draw(edge_moduli) * np.exp(2j * np.pi * draw(angles))
+    z2 = draw(edge_moduli) * np.exp(2j * np.pi * draw(angles))
+    if kind == "fibers":
+        return sd.symmetrize(z1, z2)
+    if kind == "p_zero":
+        return sd.GammaPoint(z1, 0j)
+    if kind == "double":
+        return sd.symmetrize(z1, z1)
+    if kind == "subnormal":
+        return sd.GammaPoint(complex(draw(tiny), draw(tiny)), complex(draw(tiny), draw(tiny)))
+    box = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    return sd.GammaPoint(draw(box), draw(box))
+
+
+def _reference_label(x, tol=TOL_MOD) -> Region:
+    """The per-point classification in CPython complex arithmetic."""
+    s, p = complex(x.s), complex(x.p)
+    disc = complex(np.sqrt(s * s - 4.0 * p + 0j))
+    if abs(s + disc) < abs(s - disc):
+        disc = -disc
+    r1 = (s + disc) / 2.0
+    r2 = p / r1 if abs(r1) > 1e-150 else (s - disc) / 2.0
+    m1, m2 = abs(r1), abs(r2)
+    on1, on2 = abs(m1 - 1.0) <= tol, abs(m2 - 1.0) <= tol
+    if on1 and on2:
+        return Region.DIST_BOUNDARY
+    if on1 or on2:
+        return Region.R1
+    if abs(s - s.conjugate() * p) < 1.0 - abs(p) ** 2:
+        return Region.OPEN_G
+    if m1 > 1.0 and m2 > 1.0:
+        return Region.SYM_EXTERIOR
+    return Region.R2
+
+
+class TestClassifyRegions:
+    # numpy's complex arithmetic may differ from CPython's in the last bit, so
+    # the reference is compared away from the band edges, where no label can
+    # hinge on one rounding
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(off_edge_moduli, angles, off_edge_moduli, angles),
+                    min_size=1, max_size=40))
+    def test_stacked_labels_equal_reference(self, pairs):
+        points = [sd.symmetrize(r1 * np.exp(2j * np.pi * t1), r2 * np.exp(2j * np.pi * t2))
+                  for r1, t1, r2, t2 in pairs]
+        codes = classify_regions([x.s for x in points], [x.p for x in points])
+        assert [REGIONS[c] for c in codes] == [_reference_label(x) for x in points]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(classified_points(), min_size=1, max_size=40))
+    def test_stacked_labels_equal_pointwise(self, points):
+        codes = classify_regions([x.s for x in points], [x.p for x in points])
+        assert [REGIONS[c] for c in codes] == [sd.classify_region(x) for x in points]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(classified_points(), min_size=1, max_size=40))
+    def test_stacked_fibers_equal_pointwise(self, points):
+        r1, r2 = sd.stacked_fibers([x.s for x in points], [x.p for x in points])
+        for x, a, b in zip(points, r1, r2):
+            assert sd.fibers(x) == (a, b)
+
+    def test_band_edges(self):
+        inside, outside = 1.0 - 0.5 * TOL_MOD, 1.0 + 2 * TOL_MOD
+        labels = [REGIONS[c] for c in classify_regions(
+            [inside + 0.5, outside + 0.5, 2 * inside, 0.0],
+            [0.5 * inside, 0.5 * outside, inside ** 2, 0.0])]
+        assert labels == [Region.R1, Region.R2, Region.DIST_BOUNDARY, Region.OPEN_G]
+
+    def test_subnormal_fibers_are_finite(self):
+        r1, r2 = sd.stacked_fibers([5e-324, 0.0], [5e-324j, 5e-324])
+        assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
+
+    def test_empty(self):
+        assert classify_regions([], []).shape == (0,)
 
 
 class TestPhiScalar:

@@ -53,19 +53,37 @@ class TestNumericalRadius:
         assert sd.numerical_radius(F) >= rho - 1e-10
 
 
+def _peak_between_scan_angles(k: float, n_theta: int) -> np.ndarray:
+    """Normal, so nu = 1.00002; the second peak sits at angle 2*pi*k/n_theta,
+    halfway between two scan angles for half-integer k, below the first peak
+    at every scanned angle."""
+    return np.diag([1.0, (1 + 2e-5) * np.exp(1j * k * 2 * np.pi / n_theta)])
+
+
 class TestCertifiedNumericalRadius:
-    # normal, so nu = 1.00002; the second peak sits halfway between two of
-    # the 257 scan angles, below the first peak at every scanned angle
-    PEAK_BETWEEN_SCAN_ANGLES = np.diag(
-        [1.0, (1 + 2e-5) * np.exp(1j * 100.5 * 2 * np.pi / 257)])
+    PEAK_BETWEEN_SCAN_ANGLES = _peak_between_scan_angles(100.5, 257)
+    SCAN_257 = sd.with_overrides(sd.DEFAULT, n_theta=257)
+    PEAK_BETWEEN_33_SCAN_ANGLES = _peak_between_scan_angles(12.5, 33)
+    SCAN_33 = sd.with_overrides(sd.DEFAULT, n_theta=33)
 
     def test_peak_between_scan_angles(self):
-        nu = sd.numerical_radius(self.PEAK_BETWEEN_SCAN_ANGLES)
+        nu = sd.numerical_radius(self.PEAK_BETWEEN_SCAN_ANGLES, self.SCAN_257)
         assert abs(nu - (1 + 2e-5)) <= sd.DEFAULT.tol_nu
 
     def test_peak_between_scan_angles_not_a_contraction(self):
         with pytest.raises(InputError):
-            sd.is_cnu(self.PEAK_BETWEEN_SCAN_ANGLES)
+            sd.is_cnu(self.PEAK_BETWEEN_SCAN_ANGLES, self.SCAN_257)
+
+    def test_peak_between_33_scan_angles(self):
+        F = self.PEAK_BETWEEN_33_SCAN_ANGLES
+        thetas = 2 * np.pi * np.arange(33) / 33
+        assert max(sd.support_function(F, t) for t in thetas) < 1 + 1e-5  # the scan misses it
+        nu = sd.numerical_radius(F, self.SCAN_33)
+        assert abs(nu - (1 + 2e-5)) <= sd.DEFAULT.tol_nu
+
+    def test_peak_between_33_scan_angles_not_a_contraction(self):
+        with pytest.raises(InputError):
+            sd.is_cnu(self.PEAK_BETWEEN_33_SCAN_ANGLES, self.SCAN_33)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_shift(self, d):

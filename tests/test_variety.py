@@ -128,6 +128,29 @@ class TestRegionAudit:
         audit = sd.region_audit(sd.PencilVariety(np.array([[0.0]])))
         assert audit.strict_pass
 
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_equals_pointwise_loop(self, rng, planted):
+        grid = list(default_p_grid()) + [0.0, 0.3, 0.5j]
+        for d in range(1, 7):
+            F = ginibre_contraction(rng, d)
+            if planted:
+                W = haar_unitary(rng, d)
+                F[0, :] = F[:, 0] = 0.0
+                F[0, 0] = np.exp(2j * np.pi * rng.uniform())
+                F = W @ F @ W.conj().T
+            V = sd.PencilVariety(F)
+            audit = sd.region_audit(V, grid)
+            samples = [sd.GammaPoint(s, p) for p in grid for s in sd.slice_points(V, p)]
+            labels = [sd.classify_region(x) for x in samples]
+            assert audit.samples == tuple(samples)
+            assert audit.counts == {r.value: labels.count(r) for r in Region}
+            assert audit.offenders == tuple(
+                (x, r) for x, r in zip(samples, labels) if r in (Region.R1, Region.R2))
+            assert audit.strict_pass is bool(sd.is_distinguished(V))
+            assert not (planted and audit.strict_pass)
+            assert audit.r2_free is True
+            assert all(type(n) is int for n in audit.counts.values())
+
 
 class TestRoyalContainment:
     def test_scalar_sheet(self):
