@@ -178,11 +178,12 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     eps_used = eps0
     for z in z_path:
         pencil = F + z * F.conj().T
+        evs = spectrum(pencil, cfg)
         proj = None
         eps = eps_used
         for _ in range(4):
             try:
-                proj = spectral_projection(pencil, sbar, eps, cfg.n_quad, cfg)
+                proj = spectral_projection(pencil, sbar, eps, cfg.n_quad, cfg, evs)
                 break
             except IllPlacedContour:
                 eps *= 0.7
@@ -190,7 +191,6 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
             raise IllPlacedContour(
                 f"no admissible contour around {sbar} at z = {z}")
         eps_used = eps
-        evs = proj.eigenvalues
         inside = [i for i in range(d) if abs(evs[i] - sbar) < eps]
         vsum = proj.matrix @ u_j
         proj_defects.append(proj.idempotency_defect)
@@ -206,7 +206,7 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
                 continue
             gap = min(abs(mean - evs[k]) for k in range(d)
                       if k not in [inside[i] for i in g])
-            sub = spectral_projection(pencil, mean, 0.5 * gap, cfg.n_quad, cfg)
+            sub = spectral_projection(pencil, mean, 0.5 * gap, cfg.n_quad, cfg, evs)
             vecs.append(sub.matrix @ u_j)
         branch_values.append(tuple(means))
         branch_vectors.append(tuple(vecs))

@@ -124,16 +124,28 @@ def phi_scalar(alpha: complex, x: GammaPoint) -> complex:
     return (2.0 * alpha * p - s) / den
 
 
+# Weyl margin of the pencil check: the SVD decides only where 2 - |s| t does
+# not exceed this multiple of 2 + |s| t; it dwarfs the 1e-13 threshold plus
+# the n*eps rounding of t, |s|, the pencil and its SVD for any practical h
+_PENCIL_MARGIN = 1e-6
+
+
 def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}.
 
     ``s`` and ``p`` are equal-length sequences; the result has shape
-    (len(s), h, h).  The contraction check on tau runs once per stack.
+    (len(s), h, h).  The contraction check on tau runs once per stack.  The
+    pencil 2*I - s*tau is singular when sigma_min <= 1e-13 * max(sigma_max, 1);
+    with t = ||tau||_2, Weyl's inequality gives sigma_min >= 2 - |s| t and
+    sigma_max <= 2 + |s| t, so the SVD runs only on the points where that
+    bound does not clear the threshold by a wide margin (on the torus, the
+    diagonal z1 = z2).
     """
     tau = as_complex_matrix(tau, square=True)
     s = np.asarray(s, dtype=complex)[:, None, None]
     p = np.asarray(p, dtype=complex)[:, None, None]
-    if np.linalg.norm(tau, 2) > 1.0 + cfg.tol_op:
+    t = np.linalg.norm(tau, 2)
+    if t > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
     # tau and I get the stack axis too: numpy multiplies a (1, 1, 1) complex
     # array by a (1, 1) one in another inner loop than by a (1, 1, 1) one,
@@ -141,9 +153,13 @@ def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
     tau = tau[None]
     eye = np.eye(tau.shape[1])[None]
     pencil = 2.0 * eye - s * tau
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
-        raise InputError("singular pencil 2*I - s*tau")
+    st = np.abs(s[:, 0, 0]) * t
+    # written so that a non-finite s stays undecided and goes to the SVD
+    undecided = ~(2.0 - st > _PENCIL_MARGIN * (2.0 + st))
+    if undecided.any():
+        sv = np.linalg.svd(pencil[undecided], compute_uv=False)
+        if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
+            raise InputError("singular pencil 2*I - s*tau")
     rhs = 2.0 * p * tau - s * eye
     return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
 

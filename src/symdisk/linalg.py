@@ -121,23 +121,29 @@ class SpectralProjection:
     center: complex
     radius: float
     idempotency_defect: float
-    eigenvalues: np.ndarray   # the full spectrum of the matrix, unsorted
 
 
 def spectral_projection(A, center: complex, radius: float, n_quad: int | None = None,
-                        cfg: Tolerances = DEFAULT) -> SpectralProjection:
+                        cfg: Tolerances = DEFAULT, eigenvalues=None) -> SpectralProjection:
     """Riesz projection (2*pi*i)^-1 * integral of the resolvent over a circle.
 
     Trapezoid quadrature with ``n_quad`` nodes is spectrally accurate for the
     (analytic) resolvent.  Raises :class:`IllPlacedContour` when an eigenvalue
-    comes within ``dist_guard * radius`` of the contour.
+    comes within ``dist_guard * radius`` of the contour.  ``eigenvalues``, the
+    spectrum of A from :func:`spectrum`, saves recomputing it when one matrix
+    is projected around several centers or radii.
     """
     A = as_complex_matrix(A, square=True)
     if radius <= 0:
         raise InputError("contour radius must be positive")
     if n_quad is None:
         n_quad = cfg.n_quad
-    eigs = spectrum(A, cfg)
+    if eigenvalues is None:
+        eigs = spectrum(A, cfg)
+    else:
+        eigs = np.asarray(eigenvalues, dtype=complex)
+        if eigs.shape != (A.shape[0],):
+            raise InputError(f"{eigs.shape} eigenvalues passed for a matrix of order {A.shape[0]}")
     dist = np.abs(np.abs(eigs - center) - radius)
     if len(eigs) and dist.min() < cfg.dist_guard * radius:
         raise IllPlacedContour(
@@ -160,7 +166,7 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
     if abs(tr - round(tr.real)) > 0.01 or round(tr.real) != enclosed:
         raise NumericalError(
             f"projection rank {tr:.6f} disagrees with enclosed count {enclosed}")
-    return SpectralProjection(P, enclosed, complex(center), float(radius), defect, eigs)
+    return SpectralProjection(P, enclosed, complex(center), float(radius), defect)
 
 
 def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,

@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symdisk
 from symdisk.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def cnum(z):
@@ -129,6 +134,37 @@ class TestTrace:
             assert abs(s * s - 4 * p) < 1e-8
             assert abs(w + s / 2) < 1e-8
 
+    def test_one_spectrum_per_pencil(self, monkeypatch, capsys):
+        # branch_trace computes the spectrum of each pencil F + z F* once and
+        # hands it to that pencil's enclosing, retried and sub-cluster projections
+        import symdisk.cli as cli
+        import symdisk.extend as extend
+        import symdisk.linalg as linalg
+        spectrum, branch_trace = linalg.spectrum, cli.branch_trace
+        pencils = []
+        inside = []
+
+        def counting_spectrum(A, cfg=cli.DEFAULT):
+            if inside:
+                pencils.append(np.asarray(A, dtype=complex).tobytes())
+            return spectrum(A, cfg)
+
+        def flagged_branch_trace(*args, **kwargs):
+            inside.append(True)
+            try:
+                return branch_trace(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(linalg, "spectrum", counting_spectrum)
+        monkeypatch.setattr(extend, "spectrum", counting_spectrum)
+        monkeypatch.setattr(cli, "branch_trace", flagged_branch_trace)
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"),
+                     "--kernel", f"model:{DATA / 'royal_pencil.json'}",
+                     "--grid-n", "64"]) == 0
+        # 2 nodes x (1 base pencil + cfg.n_steps path pencils)
+        assert len(pencils) == len(set(pencils)) == 42
+
     def test_nonextremal_datum_exit_4(self, tmp_path, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, 0.5])
         assert main(["trace", "--input", data, "--kernel", "szego"]) == 4
@@ -163,6 +199,18 @@ class TestRealize:
         f = tmp_path / "m.json"
         f.write_text(json.dumps(model))
         assert main(["realize", "--input", str(f)]) == 2
+
+    def test_overflowing_model_not_passed(self, tmp_path, capsys):
+        # A* A overflows to nan, which no unitarity or defect check may pass
+        one = [[cnum(1)]]
+        zero = [[cnum(0)]]
+        model = {"tau": {"rows": one}, "A": {"rows": [[cnum(1e200 + 1e200j)]]},
+                 "B": {"rows": zero}, "C": {"rows": zero}, "D": {"rows": zero}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["realize", "--input", str(f), "--grid-n", "8"]) != 0
+        assert "PASS" not in capsys.readouterr().out
 
 
 class TestTolOverridesAndThreads:
@@ -223,7 +271,11 @@ def test_verify_runs_sweeps(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     f = tmp_path / "F.json"
     f.write_text(json.dumps({"rows": [[cnum(0.5), cnum(1)], [cnum(0), cnum(0.5)]]}))
+    # the child process imports symdisk from where this process found it
+    src = str(Path(symdisk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "symdisk", "classify",
-                           "--input", str(f)], capture_output=True, text=True)
+                           "--input", str(f)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "distinguished: True" in proc.stdout

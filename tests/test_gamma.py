@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.gamma import REGIONS, Region, classify_regions, in_closed_gamma
+from symdisk.gamma import REGIONS, Region, classify_regions, in_closed_gamma, phi_operators
 
 from conftest import random_g_points
 
@@ -234,6 +234,107 @@ class TestPhiOperator:
             x = sd.symmetrize(np.exp(1j * t1), np.exp(1j * t2))
             out = sd.phi_operator(tau, x)
             assert np.linalg.norm(out.conj().T @ out - np.eye(tau.shape[0])) < 1e-10
+
+
+def _phi_svd_at_every_point(tau, s, p, cfg=sd.DEFAULT):
+    """phi_operators with the singular-pencil SVD run at every point of the stack."""
+    tau = np.asarray(tau, dtype=complex)
+    if np.linalg.norm(tau, 2) > 1.0 + cfg.tol_op:
+        raise InputError("tau must be a contraction")
+    s = np.asarray(s, dtype=complex)[:, None, None]
+    p = np.asarray(p, dtype=complex)[:, None, None]
+    tau = tau[None]
+    eye = np.eye(tau.shape[1])[None]
+    pencil = 2.0 * eye - s * tau
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
+        raise InputError("singular pencil 2*I - s*tau")
+    rhs = 2.0 * p * tau - s * eye
+    return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _contraction(rng, kind, h):
+    from symdisk.sweeps import haar_unitary
+    if kind == "unitary":
+        return haar_unitary(rng, h)
+    if kind == "unitary_at_tol_op":
+        return (1.0 + 0.999 * sd.DEFAULT.tol_op) * haar_unitary(rng, h)
+    # non-normal: a Jordan-type block of 2-norm 1, a Ginibre matrix of 2-norm 1 + tol_op
+    if kind == "jordan":
+        M = np.diag(np.full(h, 0.5 + 0.3j)) + np.diag(np.ones(h - 1), 1)
+        return M / np.linalg.norm(M, 2)
+    M = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    return (1.0 + 0.999 * sd.DEFAULT.tol_op) * M / np.linalg.norm(M, 2)
+
+
+def _outcome(f, tau, s, p):
+    """The stack f returns, or the type of the exception it raises."""
+    with np.errstate(invalid="ignore"):
+        try:
+            return f(tau, s, p)
+        except (InputError, np.linalg.LinAlgError) as exc:
+            return type(exc)
+
+
+def _assert_same_outcome(new, old):
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert np.array_equal(new, old, equal_nan=True)
+
+
+class TestPencilCheck:
+    """phi_operators decides the singular pencil by a Weyl bound, then an SVD;
+    it must raise exactly when an SVD at every point raises, and return the
+    same bits otherwise."""
+
+    OFFSETS = (-1e-12, -1e-13, -3e-14, -1e-14, 0.0, 1e-14, 3e-14, 1e-13, 1e-12,
+               -1e-5, -1e-6, -4e-7, 1e-6)
+
+    def _points(self, rng, tau):
+        t = np.linalg.norm(tau, 2)
+        lam = np.linalg.eigvals(tau)
+        lam = lam[np.argmax(np.abs(lam))]
+        s, p = [], []
+        for delta in self.OFFSETS:
+            # |s| t = 2 + delta, along the dominant eigenvalue and at a random angle
+            for u in (np.conj(lam) / abs(lam), np.exp(2j * np.pi * rng.uniform())):
+                s.append((2.0 + delta) / t * u)
+                p.append(complex(rng.standard_normal(), rng.standard_normal()))
+        # points far inside the bound and outside it
+        for r in (0.0, 0.5, 1.9, 2.5):
+            s.append(r / t * np.exp(2j * np.pi * rng.uniform()))
+            p.append(complex(rng.standard_normal(), rng.standard_normal()))
+        return s, p
+
+    @pytest.mark.parametrize("kind", ["unitary", "unitary_at_tol_op", "jordan", "ginibre"])
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_svd_at_every_point(self, kind, h, seed):
+        rng = np.random.default_rng(1000 * seed + 10 * h + len(kind))
+        tau = _contraction(rng, kind, h)
+        s, p = self._points(rng, tau)
+        raised = 0
+        for k in range(len(s)):
+            new = _outcome(phi_operators, tau, s[k:k + 1], p[k:k + 1])
+            _assert_same_outcome(new, _outcome(_phi_svd_at_every_point, tau, s[k:k + 1],
+                                               p[k:k + 1]))
+            raised += new is InputError
+        # the whole stack raises when any point does, else gives the same bits
+        new = _outcome(phi_operators, tau, s, p)
+        _assert_same_outcome(new, _outcome(_phi_svd_at_every_point, tau, s, p))
+        assert (new is InputError) == (raised > 0)
+        if kind.startswith("unitary"):
+            # a normal tau has a singular pencil at |s| t = 2 along its eigenvalue
+            assert raised > 0
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(np.inf, 0.0)])
+    def test_non_finite_s_reaches_the_svd(self, s):
+        # the bound cannot clear a nan or infinite s, so the SVD still runs
+        # there and decides as before (it raises LinAlgError on a nan pencil)
+        tau = np.array([[1.0]])
+        _assert_same_outcome(_outcome(phi_operators, tau, [s, 0.5], [0.0, 0.0]),
+                             _outcome(_phi_svd_at_every_point, tau, [s, 0.5], [0.0, 0.0]))
 
 
 class TestSzegoKernel:

@@ -19,6 +19,13 @@ def mobius_model():
     return sd.RealizationModel(one, zero, one, one, zero)
 
 
+@pytest.fixture
+def overflow_model():
+    """tau = [1], A = [1e200 (1 + i)], B = C = D = 0: A* A overflows to nan."""
+    one = np.array([[1.0]], dtype=complex)
+    return sd.RealizationModel(one, (1e200 + 1e200j) * one, 0 * one, 0 * one, 0 * one)
+
+
 def random_model(rng, d=None, h=None):
     d = d or int(rng.integers(1, 3))
     h = h or int(rng.integers(1, 4))
@@ -34,6 +41,11 @@ class TestEvalModel:
 
     def test_origin(self, mobius_model):
         assert abs(sd.eval_model(mobius_model, sd.GammaPoint(0, 0))[0, 0]) < 1e-15
+
+    def test_nan_unitarity_defect_rejected(self, overflow_model):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputError, match="block matrix is not unitary"):
+                overflow_model.validate()
 
     def test_non_unitary_rejected(self):
         one = np.array([[1.0]], dtype=complex)
@@ -59,6 +71,11 @@ class TestInnerDefect:
         direct, other = sd.inner_defect(mobius_model, sd.GammaPoint(0, 1))
         assert abs(direct[0, 0]) < 1e-12 and abs(other[0, 0]) < 1e-12
 
+    def test_nan_mismatch_raises(self, overflow_model):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="mismatch nan"):
+                sd.inner_defect(overflow_model, sd.GammaPoint(0, 0.5))
+
     def test_perturbed_model_flags_mismatch(self, rng):
         m = random_model(rng, d=1, h=2)
         bad = sd.RealizationModel(m.tau, m.A, m.B, m.C, m.D + 0.05)
@@ -82,19 +99,27 @@ class TestBoundaryAudit:
             defect = sd.boundary_unitarity_audit(random_model(rng), 16)
             assert defect <= 1e-9
 
+    def test_nan_defect_fails_audit(self, overflow_model):
+        # |A|^2 overflows, so I - Psi* Psi is nan everywhere on the torus
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = sd.boundary_unitarity_audit(overflow_model, 8)
+        assert not defect <= sd.DEFAULT.tol_inner
+
     def test_non_unitary_block_fails_audit(self):
         one = np.array([[1.0]], dtype=complex)
         m = sd.RealizationModel(one, 0.5 * one, one, one, 0 * one)
         assert sd.boundary_unitarity_audit(m, 8) > 1e-9
 
-    @pytest.mark.parametrize("d,h", [(1, 1), (2, 3), (3, 1), (1, 4), (3, 3)])
-    def test_equals_per_point_maximum(self, rng, d, h):
-        # the row-stacked audit reproduces a per-point loop bit for bit, both
-        # through eval_model and through the formula written out one point at a time
-        m = random_model(rng, d=d, h=h)
-        n = 12
+    @staticmethod
+    def _per_point_maximum(m, n):
+        """Max defect over the n x n grid, one point at a time, through eval_model
+        and through the formula written out; also counts the points whose
+        Frobenius norm stays below the maximum of the earlier rows."""
+        d, h = m.A.shape[0], m.tau.shape[0]
         worst = worst_ref = 0.0
+        skipped = 0
         for a in range(n):
+            earlier = worst
             for b in range(n):
                 x = sd.symmetrize(np.exp(1j * (2 * np.pi * (a + 0.5) / n)),
                                   np.exp(1j * (2 * np.pi * (b + 0.5) / n)))
@@ -104,10 +129,28 @@ class TestBoundaryAudit:
                 ref = m.A + m.B @ phi @ np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
                 psi = sd.eval_model(m, x, validate=False)
                 assert np.array_equal(psi, ref)
-                worst = max(worst, float(np.linalg.norm(np.eye(d) - psi.conj().T @ psi, 2)))
+                defect = np.eye(d) - psi.conj().T @ psi
+                worst = max(worst, float(np.linalg.norm(defect, 2)))
                 worst_ref = max(worst_ref,
                                 float(np.linalg.norm(np.eye(d) - ref.conj().T @ ref, 2)))
-        assert sd.boundary_unitarity_audit(m, n) == worst == worst_ref
+                skipped += np.linalg.norm(defect) * (1 + 1e-9) < earlier
+        return worst, worst_ref, skipped
+
+    @pytest.mark.parametrize("d,h", [(1, 1), (2, 3), (3, 1), (1, 4), (3, 3)])
+    def test_equals_per_point_maximum(self, rng, d, h):
+        # the row-stacked, Frobenius-screened audit reproduces a per-point loop
+        # bit for bit; a unitary block plus 1e-6 noise is not inner, so the
+        # maximum mostly moves after the first row and the screen skips points
+        for noise, n in ((0.0, 12), (1e-6, 12), (0.0, 32), (1e-6, 32)):
+            m = random_model(rng, d=d, h=h)
+            if noise:
+                m = sd.RealizationModel(m.tau, *(M + noise * (rng.standard_normal(M.shape)
+                                                              + 1j * rng.standard_normal(M.shape))
+                                                 for M in (m.A, m.B, m.C, m.D)))
+            worst, worst_ref, skipped = self._per_point_maximum(m, n)
+            if noise:
+                assert worst > 1e-7 and skipped > n
+            assert sd.boundary_unitarity_audit(m, n) == worst == worst_ref
 
     def _corner(self, n):
         # the first grid point (z, z) of an n x n audit, z = exp(i pi / n)
