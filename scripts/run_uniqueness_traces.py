@@ -28,7 +28,7 @@ def run_datum(name, data, pencil, variety_desc, reference, sampler, n, seed):
           f"targets {list(data.targets)}")
     K = gram_on_nodes(data, kernels.model(pencil))
     P = sd.pick_matrix(data, K)
-    rep = sd.psd_report(P)
+    rep = sd.psd_report(P, kernel_diag=K.gram.diagonal())
     print(f"    pick matrix min eigenvalue: {rep.min_eigenvalue:.3e}")
     if rep.null_vector is None:
         print("    kernel is not active; nothing to trace")

@@ -202,7 +202,7 @@ def cmd_pick(args, cfg: Tolerances) -> int:
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
     P = pick_matrix(data, K, cfg)
-    rep = psd_report(P, cfg)
+    rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
     print("kernel gram:")
     for row in K.gram:
         print("  ", "  ".join(f"{z:.12g}" for z in row))
@@ -223,8 +223,8 @@ def cmd_pick(args, cfg: Tolerances) -> int:
     print(f"  ||Mp|| = {audit.mp_norm:.9f}  ||Ms|| = {audit.ms_norm:.9f}  "
           f"nu(F') = {audit.nu_fundamental:.9f}")
     print(f"  isometry defect = {audit.isometry_defect:.3e}  "
-          f"intertwining = {max(audit.intertwine_s, audit.intertwine_p):.3e}  "
-          f"tail bound = {audit.tail_bound:.3e}")
+          f"intertwining = {audit.intertwine_s:.3e}  "
+          f"commutator = {audit.commutator:.3e}")
     if args.out:
         report = {
             "gram": matrix_to_json(K.gram),
@@ -251,7 +251,7 @@ def cmd_trace(args, cfg: Tolerances) -> int:
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
     P = pick_matrix(data, K, cfg)
-    rep = psd_report(P, cfg)
+    rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
     scale = max(1.0, float(np.linalg.norm(P)))
     if rep.min_eigenvalue < -cfg.tol_psd * scale:
         raise NoActiveKernel("datum is not solvable against this kernel")

@@ -16,10 +16,8 @@ from .errors import InputError
 @dataclass(frozen=True)
 class Tolerances:
     # dense linear algebra
-    tol_eig: float = 1e-10        # eigenvalue residual, relative to ||A||
     tol_herm: float = 1e-12       # Hermitian symmetry defect, relative
     tol_psd: float = 1e-10        # PSD defect, relative to norm
-    tol_recon: float = 1e-10      # reconstruction residual (eigh, sqrt)
     tol_proj: float = 1e-8        # idempotency defect of spectral projections
     tol_gram: float = 1e-10       # Gram-matrix equality for isometric maps
     rank_tol: float = 1e-10       # singular values below rank_tol*sigma_max are zero
@@ -33,10 +31,10 @@ class Tolerances:
     tol_memb: float = 1e-8        # membership residual on a pencil variety
     tol_node: float = 1e-9        # two nodes closer than this coincide
     # kernel extension pipeline
-    tol_ext: float = 1e-8         # extension residuals (kernel restriction, pencil)
+    tol_ext: float = 1e-8         # kernel-span and c.n.u.-block leaks, extension residuals
     tol_den: float = 1e-10        # vanishing-denominator guard in the uniqueness formula
     tol_active: float = 1e-9      # a Pick matrix this singular is "active"
-    tol_dil: float = 1e-8         # dilation isometry / intertwining residual
+    tol_dil: float = 1e-8         # admissibility: D^2 vs I - Mp Mp*, intertwining, [Ms, Mp]
     tol_fund_rel: float = 1e-8    # fundamental-equation residual, relative to ||Ms||
     # realization formula
     tol_id: float = 1e-9          # agreement of the two inner-defect computations
@@ -47,7 +45,6 @@ class Tolerances:
     dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius
     n_theta: int = 33             # warm-start scan of the numerical-radius level set; the
                                   # certificate, not the scan, sets the accuracy (tol_nu)
-    trunc: int = 200              # truncation order of the dilation isometry
     n_steps: int = 20             # samples along a branch-trace path
 
 

@@ -59,7 +59,7 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
     the peeling of the unitary block.
     """
     model = _fundamental_model(K, cfg)
-    report = _audit_model(model, None, cfg)
+    report = _audit_model(model, cfg)
     if not report.passed:
         raise InputError(
             f"kernel failed the admissibility audit: {', '.join(report.failures)}")
@@ -71,11 +71,10 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
                          "no c.n.u. block to extend along")
     nodes = K.nodes
     us = []
-    proj = model.range_basis @ model.range_basis.conj().T
     for j, x in enumerate(nodes):
-        # D k_j lies in Ran(D) up to noise scaled by discarded sqrt-eigenvalues;
-        # project it back onto the numerical range before changing basis
-        u_full = proj @ (model.ops.D @ model.ops.coord_vectors[j])
+        # model.D is cut to its numerical range, so u_j carries no noise from
+        # the discarded sqrt-eigenvalues of D
+        u_full = model.D @ model.ops.coord_vectors[j]
         norm_u = np.linalg.norm(u_full)
         if norm_u <= cfg.tol_ext:
             raise NumericalError(f"kernel vector at node {j} collapsed")

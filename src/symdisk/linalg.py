@@ -1,6 +1,6 @@
 """Dense complex linear algebra used by every other module.
 
-General eigenvalues, Hermitian eigensolves, SVD-based null spaces and PSD
+General eigenvalues, Hermitian and PSD eigensolves, null spaces and PSD
 square roots are numpy/LAPACK calls behind validated contracts; contour-integral
 spectral projections and unitary completions are built on top of them.
 """
@@ -83,33 +83,36 @@ def hermitian_eig(H, cfg: Tolerances = DEFAULT):
     return np.linalg.eigh(hermitian_part(H, cfg))
 
 
-def null_space(A, rank_tol: float | None = None, cfg: Tolerances = DEFAULT):
-    """Orthonormal basis of the numerical null space (right singular vectors)."""
+def null_space(A, *, cfg: Tolerances = DEFAULT, scale: float | None = None):
+    """Right singular vectors with singular value <= rank_tol * scale (default sigma_max)."""
     A = as_complex_matrix(A)
-    if rank_tol is None:
-        rank_tol = cfg.rank_tol
     if A.shape[1] == 0:
         return []
     if A.shape[0] == 0:
         return [np.eye(A.shape[1], dtype=complex)[:, j] for j in range(A.shape[1])]
     _, sv, Vh = np.linalg.svd(A)
-    smax = sv[0] if len(sv) else 0.0
+    if scale is None:
+        scale = max(sv[0] if len(sv) else 0.0, _EPS)
     basis = []
     for i in range(A.shape[1]):
         s_i = sv[i] if i < len(sv) else 0.0
-        if s_i <= rank_tol * max(smax, _EPS):
+        if s_i <= cfg.rank_tol * scale:
             basis.append(Vh[i].conj())
     return basis
 
 
+def psd_eigh(M, cfg: Tolerances = DEFAULT):
+    """:func:`hermitian_eig` clipped at 0; rejects M indefinite beyond tol_psd*max(||M||, 1)."""
+    vals, vecs = hermitian_eig(M, cfg)
+    if len(vals) and vals[0] < -cfg.tol_psd * max(np.linalg.norm(M), 1.0):
+        raise InputError(f"matrix is indefinite: min eigenvalue {vals[0]:.3e}")
+    return np.clip(vals, 0.0, None), vecs
+
+
 def psd_sqrt(M, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Hermitian PSD square root; rejects matrices indefinite beyond tol_psd."""
-    M = as_complex_matrix(M, square=True)
-    scale = max(np.linalg.norm(M), 1.0)
-    vals, vecs = np.linalg.eigh(hermitian_part(M, cfg))
-    if len(vals) and vals[0] < -cfg.tol_psd * scale:
-        raise InputError(f"matrix is indefinite: min eigenvalue {vals[0]:.3e}")
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    vals, vecs = psd_eigh(M, cfg)
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2
 
 

@@ -150,10 +150,14 @@ class CnuDecomposition:
 
 
 def _joint_eigenspace(F: np.ndarray, beta: complex, cfg: Tolerances) -> list[np.ndarray]:
-    """Orthonormal basis of ker(F - beta I) \\cap ker(F* - conj(beta) I)."""
+    """Orthonormal basis of ker(F - beta I) \\cap ker(F* - conj(beta) I).
+
+    The cut is rank_tol * max(||F||, 1): on a scalar unitary block the stacked
+    pencil is all roundoff, and a cut relative to its own sigma_max keeps nothing.
+    """
     n = F.shape[0]
     stacked = np.vstack([F - beta * np.eye(n), F.conj().T - np.conj(beta) * np.eye(n)])
-    return null_space(stacked, cfg=cfg)
+    return null_space(stacked, cfg=cfg, scale=max(np.linalg.norm(F), 1.0))
 
 
 def _unimodular_reps(eigs, scale: float, cfg: Tolerances) -> list[complex]:

@@ -4,8 +4,9 @@ A Pick matrix pairs a datum with a kernel: [(1 - w_i conj(w_j)) k_ij].  An
 admissible kernel makes the coordinate multiplication pair on its span a
 Gamma-contraction; the fundamental operator of that pair drives the kernel
 extension pipeline in :mod:`symdisk.extend`.  Admissibility is audited, not
-proved: norm bounds, the numerical radius of the fundamental operator, and a
-truncated dilation isometry with its intertwining relations.
+proved: norm bounds, the numerical radius of the fundamental operator, and the
+closed-form residuals that the dilation isometry and its intertwining
+relations telescope to.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
 from .gamma import GammaPoint, Region, classify_region
-from .linalg import as_complex_matrix, hermitian_part, psd_sqrt
+from .linalg import as_complex_matrix, hermitian_part, psd_eigh
 from .numrange import numerical_radius
 
 _EPS = np.finfo(float).eps
@@ -47,6 +48,7 @@ class PickData:
             if classify_region(x, cfg=cfg) is not Region.OPEN_G:
                 raise InputError(f"node {i} = ({x.s}, {x.p}) is not in the open domain")
         for i, w in enumerate(targets):
+            # 1e-14, about 45 ulps: a unimodular target read back from JSON
             if abs(w) > 1.0 + 1e-14:
                 raise InputError(f"target {i} has modulus {abs(w):.6f} > 1")
         object.__setattr__(self, "nodes", nodes)
@@ -105,17 +107,25 @@ class PsdReport:
     null_vector: np.ndarray | None
 
 
-def psd_report(M, cfg: Tolerances = DEFAULT) -> PsdReport:
-    """Smallest eigenvalue of a Hermitian matrix and a null vector if active."""
-    M = as_complex_matrix(M, square=True)
-    scale = max(np.linalg.norm(M), 1.0)
-    vals, vecs = np.linalg.eigh(hermitian_part(M, cfg))
-    min_eig = float(vals[0])
+def psd_report(M, cfg: Tolerances = DEFAULT, *, kernel_diag=None) -> PsdReport:
+    """Smallest eigenvalue of a Hermitian matrix and a null vector if active.
+
+    For a Pick matrix pass ``kernel_diag`` = (k_ii > 0): activity is decided on
+    S = [P_ij / sqrt(k_ii k_jj)] (van der Sluis scaling, Higham, *Accuracy and
+    Stability*, 7.3), blind to the scale of each kernel function but not to
+    that of the targets.  Without it, S = M.  "Active" means lambda_min(S) <=
+    tol_active * max(||S||, 1); the null vector is S's, mapped back by
+    diag(k)^{-1/2} and normalized.  The reported eigenvalue is M's own.
+    """
+    H = hermitian_part(M, cfg)
+    d = np.ones(len(H)) if kernel_diag is None else np.sqrt(np.asarray(kernel_diag).real)
+    S = H / np.outer(d, d)
+    vals, vecs = np.linalg.eigh(S)
     gamma = None
-    if min_eig <= cfg.tol_active * scale:
-        gamma = vecs[:, 0]
+    if vals[0] <= cfg.tol_active * max(np.linalg.norm(S), 1.0):
+        gamma = vecs[:, 0] / d
         gamma = gamma / np.linalg.norm(gamma)
-    return PsdReport(min_eig, gamma)
+    return PsdReport(float(np.linalg.eigvalsh(H)[0]), gamma)
 
 
 @dataclass(frozen=True)
@@ -123,23 +133,30 @@ class KernelBasisOperators:
     """Multiplication pair on the kernel span, in an orthonormalized basis.
 
     ``range_dim`` is the numerical rank of the Gram matrix; all operators are
-    range_dim x range_dim.  ``coord_vectors[j]`` holds the coordinates of the
-    j-th kernel function.
+    range_dim x range_dim.  ``D = U diag(sigma) U*`` with ``sigma`` descending.
+    ``coord_vectors[j]`` holds the coordinates of the j-th kernel function.
     """
     Ms: np.ndarray
     Mp: np.ndarray
     D: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
     coord_vectors: tuple
     range_dim: int
 
 
 def kernel_basis_operators(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> KernelBasisOperators:
-    """Represent M_s*, M_p* (diagonal on kernel functions) orthonormally.
+    """Represent M_s*, M_p* (diagonal on kernel functions) orthonormally, and D.
 
     With Gram G = W L W* (numerical rank r), the adjoint multiplications are
     L^{1/2} W* diag(conj(c_j)) W L^{-1/2} on C^r.  When G is rank deficient the
     diagonal action must preserve ker(G), otherwise the kernel functions fail
     to distinguish nodes with different coordinates.
+
+    D = (I - Mp Mp*)^{1/2} comes from a factor, not from that difference (which
+    cancels to roundoff times cond(G) on close nodes): Q = [(1 - p_i conj(p_j))
+    G_ij], the Gram of D on the kernel functions, is R R*, so X = L^{-1/2} W* R
+    has X X* = D^2, and its SVD U Sigma V* gives D = U Sigma U*.
     """
     G = K.gram
     n = len(K)
@@ -155,16 +172,18 @@ def kernel_basis_operators(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> Kernel
         null = vecs[:, ~keep]
         for diag in (np.diag(p.conj()), np.diag(s.conj())):
             leak = np.linalg.norm(G @ diag @ null)
-            if leak > 1e-8 * max(np.linalg.norm(G), 1.0):
+            if leak > cfg.tol_ext * max(np.linalg.norm(G), 1.0):
                 raise InputError("kernel functions do not distinguish the nodes")
     half = np.sqrt(lam)
     Ms_star = (W * half).conj().T @ np.diag(s.conj()) @ (W / half)
     Mp_star = (W * half).conj().T @ np.diag(p.conj()) @ (W / half)
-    Ms = Ms_star.conj().T
-    Mp = Mp_star.conj().T
-    D = psd_sqrt(np.eye(r) - Mp @ Mp_star, cfg)
+    Q = (1.0 - np.outer(p, p.conj())) * G
+    qvals, qvecs = psd_eigh(Q, cfg)
+    U, sigma, _ = np.linalg.svd((W / half).conj().T @ (qvecs * np.sqrt(qvals)),
+                                full_matrices=False)
     coords = tuple((W * half).conj().T[:, j] for j in range(n))
-    return KernelBasisOperators(Ms, Mp, D, coords, r)
+    return KernelBasisOperators(Ms_star.conj().T, Mp_star.conj().T,
+                                (U * sigma) @ U.conj().T, U, sigma, coords, r)
 
 
 @dataclass(frozen=True)
@@ -172,36 +191,37 @@ class _FundamentalModel:
     """Internal bundle shared by the fundamental operator and the audit."""
     ops: KernelBasisOperators
     F: np.ndarray             # pseudo-inverse solution, zero on ker(D)
-    range_basis: np.ndarray   # orthonormal basis of the numerical Ran(D)
+    D: np.ndarray             # ops.D cut to its numerical range: the D that F solves against
     residual: float
+    mp_norm: float            # checked <= 1 + tol_op on construction
+    ms_norm: float            # checked <= 2 + tol_op on construction
 
 
 def _fundamental_model(K: KernelMatrix, cfg: Tolerances) -> _FundamentalModel:
     ops = kernel_basis_operators(K, cfg)
-    ms_norm = np.linalg.norm(ops.Ms, 2)
-    mp_norm = np.linalg.norm(ops.Mp, 2)
+    ms_norm = float(np.linalg.norm(ops.Ms, 2))
+    mp_norm = float(np.linalg.norm(ops.Mp, 2))
     if mp_norm > 1.0 + cfg.tol_op:
         raise InputError(f"||Mp|| = {mp_norm:.9f} > 1: kernel is not admissible")
     if ms_norm > 2.0 + cfg.tol_op:
         raise InputError(f"||Ms|| = {ms_norm:.9f} > 2: kernel is not admissible")
     S = ops.Ms.conj().T - ops.Ms @ ops.Mp.conj().T
-    # rank-decide on the D^2 = I - Mp Mp* scale: an eigenvalue of D^2 at
-    # roundoff level means a genuine null direction of D, and dividing by its
-    # square root would amplify noise in S into an O(1) artifact
-    D2 = np.eye(ops.range_dim) - ops.Mp @ ops.Mp.conj().T
-    d2vals, dvecs = np.linalg.eigh((D2 + D2.conj().T) / 2)
-    keep = d2vals > cfg.rank_tol * max(d2vals.max() if len(d2vals) else _EPS, _EPS)
-    Vd = dvecs[:, keep]
-    dv = np.sqrt(d2vals[keep])
-    core = (Vd.conj().T @ S @ Vd) / np.outer(dv, dv)
-    F = Vd @ core @ Vd.conj().T
-    residual = float(np.linalg.norm(Vd @ (core * np.outer(dv, dv)) @ Vd.conj().T - S))
+    # rank-decide on the D^2 scale: a roundoff-level eigenvalue of D^2 is a null
+    # direction of D, and dividing by its root would blow noise in S up to O(1)
+    d2 = ops.sigma ** 2
+    keep = d2 > cfg.rank_tol * max(d2[0] if len(d2) else _EPS, _EPS)
+    Vd = ops.U[:, keep]
+    dv = ops.sigma[keep]
+    F = Vd @ ((Vd.conj().T @ S @ Vd) / np.outer(dv, dv)) @ Vd.conj().T
+    D = (Vd * dv) @ Vd.conj().T
+    residual = float(np.linalg.norm(D @ F @ D - S))
+    # a floor of 1e-13 (about 450 ulps) where Ms is roundoff (nodes on s = 0)
     tol = cfg.tol_fund_rel * ms_norm + 1e-13
     if residual > tol:
         raise NumericalError(
             f"fundamental equation residual {residual:.3e} exceeds {tol:.3e}: "
             "kernel is not Gamma-consistent")
-    return _FundamentalModel(ops, F, Vd, residual)
+    return _FundamentalModel(ops, F, D, residual, mp_norm, ms_norm)
 
 
 def fundamental_operator(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> np.ndarray:
@@ -225,79 +245,55 @@ class AdmissibilityReport:
     fundamental_residual: float
     isometry_defect: float
     intertwine_s: float
-    intertwine_p: float
-    tail_bound: float
-    trunc: int
+    commutator: float
 
 
-def admissibility_audit(K: KernelMatrix, trunc: int | None = None,
-                        cfg: Tolerances = DEFAULT) -> AdmissibilityReport:
+def admissibility_audit(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> AdmissibilityReport:
     """Audit the necessary conditions for admissibility of a kernel.
 
-    Checks the multiplication norm bounds, nu(F') <= 1 for the fundamental
-    operator, and that the truncated dilation map
+    The norm bounds ||Mp|| <= 1, ||Ms|| <= 2 are enforced (InputError) when the
+    fundamental operator F' is built.  The audit checks nu(F') <= 1 and three
+    closed-form residuals against tol_dil, to which the dilation
+    Pi h = (D h, D Mp* h, D Mp*^2 h, ...) and its intertwinings telescope; D is
+    cut to the numerical range that F' is solved on:
 
-        Pi h = (D h, D Mp* h, D Mp*^2 h, ...)
+    * ``isometry_defect`` = ||E||, E = D^2 - (I - Mp Mp*): Pi* Pi - I is
+      sum_n Mp^n E Mp*^n, as sum_n Mp^n (I - Mp Mp*) Mp*^n telescopes;
+    * ``intertwine_s`` = ||R||, R = D Ms* - F' D - F'* D Mp*: when Ms* and Mp*
+      commute, the n-th intertwining residual of Ms* is R Mp*^n;
+    * ``commutator`` = ||[Ms, Mp]||, which that reduction needs.
 
-    is an isometry intertwining (M_s*, M_p*) with the model pair, up to the
-    geometric tail ||Mp||^trunc.  A PASS is evidence, not a proof.
+    A PASS is evidence, not a proof.
     """
-    return _audit_model(_fundamental_model(K, cfg), trunc, cfg)
+    return _audit_model(_fundamental_model(K, cfg), cfg)
 
 
-def _audit_model(model: _FundamentalModel, trunc: int | None,
-                 cfg: Tolerances) -> AdmissibilityReport:
+def _audit_model(model: _FundamentalModel, cfg: Tolerances) -> AdmissibilityReport:
     """The audit of :func:`admissibility_audit` on a prebuilt fundamental model."""
-    if trunc is None:
-        trunc = cfg.trunc
     failures = []
     ops = model.ops
-    mp_norm = float(np.linalg.norm(ops.Mp, 2))
-    ms_norm = float(np.linalg.norm(ops.Ms, 2))
-    if mp_norm > 1.0 + cfg.tol_op:
-        failures.append("mp_norm")
-    if ms_norm > 2.0 + cfg.tol_op:
-        failures.append("ms_norm")
     nu_f = float(numerical_radius(model.F, cfg))
     if nu_f > 1.0 + cfg.tol_nu:
         failures.append("fundamental_numerical_radius")
-    tail = min(1.0, mp_norm) ** trunc if mp_norm <= 1.0 + cfg.tol_op else 1.0
-    budget = cfg.tol_dil + tail
-
-    r = ops.range_dim
+    D, F = model.D, model.F
     Mp_star = ops.Mp.conj().T
-    Ms_star = ops.Ms.conj().T
-    F_full = model.F
-    rows = [ops.D]
-    for _ in range(trunc - 1):
-        rows.append(rows[-1] @ Mp_star)
-    Pi = np.vstack(rows)
-    iso = float(np.linalg.norm(Pi.conj().T @ Pi - np.eye(r)))
-    if iso > budget:
-        failures.append("dilation_isometry")
-    worst_s = 0.0
-    worst_p = 0.0
-    for n in range(trunc - 1):
-        lhs_s = rows[n] @ Ms_star
-        rhs_s = F_full @ rows[n] + F_full.conj().T @ rows[n + 1]
-        worst_s = max(worst_s, float(np.linalg.norm(lhs_s - rhs_s)))
-        worst_p = max(worst_p, float(np.linalg.norm(rows[n] @ Mp_star - rows[n + 1])))
-    if worst_s > budget:
-        failures.append("intertwining_s")
-    if worst_p > budget:
-        failures.append("intertwining_p")
+    iso = float(np.linalg.norm(D @ D - np.eye(ops.range_dim) + ops.Mp @ Mp_star))
+    inter = float(np.linalg.norm(D @ ops.Ms.conj().T - F @ D - F.conj().T @ D @ Mp_star))
+    comm = float(np.linalg.norm(ops.Ms @ ops.Mp - ops.Mp @ ops.Ms))
+    for name, value in (("dilation_isometry", iso), ("intertwining_s", inter),
+                        ("commutator", comm)):
+        if value > cfg.tol_dil:
+            failures.append(name)
     return AdmissibilityReport(
         passed=not failures,
         failures=tuple(failures),
-        mp_norm=mp_norm,
-        ms_norm=ms_norm,
+        mp_norm=model.mp_norm,
+        ms_norm=model.ms_norm,
         nu_fundamental=nu_f,
         fundamental_residual=model.residual,
         isometry_defect=iso,
-        intertwine_s=worst_s,
-        intertwine_p=worst_p,
-        tail_bound=tail,
-        trunc=trunc,
+        intertwine_s=inter,
+        commutator=comm,
     )
 
 

@@ -11,6 +11,9 @@ import symdisk
 from symdisk.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# eight sheet nodes, two of them 0.02 apart (Gram condition number about 2e7)
+CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
+                 -0.05 + 0.82j, 0.01 + 0.22j, 0.59 - 0.5j, 0.03 + 0.22j)
 
 
 def cnum(z):
@@ -95,6 +98,33 @@ class TestPick:
         assert code == 0
         assert "active: gamma" in out
 
+    def test_audit_line_reports_closed_form_residuals(self, tmp_path, zero_matrix, capsys):
+        data = write_data(tmp_path / "d.json", [(0, 0), (0, 0.5)], [0, 0.5])
+        assert main(["pick", "--input", data, "--kernel", f"model:{zero_matrix}"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("  isometry defect = ")
+        assert "  intertwining = " in line and "  commutator = " in line
+        assert "tail bound" not in line
+
+    def test_close_sheet_nodes_pass(self, tmp_path, zero_matrix, capsys):
+        data = write_data(tmp_path / "d.json", [(0, p) for p in CLOSE_SHEET_P], CLOSE_SHEET_P)
+        assert main(["pick", "--input", data, "--kernel", f"model:{zero_matrix}"]) == 0
+        assert "admissibility audit: PASS" in capsys.readouterr().out
+
+    def test_large_szego_entry_not_active(self, tmp_path, capsys):
+        # eigenvalues 0.76 and 1e9: not active, whatever the size of an entry
+        data = write_data(tmp_path / "d.json", [(0.9999999995, 0), (0.1, 0)], [0, 0.5])
+        assert main(["pick", "--input", data, "--kernel", "szego", "--tol-mod=1e-12"]) == 0
+        out = capsys.readouterr().out
+        assert "min eigenvalue: 7.5757575" in out
+        assert "active: no null vector at tolerance" in out
+
+    def test_nearly_unimodular_target_active(self, tmp_path, capsys):
+        # Pick matrix 1 - |w|^2, about 2e-15: active, though tiny
+        data = write_data(tmp_path / "d.json", [(0, 0)], [0.999999999999999])
+        assert main(["pick", "--input", data, "--kernel", "szego"]) == 0
+        assert "active: gamma = (1+0j)" in capsys.readouterr().out
+
     def test_node_outside_domain_exit_2(self, tmp_path):
         data = write_data(tmp_path / "d.json", [(2, 1)], [0])
         assert main(["pick", "--input", data, "--kernel", "szego"]) == 2
@@ -119,6 +149,18 @@ class TestTrace:
             assert abs(complex(float(re_w), float(im_w))
                        - complex(float(re_p), float(im_p))) < 1e-8
             assert int(flag) == 1
+
+    def test_close_sheet_nodes_rows(self, tmp_path, zero_matrix, capsys):
+        data = write_data(tmp_path / "d.json", [(0, p) for p in CLOSE_SHEET_P], CLOSE_SHEET_P)
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--input", data, "--kernel", f"model:{zero_matrix}",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (200, 8)
+        w = rows[:, 4] + 1j * rows[:, 5]
+        p = rows[:, 2] + 1j * rows[:, 3]
+        assert np.abs(w - p).max() <= 1e-12
+        assert np.all(rows[:, 7] == 1)
 
     def test_royal_datum_rows(self, tmp_path, royal_matrix, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, -0.5])

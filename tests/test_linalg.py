@@ -102,6 +102,10 @@ class TestNullSpace:
     def test_full_rank_empty(self):
         assert sd.null_space(np.eye(2)) == []
 
+    def test_options_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            sd.null_space(np.eye(2), 1e-8)
+
     def test_pencil_kernel_at_royal_point(self, royal_F):
         # direct linear solve: at (2z, z^2) the kernel is spanned by (1, conj(z))
         z = 0.5

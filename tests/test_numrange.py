@@ -150,6 +150,16 @@ class TestCnuDecompose:
         assert dec.cnu_block.shape == (0, 0)
         assert sum(m for _, m in dec.unitary_eigenvalues) == 4
 
+    def test_scalar_unitary_block_peels(self):
+        # W (beta I_2) W* makes the joint-eigenspace pencil pure roundoff
+        W = haar_unitary(np.random.default_rng(1), 2)
+        beta = np.exp(0.7j)
+        dec = sd.cnu_decompose(W @ (beta * np.eye(2)) @ W.conj().T)
+        assert dec.cnu_block.shape == (0, 0)
+        assert len(dec.unitary_eigenvalues) == 1
+        got, m = dec.unitary_eigenvalues[0]
+        assert m == 2 and abs(got - beta) <= 1e-12
+
     def test_cnu_untouched(self):
         F = np.array([[0, 2], [0, 0]], dtype=complex)
         dec = sd.cnu_decompose(F)

@@ -1,12 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import symdisk as sd
 from symdisk import kernels
 from symdisk.errors import InputError
-from symdisk.pick import gram_on_nodes, kernel_basis_operators
+from symdisk.pick import _audit_model, _fundamental_model, gram_on_nodes, kernel_basis_operators
 
 from conftest import random_g_points
+
+# eight sheet nodes, two of them 0.02 apart: the Gram matrix has condition
+# number about 2e7, and I - Mp Mp* formed as a difference is indefinite
+CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
+                 -0.05 + 0.82j, 0.01 + 0.22j, 0.59 - 0.5j, 0.03 + 0.22j)
+
+
+@pytest.fixture
+def kernel_close_sheet():
+    data = sd.PickData(tuple(sd.GammaPoint(0, p) for p in CLOSE_SHEET_P), CLOSE_SHEET_P)
+    return gram_on_nodes(data, kernels.model(np.zeros((2, 2))))
 
 
 class TestPickData:
@@ -90,6 +103,47 @@ class TestPsdReport:
         with pytest.raises(InputError):
             sd.psd_report(np.array([[0, 1], [0, 0]]))
 
+    def test_large_entry_does_not_make_active(self):
+        # Szego Pick matrix with eigenvalues 0.76 and 1e9: well conditioned
+        # once scaled by the kernel diagonal, so not active
+        cfg = sd.with_overrides(sd.DEFAULT, tol_mod=1e-12)
+        data = sd.PickData((sd.GammaPoint(0.9999999995, 0), sd.GammaPoint(0.1, 0)),
+                           (0, 0.5), cfg)
+        K = gram_on_nodes(data, kernels.szego(), cfg)
+        rep = sd.psd_report(sd.pick_matrix(data, K, cfg), cfg, kernel_diag=K.gram.diagonal())
+        assert abs(rep.min_eigenvalue - 0.7575757563) < 1e-8
+        assert rep.null_vector is None
+
+    def test_tiny_pick_matrix_is_active(self):
+        # (1 - |w|^2) G with |w| a few ulps below 1: active at any kernel scale
+        G = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert sd.psd_report(1e-15 * G, kernel_diag=G.diagonal()).null_vector is not None
+        assert sd.psd_report(1e-15 * G).null_vector is not None
+        assert sd.psd_report(np.array([[1e-15]])).null_vector is not None
+
+    def test_null_vector_is_the_scaled_one(self):
+        # k = (1e-12, 1): P / sqrt(k_i k_j) = diag(0.5, 1e-11) is singular
+        # along e_2, although P's own smallest eigenvector is e_1
+        rep = sd.psd_report(np.diag([0.5e-12, 1e-11]), kernel_diag=[1e-12, 1.0])
+        assert rep.null_vector is not None
+        assert abs(abs(rep.null_vector[1]) - 1) < 1e-12
+        assert sd.psd_report(np.diag([1e-12, 1.0]), kernel_diag=[1e-12, 1.0]).null_vector is None
+
+    def test_singular_core_active_at_any_kernel_scale(self):
+        k = np.array([1e10, 1.0, 1e-6])
+        v = np.array([1.0, 2.0, -1.0])
+        P = np.sqrt(np.outer(k, k)) * np.outer(v, v)
+        rep = sd.psd_report(P, kernel_diag=k)
+        assert rep.null_vector is not None
+        assert np.linalg.norm(P @ rep.null_vector) <= 1e-12 * np.linalg.norm(P)
+        # a multiple of the identity is never active, however large
+        assert sd.psd_report(1e9 * np.eye(3)).null_vector is None
+
+    def test_zero_diagonal_is_active(self):
+        rep = sd.psd_report(np.diag([0.0, 1.0]))
+        assert rep.null_vector is not None
+        assert abs(abs(rep.null_vector[0]) - 1) < 1e-12
+
 
 class TestKernelBasisOperators:
     def test_single_node(self):
@@ -119,6 +173,23 @@ class TestKernelBasisOperators:
         K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.9)),
                             np.ones((2, 2)))
         with pytest.raises(InputError):
+            kernel_basis_operators(K)
+
+    def test_close_nodes_give_psd_defect_operator(self, kernel_close_sheet):
+        ops = kernel_basis_operators(kernel_close_sheet)
+        assert np.all(ops.sigma >= 0) and np.all(np.diff(ops.sigma) <= 0)
+        assert np.allclose(ops.D, (ops.U * ops.sigma) @ ops.U.conj().T, atol=1e-14)
+        # D^2 is the Gram of D on the kernel functions: [(1 - p_i conj(p_j)) G_ij]
+        C = np.column_stack(ops.coord_vectors)
+        p = np.array(CLOSE_SHEET_P)
+        Q = (1 - np.outer(p, p.conj())) * kernel_close_sheet.gram
+        assert np.linalg.norm(C.conj().T @ ops.D @ ops.D @ C - Q) <= 1e-10 * np.linalg.norm(Q)
+
+    def test_indefinite_defect_rejected(self):
+        # a Gram with ||Mp|| > 1: (1 - p_i conj(p_j)) G_ij is indefinite
+        K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5)),
+                            np.array([[1.0, 0.99], [0.99, 1.0]]))
+        with pytest.raises(InputError, match="indefinite"):
             kernel_basis_operators(K)
 
 
@@ -164,6 +235,7 @@ class TestFundamentalOperator:
             K = gram_on_nodes(data, kernels.model(F0))
             Fp = sd.fundamental_operator(K)
             assert sd.numerical_radius(Fp) <= 1.0 + 1e-10
+            assert sd.admissibility_audit(K).passed
 
 
 class TestAdmissibilityAudit:
@@ -185,6 +257,38 @@ class TestAdmissibilityAudit:
                             np.ones((2, 2)))
         with pytest.raises(InputError):
             sd.admissibility_audit(K)
+
+    def test_unit_mp_norm_model_passes(self):
+        # F = [[0, 1/2], [1/2, 0]] has W_F: s = +-(1 + p)/2.  On its nodes
+        # ||Mp|| = 1, so D has a null direction that roundoff lifts to about
+        # 1e-8; the audit must not count it against F'
+        F = np.array([[0, 0.5], [0.5, 0]])
+        nodes = tuple(sd.GammaPoint(e * (1 + p) / 2, p)
+                      for p in (0.3, -0.4j, 0.5 + 0.2j) for e in (1, -1))
+        K = gram_on_nodes(sd.PickData(nodes, (0,) * 6), kernels.model(F))
+        report = sd.admissibility_audit(K)
+        assert report.passed, report
+
+    def test_close_sheet_nodes_pass(self, kernel_close_sheet):
+        report = sd.admissibility_audit(kernel_close_sheet)
+        assert report.passed, report.failures
+        assert report.isometry_defect <= 1e-8
+
+    def test_perturbed_fundamental_operator_fails_intertwining(self, rng):
+        pts = random_g_points(rng, 3)
+        K = gram_on_nodes(sd.PickData(tuple(pts), (0, 0, 0)), kernels.szego())
+        model = _fundamental_model(K, sd.DEFAULT)
+        assert _audit_model(model, sd.DEFAULT).passed
+        E = rng.standard_normal(model.F.shape) + 1j * rng.standard_normal(model.F.shape)
+        bad = dataclasses.replace(model, F=model.F + 1e-6 * E / np.linalg.norm(E))
+        report = _audit_model(bad, sd.DEFAULT)
+        assert "intertwining_s" in report.failures
+        assert report.intertwine_s > 1e-8
+
+    def test_report_fields_are_closed_form(self):
+        names = {f.name for f in dataclasses.fields(sd.AdmissibilityReport)}
+        assert {"isometry_defect", "intertwine_s", "commutator"} <= names
+        assert not names & {"trunc", "tail_bound", "intertwine_p"}
 
 
 class TestNonextremalPerturbation:
