@@ -23,7 +23,7 @@ from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
 from .extend import (ExtensionModel, SheetTrace, branch_trace, build_extension,
                      extended_kernel, kernel_vector_at, unique_value)
 from .realization import (RealizationModel, boundary_unitarity_audit,
-                          eval_model, inner_defect,
+                          eval_model, inner_defect, inner_defects,
                           lurking_isometry_interpolant)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
                    psd_report)
 from .realization import (RealizationModel, boundary_unitarity_audit,
-                          inner_defect)
+                          inner_defects)
 from .sweeps import equivalence_sweep, pu_sweep, random_g_point
 from .variety import (PencilVariety, defining_poly, is_distinguished,
                       membership_residual, region_audit, slice_points)
@@ -312,10 +312,9 @@ def cmd_realize(args, cfg: Tolerances) -> int:
     defect = boundary_unitarity_audit(model, args.grid_n, cfg)
     print(f"boundary unitarity defect (grid {args.grid_n}x{args.grid_n}): {defect:.3e}")
     rng = np.random.default_rng(args.seed)
-    agreement = []
-    for _ in range(20):
-        direct, other = inner_defect(model, random_g_point(rng), cfg)
-        agreement.append(np.linalg.norm(direct - other))
+    points = [random_g_point(rng) for _ in range(20)]
+    direct, other = inner_defects(model, [x.s for x in points], [x.p for x in points], cfg)
+    agreement = [np.linalg.norm(a - b) for a, b in zip(direct, other)]
     # np.max keeps a nan that the builtin max would drop
     worst = float(np.max(agreement))
     print(f"inner-defect agreement over 20 seeded domain points: {worst:.3e}")

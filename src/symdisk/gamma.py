@@ -114,12 +114,18 @@ def in_closed_gamma(x: GammaPoint, tol: float | None = None,
     return abs(z1) <= 1.0 + tol and abs(z2) <= 1.0 + tol
 
 
+# 2 - alpha*s, and the pencil 2*I - s*tau, count as singular at or below this
+# multiple of their scale, max(|alpha*s|, 1) and max(sigma_max, 1): a condition
+# of 1e13 or more, where rounding alone moves phi by about 1e13*eps = 2e-3
+_PENCIL_SINGULAR = 1e-13
+
+
 def phi_scalar(alpha: complex, x: GammaPoint) -> complex:
     """The rational map (2*alpha*p - s) / (2 - alpha*s)."""
     s, p = complex(x.s), complex(x.p)
     alpha = complex(alpha)
     den = 2.0 - alpha * s
-    if abs(den) <= 1e-13 * max(1.0, abs(alpha * s)):
+    if abs(den) <= _PENCIL_SINGULAR * max(1.0, abs(alpha * s)):
         raise InputError("pole of phi: 2 - alpha*s vanishes")
     return (2.0 * alpha * p - s) / den
 
@@ -130,21 +136,23 @@ def phi_scalar(alpha: complex, x: GammaPoint) -> complex:
 _PENCIL_MARGIN = 1e-6
 
 
-def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT, *,
+                  tau_norm: float | None = None) -> np.ndarray:
     """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}.
 
     ``s`` and ``p`` are equal-length sequences; the result has shape
-    (len(s), h, h).  The contraction check on tau runs once per stack.  The
-    pencil 2*I - s*tau is singular when sigma_min <= 1e-13 * max(sigma_max, 1);
-    with t = ||tau||_2, Weyl's inequality gives sigma_min >= 2 - |s| t and
-    sigma_max <= 2 + |s| t, so the SVD runs only on the points where that
-    bound does not clear the threshold by a wide margin (on the torus, the
-    diagonal z1 = z2).
+    (len(s), h, h).  The contraction check on tau runs once per stack, on
+    ``tau_norm`` when the caller has ||tau||_2 already (a realization model
+    keeps it).  The pencil 2*I - s*tau is singular when
+    sigma_min <= _PENCIL_SINGULAR * max(sigma_max, 1); with t = ||tau||_2,
+    Weyl's inequality gives sigma_min >= 2 - |s| t and sigma_max <= 2 + |s| t,
+    so the SVD runs only on the points where that bound does not clear the
+    threshold by a wide margin (on the torus, the diagonal z1 = z2).
     """
     tau = as_complex_matrix(tau, square=True)
     s = np.asarray(s, dtype=complex)[:, None, None]
     p = np.asarray(p, dtype=complex)[:, None, None]
-    t = np.linalg.norm(tau, 2)
+    t = np.linalg.norm(tau, 2) if tau_norm is None else tau_norm
     if t > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
     # tau and I get the stack axis too: numpy multiplies a (1, 1, 1) complex
@@ -158,7 +166,7 @@ def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
     undecided = ~(2.0 - st > _PENCIL_MARGIN * (2.0 + st))
     if undecided.any():
         sv = np.linalg.svd(pencil[undecided], compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
+        if np.any(sv[:, -1] <= _PENCIL_SINGULAR * np.maximum(sv[:, 0], 1.0)):
             raise InputError("singular pencil 2*I - s*tau")
     rhs = 2.0 * p * tau - s * eye
     return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)

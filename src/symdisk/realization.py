@@ -16,6 +16,7 @@ certified node data by a lurking-isometry completion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,14 @@ _SCREEN_SLACK = 1e-10
 # and its absolute part: squares below ~1e-308 underflow, which moves a
 # computed ||X||_F by at most about d*1e-162
 _SCREEN_FLOOR = 1e-150
+# I - D phi counts as singular where sigma_min <= this multiple of
+# max(sigma_max, 1): a condition of 1e12 or more, where rounding alone moves
+# (I - D phi)^{-1} C by about 1e12*eps = 2e-4, far above tol_id and tol_inner
+_SINGULAR_TRANSFER = 1e-12
+# margin of the inverse screen of that rule: where cond(I - D phi) <= 1e6 the
+# computed inverse carries a relative error of about h * 1e6 * eps, far inside
+# the 1e6 gap between this margin and the 1e-12 rule
+_TRANSFER_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,11 @@ class RealizationModel:
     def block(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.C, self.D]])
 
+    @functools.cached_property
+    def tau_norm(self) -> float:
+        """||tau||_2, taken once per model for every phi_operators call."""
+        return float(np.linalg.norm(self.tau, 2))
+
     def validate(self, cfg: Tolerances = DEFAULT) -> None:
         """Raise unless tau and the block are unitary to tol_op (a nan defect fails)."""
         h = self.tau.shape[0]
@@ -70,13 +84,27 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     """phi, (I - D phi)^{-1} C and Psi = A + B phi (I - D phi)^{-1} C, stacked.
 
     ``s`` and ``p`` are equal-length sequences of point coordinates; each
-    result has one leading axis over the points.
+    result has one leading axis over the points.  I - D phi is singular when
+    sigma_min <= _SINGULAR_TRANSFER * max(sigma_max, 1); since
+    sigma_min >= 1 / ||(I - D phi)^{-1}||_F and sigma_max <= ||I - D phi||_F,
+    the SVD runs only on the points where that bound does not clear the
+    threshold by a wide margin.
     """
-    phi = phi_operators(m.tau, s, p, cfg)
+    phi = phi_operators(m.tau, s, p, cfg, tau_norm=m.tau_norm)
     M = np.eye(m.tau.shape[0]) - m.D @ phi
-    sv = np.linalg.svd(M, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)):
-        raise NumericalError("I - D phi is singular at the requested point")
+    # written so that a non-finite M, or a norm that overflows, stays undecided
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            undecided = ~(1.0 > _TRANSFER_MARGIN
+                          * np.maximum(np.linalg.norm(M, axis=(1, 2)), 1.0)
+                          * np.linalg.norm(np.linalg.inv(M), axis=(1, 2)))
+        except np.linalg.LinAlgError:
+            # an exactly singular member: the whole stack goes to the SVD
+            undecided = np.ones(len(M), dtype=bool)
+    if undecided.any():
+        sv = np.linalg.svd(M[undecided], compute_uv=False)
+        if np.any(sv[:, -1] <= _SINGULAR_TRANSFER * np.maximum(sv[:, 0], 1.0)):
+            raise NumericalError("I - D phi is singular at the requested point")
     inv = np.linalg.solve(M, np.broadcast_to(m.C, (len(M),) + m.C.shape))
     return phi, inv, m.A + m.B @ phi @ inv
 
@@ -89,20 +117,29 @@ def eval_model(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT,
     return _transfer(m, [x.s], [x.p], cfg)[2][0]
 
 
-def inner_defect(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT):
-    """Both computations of I - Psi(x)* Psi(x); they must agree to tol_id.
+def inner_defects(m: RealizationModel, s, p, cfg: Tolerances = DEFAULT):
+    """Both computations of I - Psi* Psi at each point, stacked; they must agree to tol_id.
 
-    The second form is the algebraic identity available for unitary models, so
-    a mismatch flags an inconsistent model (e.g. a perturbed block).
+    ``s`` and ``p`` are equal-length sequences of point coordinates.  The
+    second form is the algebraic identity available for unitary models, so a
+    mismatch flags an inconsistent model (e.g. a perturbed block); the first
+    point that misses tol_id is reported.
     """
-    phi, inv, psi = (a[0] for a in _transfer(m, [x.s], [x.p], cfg))
-    direct = np.eye(m.A.shape[0]) - psi.conj().T @ psi
-    middle = np.eye(phi.shape[0]) - phi.conj().T @ phi
-    identity_form = inv.conj().T @ middle @ inv
-    mismatch = np.linalg.norm(direct - identity_form)
-    if not mismatch <= cfg.tol_id:
-        raise NumericalError(f"inner-defect mismatch {mismatch:.3e}: model is inconsistent")
+    phi, inv, psi = _transfer(m, s, p, cfg)
+    direct = np.eye(m.A.shape[0]) - psi.conj().transpose(0, 2, 1) @ psi
+    middle = np.eye(phi.shape[1]) - phi.conj().transpose(0, 2, 1) @ phi
+    identity_form = inv.conj().transpose(0, 2, 1) @ middle @ inv
+    for a, b in zip(direct, identity_form):
+        mismatch = np.linalg.norm(a - b)
+        if not mismatch <= cfg.tol_id:
+            raise NumericalError(f"inner-defect mismatch {mismatch:.3e}: model is inconsistent")
     return direct, identity_form
+
+
+def inner_defect(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT):
+    """Both computations of I - Psi(x)* Psi(x); see :func:`inner_defects`."""
+    direct, identity_form = inner_defects(m, [x.s], [x.p], cfg)
+    return direct[0], identity_form[0]
 
 
 def boundary_unitarity_audit(m: RealizationModel, n_per_axis: int = 64,

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +326,9 @@ class TestPencilCheck:
         new = _outcome(phi_operators, tau, s, p)
         _assert_same_outcome(new, _outcome(_phi_svd_at_every_point, tau, s, p))
         assert (new is InputError) == (raised > 0)
+        # a caller that passes ||tau||_2 gets the same outcome
+        _assert_same_outcome(_outcome(functools.partial(
+            phi_operators, tau_norm=np.linalg.norm(tau, 2)), tau, s, p), new)
         if kind.startswith("unitary"):
             # a normal tau has a singular pencil at |s| t = 2 along its eigenvalue
             assert raised > 0
@@ -335,6 +340,13 @@ class TestPencilCheck:
         tau = np.array([[1.0]])
         _assert_same_outcome(_outcome(phi_operators, tau, [s, 0.5], [0.0, 0.0]),
                              _outcome(_phi_svd_at_every_point, tau, [s, 0.5], [0.0, 0.0]))
+
+
+def test_passed_tau_norm_still_rejects_a_non_contraction():
+    tau = np.array([[0.5, 0.0], [0.0, 1.0 + 1e-6]], dtype=complex)
+    for t in (np.linalg.norm(tau, 2), None):
+        with pytest.raises(InputError, match="tau must be a contraction"):
+            phi_operators(tau, [0.1], [0.0], tau_norm=t)
 
 
 class TestSzegoKernel:

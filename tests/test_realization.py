@@ -4,8 +4,9 @@ import pytest
 import symdisk as sd
 from symdisk import kernels
 from symdisk.errors import InputError, NumericalError
+from symdisk.gamma import phi_operators
 from symdisk.pick import gram_on_nodes
-from symdisk.realization import lurking_isometry_interpolant
+from symdisk.realization import _transfer, lurking_isometry_interpolant
 from symdisk.sweeps import haar_unitary
 
 from conftest import random_g_points
@@ -90,6 +91,179 @@ class TestInnerDefect:
                 assert np.linalg.norm(direct - other) <= 1e-9
 
 
+class TestInnerDefectStack:
+    @staticmethod
+    def _per_point(m, x):
+        """Both defect forms at one point, with the formula written out."""
+        h = m.tau.shape[0]
+        s, p = complex(x.s), complex(x.p)
+        phi = np.linalg.solve((2.0 * np.eye(h) - s * m.tau).T,
+                              (2.0 * p * m.tau - s * np.eye(h)).T).T
+        inv = np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
+        psi = m.A + m.B @ phi @ inv
+        direct = np.eye(m.A.shape[0]) - psi.conj().T @ psi
+        return direct, inv.conj().T @ (np.eye(h) - phi.conj().T @ phi) @ inv
+
+    def test_stack_equals_per_point(self, rng):
+        for _ in range(20):
+            m = random_model(rng, d=int(rng.integers(1, 5)), h=int(rng.integers(1, 5)))
+            pts = random_g_points(rng, 20)
+            direct, other = sd.inner_defects(m, [x.s for x in pts], [x.p for x in pts])
+            for k, x in enumerate(pts):
+                ref = self._per_point(m, x)
+                assert np.array_equal(direct[k], ref[0])
+                assert np.array_equal(other[k], ref[1])
+                single = sd.inner_defect(m, x)
+                assert np.array_equal(single[0], ref[0]) and np.array_equal(single[1], ref[1])
+
+    def test_stack_reports_first_mismatch(self, rng):
+        # phi = 0 at the origin, where a perturbed D leaves the two forms equal
+        m = random_model(rng, d=1, h=2)
+        bad = sd.RealizationModel(m.tau, m.A, m.B, m.C, m.D + 0.05)
+        pts = [sd.GammaPoint(0, 0)] + random_g_points(rng, 6)
+        sd.inner_defect(bad, pts[0])
+        with pytest.raises(NumericalError) as first:
+            sd.inner_defect(bad, pts[1])
+        with pytest.raises(NumericalError) as stacked:
+            sd.inner_defects(bad, [x.s for x in pts], [x.p for x in pts])
+        assert str(stacked.value) == str(first.value)
+
+
+def _transfer_svd_at_every_point(m, s, p, cfg=sd.DEFAULT):
+    """_transfer with the singular check of I - D phi run as an SVD at every point."""
+    phi = phi_operators(m.tau, s, p, cfg)
+    M = np.eye(m.tau.shape[0]) - m.D @ phi
+    sv = np.linalg.svd(M, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)):
+        raise NumericalError("I - D phi is singular at the requested point")
+    inv = np.linalg.solve(M, np.broadcast_to(m.C, (len(M),) + m.C.shape))
+    return phi, inv, m.A + m.B @ phi @ inv
+
+
+def _transfer_outcome(f, m, s, p):
+    """The (phi, inv, Psi) stacks f returns, or the type of the exception it raises."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            return f(m, s, p, sd.DEFAULT)
+        except (NumericalError, InputError, np.linalg.LinAlgError) as exc:
+            return type(exc)
+
+
+def _assert_same_transfer(new, old):
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, old))
+
+
+class TestTransferCheck:
+    """_transfer decides the singular I - D phi by an inverse bound, then an SVD;
+    it must raise exactly when an SVD at every point raises, and return the
+    same bits otherwise."""
+
+    # sigma_min(I - D phi) relative to max(sigma_max, 1): around the 1e-12
+    # rule, around the 1e-6 screen margin, and far from both
+    PLACEMENTS = tuple(1e-12 + d for d in (-1e-13, -3e-14, -1e-14, 1e-14, 3e-14, 1e-13,
+                                           1e-12, 1e-11, 1e-10)) + \
+        (1e-7, 5e-7, 9e-7, 1.1e-6, 2e-6, 1e-5, 1e-2, 0.5)
+
+    @staticmethod
+    def _row(n=8):
+        # one off-diagonal torus row: the pencil screen decides every point
+        z1 = np.exp(2j * np.pi * 0.3)
+        z2 = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+        return list(z1 + z2), list(z1 * z2)
+
+    @staticmethod
+    def _placed_model(rng, tau, s, p, rel, smax):
+        """A model whose I - D phi at (s, p) has the singular values smax, ...,
+        rel * max(smax, 1), or only rel * max(smax, 1) when h = 1."""
+        h = tau.shape[0]
+        phi = phi_operators(tau, [s], [p])[0]
+        smin = rel * max(smax, 1.0)
+        sig = np.sort(np.concatenate([[smax], rng.uniform(smin, smax, h - 2), [smin]])
+                      )[::-1] if h > 1 else np.array([smin])
+        U, V = haar_unitary(rng, h), haar_unitary(rng, h)
+        M0 = U @ np.diag(sig) @ V.conj().T
+        D = (np.eye(h) - M0) @ np.linalg.inv(phi)
+        C = rng.standard_normal((h, 2)) + 1j * rng.standard_normal((h, 2))
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        B = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
+        return sd.RealizationModel(tau, A, B, C, D)
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_svd_at_every_point(self, h, seed):
+        rng = np.random.default_rng(2000 * seed + h)
+        tau = haar_unitary(rng, h)
+        s, p = self._row()
+        raised = passed = 0
+        for rel in self.PLACEMENTS:
+            for smax in (0.5, 1.0, 3.0):
+                k = int(rng.integers(len(s)))
+                m = self._placed_model(rng, tau, s[k], p[k], rel, smax)
+                new = _transfer_outcome(_transfer, m, s[k:k + 1], p[k:k + 1])
+                _assert_same_transfer(new, _transfer_outcome(
+                    _transfer_svd_at_every_point, m, s[k:k + 1], p[k:k + 1]))
+                raised += new is NumericalError
+                passed += not isinstance(new, type)
+                # the whole row raises when the placed point does, else gives the same bits
+                _assert_same_transfer(_transfer_outcome(_transfer, m, s, p),
+                                      _transfer_outcome(_transfer_svd_at_every_point, m, s, p))
+        assert raised > 0 and passed > 0
+
+    @staticmethod
+    def _svd_calls(monkeypatch, m, s, p):
+        """The outcome of _transfer and how many SVDs it ran."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        try:
+            return _transfer_outcome(_transfer, m, s, p), len(calls)
+        finally:
+            monkeypatch.setattr(np.linalg, "svd", svd)
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_benign_row_runs_no_svd(self, monkeypatch, rng, h):
+        s, p = self._row()
+        new, calls = self._svd_calls(monkeypatch, random_model(rng, d=2, h=h), s, p)
+        assert not isinstance(new, type) and calls == 0
+
+    # a nan or infinite entry of I - D phi; at 1e200 the entries stay finite
+    # and only the Frobenius norms overflow
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 0.0), 1e200 * (1 + 1j)])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_non_finite_entry_reaches_the_svd(self, monkeypatch, rng, bad, h):
+        m = random_model(rng, d=2, h=h)
+        D = m.D.copy()
+        D[0, -1] = bad
+        # the constructor rejects a non-finite block, so D is planted after it
+        object.__setattr__(m, "D", D)
+        s, p = self._row()
+        for ss, pp in ((s[:1], p[:1]), (s, p)):
+            new, calls = self._svd_calls(monkeypatch, m, ss, pp)
+            assert calls > 0
+            _assert_same_transfer(new, _transfer_outcome(_transfer_svd_at_every_point, m, ss, pp))
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_exactly_singular_member_reaches_the_svd(self, monkeypatch, rng, h):
+        # tau = I at (s, p) = (0, 1) gives phi = I exactly, so I - D phi = diag(0, 0.7, ...)
+        tau = np.eye(h, dtype=complex)
+        D = np.diag([1.0] + [0.3] * (h - 1)).astype(complex)
+        m = sd.RealizationModel(tau, np.zeros((1, 1)), np.zeros((1, h)),
+                                np.ones((h, 1)), D)
+        s, p = self._row()
+        for ss, pp in (([0.0], [1.0]), (s[:3] + [0.0] + s[3:], p[:3] + [1.0] + p[3:])):
+            new, calls = self._svd_calls(monkeypatch, m, ss, pp)
+            assert new is NumericalError and calls > 0
+            assert _transfer_outcome(_transfer_svd_at_every_point, m, ss, pp) is NumericalError
+
+
 class TestBoundaryAudit:
     def test_mobius_inner(self, mobius_model):
         assert sd.boundary_unitarity_audit(mobius_model, 32) <= 1e-10
@@ -151,6 +325,21 @@ class TestBoundaryAudit:
             if noise:
                 assert worst > 1e-7 and skipped > n
             assert sd.boundary_unitarity_audit(m, n) == worst == worst_ref
+
+    def test_takes_tau_norm_once(self, monkeypatch, rng):
+        # one ||tau||_2 per model, not one per torus row
+        norm = np.linalg.norm
+        calls = []
+
+        def counting(x, ord=None, *args, **kwargs):
+            calls.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        m = random_model(rng, d=2, h=3)
+        sd.boundary_unitarity_audit(m, 64)
+        sd.boundary_unitarity_audit(m, 16)
+        assert calls.count(2) == 1
 
     def _corner(self, n):
         # the first grid point (z, z) of an n x n audit, z = exp(i pi / n)
