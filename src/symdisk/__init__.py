@@ -14,14 +14,15 @@ from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,
                        support_function, verify_pu_reducing)
 from .variety import (BivarPoly, PencilVariety, defining_poly,
                       distinguished_property_check, is_distinguished,
-                      membership_residual, region_audit, royal_containment,
-                      slice_points)
+                      membership_residual, membership_residuals, region_audit,
+                      royal_containment, slice_points, stacked_slice_points)
 from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
                    admissibility_audit, agreement_locus, fundamental_operator,
                    gram_on_nodes, kernel_basis_operators,
                    nonextremal_perturbation, pick_matrix, psd_report)
-from .extend import (ExtensionModel, SheetTrace, branch_trace, build_extension,
-                     extended_kernel, kernel_vector_at, unique_value)
+from .extend import (ExtensionModel, SheetTrace, UniqueValues, branch_trace,
+                     build_extension, extended_kernel, kernel_vector_at, unique_value,
+                     unique_values)
 from .realization import (RealizationModel, boundary_unitarity_audit,
                           eval_model, inner_defect, inner_defects,
                           lurking_isometry_interpolant)

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
-from .extend import branch_trace, build_extension, unique_value
+from .extend import branch_trace, build_extension, unique_values
 from .gamma import GammaPoint
 from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
@@ -31,7 +31,7 @@ from .realization import (RealizationModel, boundary_unitarity_audit,
                           inner_defects)
 from .sweeps import equivalence_sweep, pu_sweep, random_g_point
 from .variety import (PencilVariety, defining_poly, is_distinguished,
-                      membership_residual, region_audit, slice_points)
+                      region_audit, stacked_slice_points)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -267,20 +267,15 @@ def cmd_trace(args, cfg: Tolerances) -> int:
               f"final sum error {tr.sum_errors[-1]:.3e}, "
               f"contour radius {tr.contour_radius:.3e}")
     V = model.variety
-    rows = []
-    for i in range(args.grid_n):
-        p = args.grid_radius * np.exp(2j * np.pi * i / args.grid_n)
-        for s in slice_points(V, p, cfg):
-            x = GammaPoint(s, p)
-            resid = membership_residual(V, x)
-            try:
-                w = unique_value(model, K, gamma, data.targets, x, cfg)
-                flag = 1
-            except NumericalError:
-                w = complex(float("nan"), float("nan"))
-                flag = 0
-            rows.append((float(s.real), float(s.imag), float(p.real), float(p.imag),
-                         float(w.real), float(w.imag), float(resid), flag))
+    # one scalar expression per slice: numpy's array division would move the
+    # last bit of p for grid sizes that are not powers of two
+    p_grid = np.array([args.grid_radius * np.exp(2j * np.pi * i / args.grid_n)
+                       for i in range(args.grid_n)], dtype=complex)
+    s = stacked_slice_points(V, p_grid, cfg).ravel()
+    p = np.repeat(p_grid, V.dim)
+    w, flags, resid = unique_values(model, K, gamma, data.targets, s, p, cfg)
+    rows = list(zip(s.real.tolist(), s.imag.tolist(), p.real.tolist(), p.imag.tolist(),
+                    w.real.tolist(), w.imag.tolist(), resid.tolist(), flags.tolist()))
     text = _csv(["re_s", "im_s", "re_p", "im_p", "re_w", "im_w", "residual", "sheet_flag"],
                 rows)
     if args.out:

@@ -20,19 +20,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 from .gamma import GammaPoint
-from .kernels import kernel_entry, unit_kernel_vector
+from .kernels import (_KERNEL_DEN_FLOOR, kernel_entry, unit_kernel_vector,
+                      unit_kernel_vectors)
 from .linalg import cluster_indices, spectrum, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
-from .variety import PencilVariety, is_distinguished, membership_residual, pencil_matrix
+from .variety import PencilVariety, is_distinguished, membership_residuals, pencil_matrix
 
 _EPS = np.finfo(float).eps
+# gamma passes as a Pick-matrix null vector when ||P gamma|| is at most this
+# multiple of max(||P||, 1) ||gamma||: a hundredfold above the default
+# tol_active at which psd_report calls the Pick matrix singular, and far below
+# the next eigenvalue of P, the residual a vector off the null space leaves
+_NULL_VECTOR_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -103,14 +110,19 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
     model's variety.  When the null space has dimension > 1 that is one
     choice among many; the uniqueness-value ratio does not depend on it.
     """
-    for j, nd in enumerate(model.nodes):
-        if _coincide(x, nd, cfg):
-            return model.u_nodes[j]
+    hit = np.flatnonzero(_coincident(x.s, x.p, model.nodes, cfg)[0])
+    if len(hit):
+        return model.u_nodes[hit[0]]
     return unit_kernel_vector(model.variety, x, cfg)
 
 
-def _coincide(x: GammaPoint, y: GammaPoint, cfg: Tolerances) -> bool:
-    return abs(complex(x.s) - y.s) + abs(complex(x.p) - y.p) <= cfg.tol_node
+def _coincident(s, p, nodes, cfg: Tolerances) -> np.ndarray:
+    """Entry [k, j]: does (s_k, p_k) coincide with node j at the tol_node scale."""
+    ns = np.array([complex(nd.s) for nd in nodes], dtype=complex)
+    nq = np.array([complex(nd.p) for nd in nodes], dtype=complex)
+    s = np.asarray(s, dtype=complex).reshape(-1, 1)
+    p = np.asarray(p, dtype=complex).reshape(-1, 1)
+    return np.abs(s - ns) + np.abs(p - nq) <= cfg.tol_node
 
 
 def extended_kernel(model: ExtensionModel, x: GammaPoint, y: GammaPoint,
@@ -157,7 +169,8 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     sbar = np.conj(complex(nd.s))
     V = model.variety
 
-    base = spectrum(F + pbar * F.conj().T, cfg)
+    # at an origin node the base pencil is F itself, whose spectrum the variety keeps
+    base = V.eigenvalues if pbar == 0 else spectrum(F + pbar * F.conj().T, cfg)
     scale = max(np.linalg.norm(F + pbar * F.conj().T), 1.0)
     others = [ev for ev in base if abs(ev - sbar) > cfg.tol_cluster * scale]
     if others:
@@ -173,7 +186,7 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     z_path = [pbar + direction * radius * 0.5 ** k for k in range(n_steps)]
 
     branch_values, branch_vectors = [], []
-    alpha_errors, sum_errors, memb, proj_defects = [], [], [], []
+    alpha_errors, sum_errors, proj_defects = [], [], []
     eps_used = eps0
     for z in z_path:
         pencil = F + z * F.conj().T
@@ -210,10 +223,12 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
         branch_values.append(tuple(means))
         branch_vectors.append(tuple(vecs))
         alpha_errors.append(max(abs(m - sbar) for m in means) if means else float("nan"))
-        worst = 0.0
-        for m in means:
-            worst = max(worst, membership_residual(V, GammaPoint(np.conj(m), np.conj(z))))
-        memb.append(float(worst) if means else float("nan"))
+    # every traced point (conj(alpha_l(z)), conj(z)) in one stacked residual call
+    step = np.repeat(np.arange(len(z_path)), [len(means) for means in branch_values])
+    alphas = np.array([m for means in branch_values for m in means], dtype=complex)
+    resid = membership_residuals(V, np.conj(alphas), np.conj(np.asarray(z_path))[step])
+    memb = [float(resid[step == k].max()) if means else float("nan")
+            for k, means in enumerate(branch_values)]
     return SheetTrace(
         node_index=node_index,
         z_path=tuple(z_path),
@@ -228,6 +243,76 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     )
 
 
+class UniqueValues(NamedTuple):
+    """Uniqueness values at a stack of variety points, from :func:`unique_values`."""
+    values: np.ndarray     # w_k, nan where flags_k is 0
+    flags: np.ndarray      # 1 where w_k is decided, 0 where a guard failed
+    residuals: np.ndarray  # sigma_min of the pencil at (s_k, p_k): the membership residual
+
+
+def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s, p,
+                       cfg: Tolerances):
+    """Ratios num/den at every (s_k, p_k), where den clears tol_den, and the residuals.
+
+    Validates gamma and the model once, takes u(x) at all points from one
+    stacked SVD (the stored u_j where a point coincides with a node) and the
+    kernel columns from one product.
+    """
+    gamma = np.asarray(gamma, dtype=complex).ravel()
+    w = np.asarray(targets, dtype=complex).ravel()
+    n = len(K)
+    if len(gamma) != n or len(w) != n:
+        raise InputError("gamma and targets must match the node count")
+    ks = np.array([complex(x.s) for x in K.nodes], dtype=complex)
+    kq = np.array([complex(x.p) for x in K.nodes], dtype=complex)
+    if len(model.nodes) != n or not np.diagonal(_coincident(ks, kq, model.nodes, cfg)).all():
+        raise InputError("the extension model is not built on the kernel's nodes")
+    pick = (1.0 - np.outer(w, w.conj())) * K.gram
+    resid = np.linalg.norm(pick @ gamma)
+    if resid > _NULL_VECTOR_REL * max(1.0, np.linalg.norm(pick)) * np.linalg.norm(gamma):
+        raise InputError(f"gamma is not a Pick-matrix null vector: residual {resid:.3e}")
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if s.shape != p.shape:
+        raise InputError("s and p must have the same shape")
+    kden = 1.0 - p.reshape(-1, 1) * np.conj(kq)
+    vanishing = (np.abs(kden) <= _KERNEL_DEN_FLOOR).any(axis=1)
+    near = _coincident(s, p, model.nodes, cfg)
+    at_node = near.any(axis=1)
+    if vanishing.any():
+        # a point is checked for membership before its kernel column is formed,
+        # so an off-variety point ahead of the first vanishing denominator wins
+        m = int(np.argmax(vanishing)) + 1
+        unit_kernel_vectors(model.variety, s.ravel()[:m], p.ravel()[:m], cfg,
+                            skip=at_node[:m])
+        raise InputError("kernel denominator 1 - p conj(q) vanishes")
+    U, sigma = unit_kernel_vectors(model.variety, s, p, cfg, skip=at_node)
+    u_nodes = np.array(model.u_nodes, dtype=complex).reshape(n, model.F.shape[0])
+    U[at_node] = u_nodes[np.argmax(near[at_node], axis=1)]
+    col = (U.conj() @ u_nodes.T) / kden
+    num = col @ gamma
+    den = (w.conj() * col) @ gamma
+    scale = np.abs(col) @ np.abs(gamma)
+    den_ok = np.abs(den) > cfg.tol_den * np.maximum(scale, _EPS)
+    ratio = np.divide(num, den, out=np.full(len(den), np.nan, dtype=complex), where=den_ok)
+    return ratio, den_ok, sigma
+
+
+def unique_values(model: ExtensionModel, K: KernelMatrix, gamma, targets, s, p,
+                  cfg: Tolerances = DEFAULT) -> UniqueValues:
+    """The closed-form values forced at the variety points (s_k, p_k).
+
+    The stacked form of :func:`unique_value`: a point whose denominator
+    vanishes, or whose value escapes the closed unit disk, gets the value nan
+    and the flag 0 instead of an exception.  Input errors still raise, an
+    off-variety point at the first such point in the order given.
+    """
+    ratio, den_ok, sigma = _uniqueness_ratios(model, K, gamma, targets, s, p, cfg)
+    flags = den_ok & ~(np.abs(ratio) > 1.0 + cfg.tol_op)
+    values = np.where(flags, ratio, complex(np.nan, np.nan))
+    return UniqueValues(values, flags.astype(int), sigma)
+
+
 def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets,
                  x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
     """The closed-form value forced at x by an active kernel.
@@ -236,29 +321,15 @@ def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets,
     ratio of extended-kernel sums and is exactly invariant under rescaling
     gamma.  Raises when the denominator vanishes ("sheet inconclusive") and
     when the result escapes the closed unit disk.  The model must be built on
-    the nodes of K; u(x) is computed once and paired with the stored u_j.
+    the nodes of K; u(x) is paired with the stored u_j.  The one-point call of
+    :func:`unique_values`.
     """
-    gamma = np.asarray(gamma, dtype=complex).ravel()
-    w = np.asarray(targets, dtype=complex).ravel()
-    n = len(K)
-    if len(gamma) != n or len(w) != n:
-        raise InputError("gamma and targets must match the node count")
-    if len(model.nodes) != n or not all(_coincide(a, b, cfg)
-                                        for a, b in zip(K.nodes, model.nodes)):
-        raise InputError("the extension model is not built on the kernel's nodes")
-    pick = (1.0 - np.outer(w, w.conj())) * K.gram
-    resid = np.linalg.norm(pick @ gamma)
-    if resid > 1e-7 * max(1.0, np.linalg.norm(pick)) * np.linalg.norm(gamma):
-        raise InputError(f"gamma is not a Pick-matrix null vector: residual {resid:.3e}")
-    ux = kernel_vector_at(model, x, cfg)
-    col = np.array([kernel_entry(ux, u, x, nd) for u, nd in zip(model.u_nodes, K.nodes)])
-    num = col @ gamma
-    den = (w.conj() * col) @ gamma
-    scale = float(np.abs(col) @ np.abs(gamma))
-    if abs(den) <= cfg.tol_den * max(scale, _EPS):
+    ratio, den_ok, _ = _uniqueness_ratios(model, K, gamma, targets,
+                                          complex(x.s), complex(x.p), cfg)
+    if not den_ok[0]:
         raise NumericalError("denominator vanishes - sheet inconclusive")
-    val = num / den
+    val = complex(ratio[0])
     if abs(val) > 1.0 + cfg.tol_op:
         raise NumericalError(f"uniqueness value |w| = {abs(val):.6f} > 1; "
                              "inconsistent inputs")
-    return complex(val)
+    return val

@@ -21,29 +21,62 @@ def szego() -> callable:
     return szego_kernel
 
 
+def unit_kernel_vectors(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
+                        skip=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors in ker(F + conj(p_k) F* - conj(s_k) I), one stacked SVD.
+
+    Row k of the first array is the smallest right singular vector of that
+    adjoint pencil, re-phased so its largest component is positive real; the
+    second array holds its smallest singular value, the membership residual
+    of (s_k, p_k).  Scalar s and p give one row, from the same arithmetic as
+    one entry of a stack.  Raises at the first point, in the order given,
+    that is off the variety at the tol_memb scale; points where the boolean
+    mask ``skip`` is set are not checked (callers substitute stored vectors
+    there).
+    """
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if s.shape != p.shape:
+        raise InputError("s and p must have the same shape")
+    d = V.dim
+    if d == 0:
+        raise InputError("the variety of an empty pencil has no points")
+    pencils = pencil_matrix(V.F, s[..., None, None], p[..., None, None])
+    _, sv, Vh = np.linalg.svd(pencils.conj().swapaxes(-1, -2).reshape(-1, d, d))
+    s, p = s.ravel(), p.ravel()
+    off = sv[:, -1] > cfg.tol_memb * np.maximum(1.0, sv[:, 0])
+    if skip is not None:
+        off &= ~np.asarray(skip, dtype=bool)
+    if off.any():
+        k = int(np.argmax(off))
+        raise InputError(f"point ({complex(s[k])}, {complex(p[k])}) is off the variety: "
+                         f"residual {sv[k, -1]:.3e}")
+    U = Vh[:, -1].conj()
+    pivot = U[np.arange(len(U)), np.argmax(np.abs(U), axis=1)]
+    return U * (np.conj(pivot) / np.abs(pivot))[:, None], sv[:, -1]
+
+
 def unit_kernel_vector(V: PencilVariety, x: GammaPoint,
                        cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Deterministic unit vector in ker(F + conj(p) F* - conj(s) I).
 
-    The smallest right singular vector, re-phased so its largest component is
-    positive real.  Raises when x is off the variety at the tol_memb scale.
+    The one-point call of :func:`unit_kernel_vectors`.  Raises when x is off
+    the variety at the tol_memb scale.
     """
-    s, p = complex(x.s), complex(x.p)
-    _, sv, Vh = np.linalg.svd(pencil_matrix(V.F, s, p).conj().T)
-    if len(sv) == 0:
-        raise InputError("the variety of an empty pencil has no points")
-    if sv[-1] > cfg.tol_memb * max(1.0, sv[0]):
-        raise InputError(f"point ({s}, {p}) is off the variety: "
-                         f"residual {sv[-1]:.3e}")
-    v = Vh[-1].conj()
-    k = int(np.argmax(np.abs(v)))
-    return v * (np.conj(v[k]) / abs(v[k]))
+    U, _ = unit_kernel_vectors(V, complex(x.s), complex(x.p), cfg)
+    return U[0]
+
+
+# 1 - p conj(q) counts as vanishing at or below this, a few dozen ulps of 1:
+# only a pair with p conj(q) = 1 up to rounding reaches it, a pole of the
+# kernel that no two points of the open domain attain
+_KERNEL_DEN_FLOOR = 1e-14
 
 
 def kernel_entry(ux: np.ndarray, uy: np.ndarray, x: GammaPoint, y: GammaPoint) -> complex:
     """<u(y), u(x)> / (1 - p conj(q)) from the kernel vectors at x = (s, p), y = (t, q)."""
     den = 1.0 - complex(x.p) * np.conj(complex(y.p))
-    if abs(den) <= 1e-14:
+    if abs(den) <= _KERNEL_DEN_FLOOR:
         raise InputError("kernel denominator 1 - p conj(q) vanishes")
     return complex(np.vdot(ux, uy) / den)
 

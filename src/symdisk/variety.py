@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .gamma import REGIONS, GammaPoint, Region, classify_regions, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
 from .numrange import (CnuVerdict, _peel_unitary, check_numerical_contraction,
@@ -131,18 +131,54 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
     return BivarPoly.from_coeffs(coeffs)
 
 
+def stacked_slice_points(V: PencilVariety, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Row k holds every s with (s, p_k) on the variety, sorted by (real, imag).
+
+    The rows are the spectra of the pencils F* + p_k F, from one stacked
+    ``eigvals`` call; the stable sort keeps the eigenvalue order of ties.  A
+    scalar p gives one row, from the same arithmetic as one entry of a stack.
+    """
+    p = np.asarray(p, dtype=complex)
+    if not np.all(np.isfinite(p)):
+        raise InputError("slice coordinates p must be finite")
+    if V.dim == 0:
+        return np.zeros((p.size, 0), dtype=complex)
+    try:
+        eigs = np.linalg.eigvals(pencil_matrix(V.F, 0.0, p[..., None, None]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
+    return np.sort(eigs.reshape(p.size, V.dim), axis=1, kind="stable")
+
+
 def slice_points(V: PencilVariety, p: complex, cfg: Tolerances = DEFAULT) -> list[complex]:
     """All s with (s, p) on the variety: the spectrum of F* + p F, sorted."""
-    eigs = spectrum(pencil_matrix(V.F, 0.0, complex(p)), cfg)
-    return sorted((complex(ev) for ev in eigs), key=lambda z: (z.real, z.imag))
+    return stacked_slice_points(V, complex(p), cfg)[0].tolist()
+
+
+def _pencil_singular_values(F: np.ndarray, s, p) -> np.ndarray:
+    """Singular values of every pencil F* + p_k F - s_k I, one stacked SVD.
+
+    ``s`` and ``p`` are arrays of one shape; 0-d arrays give one row.
+    """
+    sv = np.linalg.svd(pencil_matrix(F, s[..., None, None], p[..., None, None]),
+                       compute_uv=False)
+    return sv.reshape(s.size, F.shape[0])
+
+
+def membership_residuals(V: PencilVariety, s, p) -> np.ndarray:
+    """sigma_min(F* + p_k F - s_k I) at every (s_k, p_k); zero exactly on the variety."""
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if s.shape != p.shape:
+        raise InputError("s and p must have the same shape")
+    if V.dim == 0:
+        return np.full(s.size, np.inf)  # det of the empty pencil is 1: the variety is empty
+    return _pencil_singular_values(V.F, s, p)[:, -1]
 
 
 def membership_residual(V: PencilVariety, x: GammaPoint) -> float:
     """sigma_min(F* + p F - s I); zero exactly on the variety."""
-    if V.dim == 0:
-        return float("inf")  # det of the empty pencil is 1: the variety is empty
-    M = pencil_matrix(V.F, complex(x.s), complex(x.p))
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    return float(membership_residuals(V, complex(x.s), complex(x.p))[0])
 
 
 def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) -> np.ndarray:
@@ -150,8 +186,7 @@ def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) ->
     sigma_min <= tol_memb * max(1, sigma_max) of the pencil."""
     if F.shape[0] == 0:
         return np.zeros(len(s), dtype=bool)  # the empty pencil's variety is empty
-    sv = np.linalg.svd(pencil_matrix(F, s[:, None, None], p[:, None, None]),
-                       compute_uv=False)
+    sv = _pencil_singular_values(F, s, p)
     return sv[:, -1] <= cfg.tol_memb * np.maximum(sv[:, 0], 1.0)
 
 
@@ -194,11 +229,11 @@ def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> Re
     """
     if p_grid is None:
         p_grid = default_p_grid()
-    # all slices in one stacked eigvals call, each sorted by (real, imag) as
-    # in slice_points, and all points labelled in one classify_regions call
-    p_arr = np.asarray(p_grid, dtype=complex).reshape(-1, 1, 1)
-    slices = np.sort(np.linalg.eigvals(pencil_matrix(V.F, 0.0, p_arr)), axis=1)
-    codes = classify_regions(slices.ravel(), np.repeat(p_arr.ravel(), V.dim), cfg=cfg)
+    # all slices in one stacked eigvals call and all points labelled in one
+    # classify_regions call
+    p_arr = np.asarray(p_grid, dtype=complex).ravel()
+    slices = stacked_slice_points(V, p_arr, cfg)
+    codes = classify_regions(slices.ravel(), np.repeat(p_arr, V.dim), cfg=cfg)
     counts = np.bincount(codes, minlength=len(REGIONS))
     samples = tuple(GammaPoint(s, p) for p, row in zip(p_grid, slices.tolist()) for s in row)
     code_r1, code_r2 = REGIONS.index(Region.R1), REGIONS.index(Region.R2)

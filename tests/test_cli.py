@@ -204,8 +204,42 @@ class TestTrace:
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0
-        # 2 nodes x (1 base pencil + cfg.n_steps path pencils)
-        assert len(pencils) == len(set(pencils)) == 42
+        # 2 nodes x (1 base pencil + cfg.n_steps path pencils), less the base
+        # pencil of the origin node, which is F and reads the variety's spectrum
+        assert len(pencils) == len(set(pencils)) == 41
+
+    def test_one_stacked_kernel_vector_call(self, monkeypatch, capsys):
+        # the whole grid takes its kernel vectors and residuals from one stacked
+        # SVD; the other calls are the model kernel's, one at each of the 2 nodes
+        import symdisk.extend as extend
+        import symdisk.kernels as kernels
+        stacked = kernels.unit_kernel_vectors
+        sizes = []
+
+        def counting(V, s, p, *args, **kwargs):
+            sizes.append(np.size(s))
+            return stacked(V, s, p, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "unit_kernel_vectors", counting)
+        monkeypatch.setattr(extend, "unit_kernel_vectors", counting)
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"),
+                     "--kernel", f"model:{DATA / 'royal_pencil.json'}",
+                     "--grid-n", "64"]) == 0
+        assert sorted(sizes) == [1, 1, 64 * 2]
+
+    def test_off_variety_grid_point_exit_2(self, tmp_path, capsys):
+        # with tol_memb = 0 every point of positive residual is off the variety;
+        # the error names the first of them in row order
+        argv = ["trace", "--input", str(DATA / "datum_royal.json"),
+                "--kernel", f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "8"]
+        out = tmp_path / "trace.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        first = rows[np.flatnonzero(rows[:, 6] > 0)[0]]
+        capsys.readouterr()
+        assert main(argv + ["--tol-memb=0"]) == 2
+        point = f"({complex(first[0], first[1])}, {complex(first[2], first[3])})"
+        assert f"point {point} is off the variety" in capsys.readouterr().err
 
     def test_nonextremal_datum_exit_4(self, tmp_path, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, 0.5])

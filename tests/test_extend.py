@@ -263,3 +263,86 @@ class TestUniqueValue:
             w = sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets, x)
             for f in interpolants:
                 assert abs(w - f(x)) <= 1e-8
+
+
+class TestUniqueValues:
+    """The stacked uniqueness values against the one-point calls."""
+
+    @staticmethod
+    def _per_point(model, K, gamma, targets, s, p):
+        values, flags = [], []
+        for a, b in zip(s, p):
+            try:
+                values.append(sd.unique_value(model, K, gamma, targets, sd.GammaPoint(a, b)))
+                flags.append(1)
+            except NumericalError:
+                values.append(complex(np.nan, np.nan))
+                flags.append(0)
+        return np.array(values), np.array(flags)
+
+    @staticmethod
+    def _grid(model, extra=()):
+        ps = [0.3, -0.2 + 0.4j, 0.7j, 0.85, -0.6]
+        pts = [(s, p) for p in ps for s in sd.slice_points(model.variety, p)]
+        pts += [(complex(x.s), complex(x.p)) for x in model.nodes] + list(extra)
+        return np.array([a for a, _ in pts]), np.array([b for _, b in pts])
+
+    @pytest.mark.parametrize("which", ["royal", "sheet"])
+    def test_matches_per_point(self, which, request):
+        model = request.getfixturevalue(f"model_{which}")
+        K = request.getfixturevalue(f"kernel_{which}")
+        data = request.getfixturevalue(f"data_{which}")
+        gamma = sd.psd_report(sd.pick_matrix(data, K)).null_vector
+        # a point within tol_node of a node takes the stored u_j as well
+        s, p = self._grid(model, [(1e-12, 0.5)] if which == "sheet" else [(1e-12, 0)])
+        got = sd.unique_values(model, K, gamma, data.targets, s, p)
+        ref, flags = self._per_point(model, K, gamma, data.targets, s, p)
+        assert np.array_equal(got.flags, flags) and flags.all()
+        assert np.abs(got.values - ref).max() <= 1e-13
+        for j, x in enumerate(model.nodes):
+            # the stored u_j reproduce the target at its node
+            at = np.flatnonzero((s == x.s) & (p == x.p))
+            assert abs(got.values[at[0]] - data.targets[j]) <= 1e-12
+        resid = [sd.membership_residual(model.variety, sd.GammaPoint(a, b)) for a, b in zip(s, p)]
+        assert np.abs(got.residuals - resid).max() <= 1e-15
+
+    def test_vanishing_denominator_nan_flag_zero(self, model_sheet, kernel_sheet):
+        K = sd.KernelMatrix(kernel_sheet.nodes, np.ones((2, 2)))
+        gamma = np.array([1, -1]) / np.sqrt(2)
+        s, p = np.zeros(3), np.array([0.3, -0.4j, 0.5])
+        got = sd.unique_values(model_sheet, K, gamma, (0, 0), s, p)
+        ref, flags = self._per_point(model_sheet, K, gamma, (0, 0), s, p)
+        assert got.flags.tolist() == flags.tolist() == [0, 0, 0]
+        assert np.isnan(got.values).all() and np.isnan(ref).all()
+
+    def test_off_variety_first_point_reported(self, model_royal, kernel_royal, data_royal):
+        gamma = sd.psd_report(sd.pick_matrix(data_royal, kernel_royal)).null_vector
+        s = np.array([0.8, 0.5, 0.7])     # (0.8, 0.16) is on s^2 = 4p, the others are not
+        p = np.array([0.16, 0.3, 0.3])
+        with pytest.raises(InputError, match=r"point \(\(0\.5\+0j\), \(0\.3\+0j\)\)"):
+            sd.unique_values(model_royal, kernel_royal, gamma, data_royal.targets, s, p)
+        with pytest.raises(InputError, match="off the variety"):
+            sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets,
+                            sd.GammaPoint(0.7, 0.3))
+
+
+class TestUnitKernelVectors:
+    @pytest.mark.parametrize("which", ["royal", "sheet"])
+    def test_bit_identical_to_one_point(self, which, request):
+        V = request.getfixturevalue(f"model_{which}").variety
+        ps = [0.3, -0.2 + 0.4j, 0.7j, 0.0, 0.85]
+        s = np.array([a for p in ps for a in sd.slice_points(V, p)])
+        p = np.repeat(ps, V.dim)
+        U, sigma = kernels.unit_kernel_vectors(V, s, p)
+        for k in range(len(s)):
+            x = sd.GammaPoint(s[k], p[k])
+            assert np.array_equal(U[k], kernels.unit_kernel_vector(V, x))
+            assert abs(sigma[k] - sd.membership_residual(V, x)) <= 1e-15
+
+    def test_skip_exempts_from_membership_check(self, model_royal):
+        V = model_royal.variety
+        s, p = np.array([0.8, 0.5]), np.array([0.16, 0.3])
+        with pytest.raises(InputError, match="off the variety"):
+            kernels.unit_kernel_vectors(V, s, p)
+        U, sigma = kernels.unit_kernel_vectors(V, s, p, skip=[False, True])
+        assert sigma[1] > 0.1 and np.allclose(np.linalg.norm(U, axis=1), 1.0)
