@@ -5,13 +5,12 @@ from .config import DEFAULT, Tolerances, with_overrides
 from .errors import (IllPlacedContour, InputError, NoActiveKernel,
                      NumericalError, SymdiskError)
 from .gamma import (GammaPoint, Region, beta_of, classify_region, classify_regions,
-                    fibers, phi_operator, phi_scalar, stacked_fibers, symmetrize,
-                    szego_kernel)
+                    fibers, phi_operator, stacked_fibers, symmetrize, szego_kernel)
 from .linalg import (SpectralProjection, complete_to_unitary, hermitian_eig,
                      null_space, psd_sqrt, spectral_projection, spectrum)
 from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,
                        numerical_radius, pu_compress, pu_witness_search,
-                       support_function, verify_pu_reducing)
+                       verify_pu_reducing)
 from .variety import (BivarPoly, PencilVariety, defining_poly,
                       distinguished_property_check, is_distinguished,
                       membership_residual, membership_residuals, region_audit,
@@ -21,8 +20,7 @@ from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
                    gram_on_nodes, kernel_basis_operators,
                    nonextremal_perturbation, pick_matrix, psd_report)
 from .extend import (ExtensionModel, SheetTrace, UniqueValues, branch_trace,
-                     build_extension, extended_kernel, kernel_vector_at, unique_value,
-                     unique_values)
+                     build_extension, kernel_vector_at, unique_value, unique_values)
 from .realization import (RealizationModel, boundary_unitarity_audit,
                           eval_model, inner_defect, inner_defects,
                           lurking_isometry_interpolant)

@@ -46,10 +46,13 @@ _TOL_TYPES = typing.get_type_hints(Tolerances)
 # ---------------------------------------------------------------- JSON I/O
 
 def _complex_from_json(obj) -> complex:
-    if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    try:
+        if isinstance(obj, dict):
+            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise InputError(f"expected a complex scalar, got {obj!r}")
 
 
@@ -57,20 +60,23 @@ def _complex_to_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _matrix_from_rows(rows) -> np.ndarray:
+    """The matrix of a JSON 'rows' value: a non-empty list of equal-length lists of scalars."""
+    if not isinstance(rows, list) or not rows:
+        raise InputError("'rows' must be a non-empty list")
+    if not all(isinstance(row, list) for row in rows) or len({len(r) for r in rows}) != 1:
+        raise InputError("ragged rows: each row must be a list of the same length")
+    return np.array([[_complex_from_json(e) for e in row] for row in rows])
+
+
 def load_matrix(path: str) -> np.ndarray:
     data = _load_json(path)
     if not isinstance(data, dict) or "rows" not in data:
         raise InputError(f"{path}: matrix files need a top-level 'rows' key")
-    rows = data["rows"]
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{path}: 'rows' must be a non-empty list")
     try:
-        M = np.array([[_complex_from_json(e) for e in row] for row in rows])
-    except (TypeError, InputError) as exc:
+        return _matrix_from_rows(data["rows"])
+    except InputError as exc:
         raise InputError(f"{path}: {exc}")
-    if M.ndim != 2:
-        raise InputError(f"{path}: ragged rows")
-    return M
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -136,13 +142,17 @@ def make_kernel(spec: str, data: PickData, cfg: Tolerances):
                      "(use szego | model:<file> | table:<file>)")
 
 
+# 10x variety._TRIM_FLOOR: hides the interior roundoff terms that _trim, cutting only edges, keeps
+_PRINT_FLOOR = 1e-12
+
+
 def _poly_string(P) -> str:
     terms = []
     C = P.coeffs
     for i in range(C.shape[0]):
         for j in range(C.shape[1]):
             c = C[i, j]
-            if abs(c) <= 1e-12 * max(1.0, np.abs(C).max()):
+            if abs(c) <= _PRINT_FLOOR * max(1.0, np.abs(C).max()):
                 continue
             base = []
             if i:
@@ -297,9 +307,8 @@ def cmd_realize(args, cfg: Tolerances) -> int:
         if not isinstance(block, dict) or "rows" not in block:
             raise InputError(f"{args.input}: block {key!r} needs a 'rows' matrix")
         try:
-            blocks[key] = np.array([[_complex_from_json(e) for e in row]
-                                    for row in block["rows"]])
-        except (TypeError, InputError) as exc:
+            blocks[key] = _matrix_from_rows(block["rows"])
+        except InputError as exc:
             raise InputError(f"{args.input}: block {key!r}: {exc}")
     model = RealizationModel(blocks["tau"], blocks["A"], blocks["B"],
                              blocks["C"], blocks["D"])

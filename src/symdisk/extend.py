@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
-from .gamma import GammaPoint
-from .kernels import (_KERNEL_DEN_FLOOR, kernel_entry, unit_kernel_vector,
-                      unit_kernel_vectors)
+from .gamma import GammaPoint, coincident
+from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector, unit_kernel_vectors
 from .linalg import cluster_indices, spectrum, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
@@ -110,26 +109,11 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
     model's variety.  When the null space has dimension > 1 that is one
     choice among many; the uniqueness-value ratio does not depend on it.
     """
-    hit = np.flatnonzero(_coincident(x.s, x.p, model.nodes, cfg)[0])
+    hit = np.flatnonzero(coincident(x.s, x.p, [nd.s for nd in model.nodes],
+                                    [nd.p for nd in model.nodes], cfg.tol_node)[0])
     if len(hit):
         return model.u_nodes[hit[0]]
     return unit_kernel_vector(model.variety, x, cfg)
-
-
-def _coincident(s, p, nodes, cfg: Tolerances) -> np.ndarray:
-    """Entry [k, j]: does (s_k, p_k) coincide with node j at the tol_node scale."""
-    ns = np.array([complex(nd.s) for nd in nodes], dtype=complex)
-    nq = np.array([complex(nd.p) for nd in nodes], dtype=complex)
-    s = np.asarray(s, dtype=complex).reshape(-1, 1)
-    p = np.asarray(p, dtype=complex).reshape(-1, 1)
-    return np.abs(s - ns) + np.abs(p - nq) <= cfg.tol_node
-
-
-def extended_kernel(model: ExtensionModel, x: GammaPoint, y: GammaPoint,
-                    cfg: Tolerances = DEFAULT) -> complex:
-    """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the variety."""
-    return kernel_entry(kernel_vector_at(model, x, cfg), kernel_vector_at(model, y, cfg),
-                        x, y)
 
 
 @dataclass(frozen=True)
@@ -265,7 +249,9 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
         raise InputError("gamma and targets must match the node count")
     ks = np.array([complex(x.s) for x in K.nodes], dtype=complex)
     kq = np.array([complex(x.p) for x in K.nodes], dtype=complex)
-    if len(model.nodes) != n or not np.diagonal(_coincident(ks, kq, model.nodes, cfg)).all():
+    ms = [nd.s for nd in model.nodes]
+    mq = [nd.p for nd in model.nodes]
+    if len(model.nodes) != n or not np.diagonal(coincident(ks, kq, ms, mq, cfg.tol_node)).all():
         raise InputError("the extension model is not built on the kernel's nodes")
     pick = (1.0 - np.outer(w, w.conj())) * K.gram
     resid = np.linalg.norm(pick @ gamma)
@@ -277,7 +263,7 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
         raise InputError("s and p must have the same shape")
     kden = 1.0 - p.reshape(-1, 1) * np.conj(kq)
     vanishing = (np.abs(kden) <= _KERNEL_DEN_FLOOR).any(axis=1)
-    near = _coincident(s, p, model.nodes, cfg)
+    near = coincident(s, p, ms, mq, cfg.tol_node)
     at_node = near.any(axis=1)
     if vanishing.any():
         # a point is checked for membership before its kernel column is formed,

@@ -105,29 +105,23 @@ def classify_region(x: GammaPoint, tol: float | None = None,
     return REGIONS[classify_regions([x.s], [x.p], tol, cfg)[0]]
 
 
-def in_closed_gamma(x: GammaPoint, tol: float | None = None,
-                    cfg: Tolerances = DEFAULT) -> bool:
-    """True when both fibers lie in the closed disk (up to the band)."""
-    if tol is None:
-        tol = cfg.tol_mod
-    z1, z2 = fibers(x)
-    return abs(z1) <= 1.0 + tol and abs(z2) <= 1.0 + tol
+def coincident(s, p, t, q, tol: float) -> np.ndarray:
+    """Entry [k, j]: do (s_k, p_k) and (t_j, q_j) coincide, |s_k - t_j| + |p_k - q_j| <= tol.
+
+    The node-coincidence rule of every layer, called with tol = cfg.tol_node.
+    Scalars count as one point.
+    """
+    s = np.asarray(s, dtype=complex).reshape(-1, 1)
+    p = np.asarray(p, dtype=complex).reshape(-1, 1)
+    t = np.asarray(t, dtype=complex).ravel()
+    q = np.asarray(q, dtype=complex).ravel()
+    return np.abs(s - t) + np.abs(p - q) <= tol
 
 
-# 2 - alpha*s, and the pencil 2*I - s*tau, count as singular at or below this
-# multiple of their scale, max(|alpha*s|, 1) and max(sigma_max, 1): a condition
-# of 1e13 or more, where rounding alone moves phi by about 1e13*eps = 2e-3
+# the pencil 2*I - s*tau counts as singular at or below this multiple of
+# max(sigma_max, 1): a condition of 1e13 or more, where rounding alone moves
+# phi by about 1e13*eps = 2e-3
 _PENCIL_SINGULAR = 1e-13
-
-
-def phi_scalar(alpha: complex, x: GammaPoint) -> complex:
-    """The rational map (2*alpha*p - s) / (2 - alpha*s)."""
-    s, p = complex(x.s), complex(x.p)
-    alpha = complex(alpha)
-    den = 2.0 - alpha * s
-    if abs(den) <= _PENCIL_SINGULAR * max(1.0, abs(alpha * s)):
-        raise InputError("pole of phi: 2 - alpha*s vanishes")
-    return (2.0 * alpha * p - s) / den
 
 
 # Weyl margin of the pencil check: the SVD decides only where 2 - |s| t does

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError
-from .gamma import GammaPoint, szego_kernel
+from .gamma import GammaPoint, coincident, szego_kernel
 from .variety import PencilVariety, pencil_matrix
 
 
@@ -107,15 +107,16 @@ def model(F, cfg: Tolerances = DEFAULT) -> callable:
 def table(nodes, gram, cfg: Tolerances = DEFAULT) -> callable:
     """Kernel defined by a Gram table on a fixed node list."""
     G = np.asarray(gram, dtype=complex)
-    pts = [GammaPoint(complex(x.s), complex(x.p)) for x in nodes]
-    if G.shape != (len(pts), len(pts)):
+    ts = np.array([complex(x.s) for x in nodes], dtype=complex)
+    tq = np.array([complex(x.p) for x in nodes], dtype=complex)
+    if G.shape != (len(ts), len(ts)):
         raise InputError("gram table shape does not match the node list")
 
     def index_of(x: GammaPoint) -> int:
-        for i, nd in enumerate(pts):
-            if abs(complex(x.s) - nd.s) + abs(complex(x.p) - nd.p) <= cfg.tol_node:
-                return i
-        raise InputError(f"point ({x.s}, {x.p}) is not in the kernel table")
+        hit = np.flatnonzero(coincident(x.s, x.p, ts, tq, cfg.tol_node)[0])
+        if not len(hit):
+            raise InputError(f"point ({x.s}, {x.p}) is not in the kernel table")
+        return int(hit[0])
 
     def evaluate(x: GammaPoint, y: GammaPoint) -> complex:
         return complex(G[index_of(x), index_of(y)])

@@ -31,20 +31,14 @@ _SHIFT = 0.5 * np.exp(1j)
 _UNIMODULAR_BAND = 100 * np.sqrt(np.finfo(float).eps)
 # the level-set iteration converges quadratically and stops within a few levels
 _MAX_LEVELS = 50
+# the null-space cut bounds off-blocks by sqrt(2m) rank_tol*scale: 1e-9 at m = 50, rank_tol 1e-10
+_REDUCED = 1e-9
 
 
 def _support_values(F: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Support function at every angle: one eigvalsh on the stacked Re(e^{-i theta} F)."""
     e = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
     return np.linalg.eigvalsh((e * F + np.conj(e) * F.conj().T) / 2)[:, -1]
-
-
-def support_function(F, theta: float, cfg: Tolerances = DEFAULT) -> float:
-    """Largest eigenvalue of Re(e^{-i*theta} F), the support function of W(F)."""
-    F = as_complex_matrix(F, square=True)
-    if F.shape[0] == 0:
-        return 0.0
-    return float(_support_values(F, [theta])[0])
 
 
 def _level_set_angles(F: np.ndarray, r: float) -> np.ndarray:
@@ -212,7 +206,7 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
         block_new = W.conj().T @ block @ W
         off = np.linalg.norm(block_new[: block.shape[0] - m, block.shape[0] - m:]) + \
             np.linalg.norm(block_new[block.shape[0] - m:, : block.shape[0] - m])
-        if off > 1e-9 * scale:
+        if off > _REDUCED * scale:
             raise NumericalError("joint eigenspace failed to reduce the matrix")
         transform = transform @ _embed_tail(W, n)
         peeled.append((complex(beta), m))
@@ -247,7 +241,7 @@ def _check_reassembly(F: np.ndarray, dec: CnuDecomposition) -> None:
         D[at:at + k, at:at + k] = b
         at += k
     err = np.linalg.norm(dec.transform @ D @ dec.transform.conj().T - F)
-    if err > 1e-9 * max(1.0, np.linalg.norm(F)):
+    if err > _REDUCED * max(1.0, np.linalg.norm(F)):
         raise NumericalError(f"c.n.u. decomposition reassembly residual {err:.3e}")
 
 

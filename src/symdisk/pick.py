@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import GammaPoint, Region, classify_region
+from .gamma import REGIONS, GammaPoint, Region, classify_regions, coincident
 from .linalg import as_complex_matrix, hermitian_part, psd_eigh
 from .numrange import numerical_radius
 
@@ -39,14 +39,16 @@ class PickData:
         if not nodes:
             raise InputError("empty Pick datum")
         cfg = self.cfg
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                sep = abs(nodes[i].s - nodes[j].s) + abs(nodes[i].p - nodes[j].p)
-                if sep <= cfg.tol_node:
-                    raise InputError(f"nodes {i} and {j} coincide")
-        for i, x in enumerate(nodes):
-            if classify_region(x, cfg=cfg) is not Region.OPEN_G:
-                raise InputError(f"node {i} = ({x.s}, {x.p}) is not in the open domain")
+        s = [x.s for x in nodes]
+        p = [x.p for x in nodes]
+        pairs = np.argwhere(np.triu(coincident(s, p, s, p, cfg.tol_node), 1))
+        if len(pairs):
+            i, j = pairs[0]
+            raise InputError(f"nodes {i} and {j} coincide")
+        outside = np.flatnonzero(classify_regions(s, p, cfg=cfg) != REGIONS.index(Region.OPEN_G))
+        if len(outside):
+            x = nodes[outside[0]]
+            raise InputError(f"node {outside[0]} = ({x.s}, {x.p}) is not in the open domain")
         for i, w in enumerate(targets):
             # 1e-14, about 45 ulps: a unimodular target read back from JSON
             if abs(w) > 1.0 + 1e-14:

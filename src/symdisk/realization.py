@@ -91,21 +91,27 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     threshold by a wide margin.
     """
     phi = phi_operators(m.tau, s, p, cfg, tau_norm=m.tau_norm)
-    M = np.eye(m.tau.shape[0]) - m.D @ phi
+    h, d = m.C.shape
+    M = np.eye(h) - m.D @ phi
+    # one factorization per point gives both (I - D phi)^{-1} C and the inverse;
     # written so that a non-finite M, or a norm that overflows, stays undecided
     with np.errstate(invalid="ignore", over="ignore"):
         try:
+            X = np.linalg.solve(M, np.broadcast_to(np.hstack([m.C, np.eye(h)]),
+                                                   (len(M), h, d + h)))
             undecided = ~(1.0 > _TRANSFER_MARGIN
                           * np.maximum(np.linalg.norm(M, axis=(1, 2)), 1.0)
-                          * np.linalg.norm(np.linalg.inv(M), axis=(1, 2)))
+                          * np.linalg.norm(X[:, :, d:], axis=(1, 2)))
         except np.linalg.LinAlgError:
             # an exactly singular member: the whole stack goes to the SVD
+            X = None
             undecided = np.ones(len(M), dtype=bool)
     if undecided.any():
         sv = np.linalg.svd(M[undecided], compute_uv=False)
-        if np.any(sv[:, -1] <= _SINGULAR_TRANSFER * np.maximum(sv[:, 0], 1.0)):
+        if X is None or np.any(sv[:, -1] <= _SINGULAR_TRANSFER * np.maximum(sv[:, 0], 1.0)):
             raise NumericalError("I - D phi is singular at the requested point")
-    inv = np.linalg.solve(M, np.broadcast_to(m.C, (len(M),) + m.C.shape))
+    # contiguous: numpy multiplies a strided (h, 1) view in a loop that moves Psi's last bits
+    inv = np.ascontiguousarray(X[:, :, :d])
     return phi, inv, m.A + m.B @ phi @ inv
 
 

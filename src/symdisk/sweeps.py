@@ -98,7 +98,7 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
         V = PencilVariety(F, cfg)
         verdict = bool(is_distinguished(V, cfg))
         audit = region_audit(V, cfg=cfg)
-        prop = distinguished_property_check(V, audit.samples, cfg=cfg)
+        prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
         if audit.counts[Region.R2.value] != 0:
             failures.append((case, "R2 hit"))
         if not (verdict == audit.strict_pass == prop):

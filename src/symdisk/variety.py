@@ -64,8 +64,12 @@ class BivarPoly:
         return C
 
 
+# about 450 ulps of max(max |c|, 1): DFT-interpolation roundoff where a coefficient is zero
+_TRIM_FLOOR = 1e-13
+
+
 def _trim(C: np.ndarray) -> np.ndarray:
-    tol = 1e-13 * max(np.abs(C).max(), 1.0) if C.size else 0.0
+    tol = _TRIM_FLOOR * max(np.abs(C).max(), 1.0) if C.size else 0.0
     rows = np.where(np.abs(C).max(axis=1) > tol)[0]
     cols = np.where(np.abs(C).max(axis=0) > tol)[0]
     if len(rows) == 0 or len(cols) == 0:
@@ -190,11 +194,6 @@ def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) ->
     return sv[:, -1] <= cfg.tol_memb * np.maximum(sv[:, 0], 1.0)
 
 
-def is_member(V: PencilVariety, x: GammaPoint, cfg: Tolerances = DEFAULT) -> bool:
-    """Membership at the tol_memb scale (relative to the pencil norm)."""
-    return bool(_on_variety(V.F, np.array([complex(x.s)]), np.array([complex(x.p)]), cfg)[0])
-
-
 def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
     """Distinguished iff F is c.n.u.; witnesses are unimodular eigenvalues.
 
@@ -206,10 +205,12 @@ def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
 
 @dataclass(frozen=True)
 class RegionAuditReport:
-    """Classification census of sampled variety points."""
+    """Classification census of sampled variety points: sample k is (s[k], p[k]),
+    labelled REGIONS[codes[k]]; the offenders are the samples labelled R1 or R2."""
     counts: dict
-    offenders: tuple
-    samples: tuple
+    s: np.ndarray
+    p: np.ndarray
+    codes: np.ndarray
     strict_pass: bool   # no R1 and no R2 hits (the c.n.u. criterion)
     r2_free: bool       # no R2 hits (holds for every numerical contraction)
 
@@ -232,17 +233,16 @@ def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> Re
     # all slices in one stacked eigvals call and all points labelled in one
     # classify_regions call
     p_arr = np.asarray(p_grid, dtype=complex).ravel()
-    slices = stacked_slice_points(V, p_arr, cfg)
-    codes = classify_regions(slices.ravel(), np.repeat(p_arr, V.dim), cfg=cfg)
+    s = stacked_slice_points(V, p_arr, cfg).ravel()
+    p = np.repeat(p_arr, V.dim)
+    codes = classify_regions(s, p, cfg=cfg)
     counts = np.bincount(codes, minlength=len(REGIONS))
-    samples = tuple(GammaPoint(s, p) for p, row in zip(p_grid, slices.tolist()) for s in row)
     code_r1, code_r2 = REGIONS.index(Region.R1), REGIONS.index(Region.R2)
-    offenders = tuple((samples[k], REGIONS[codes[k]])
-                      for k in np.flatnonzero((codes == code_r1) | (codes == code_r2)))
     return RegionAuditReport(
         counts={label.value: int(n) for label, n in zip(REGIONS, counts)},
-        offenders=offenders,
-        samples=samples,
+        s=s,
+        p=p,
+        codes=codes,
         strict_pass=bool(counts[code_r1] == 0 and counts[code_r2] == 0),
         r2_free=bool(counts[code_r2] == 0),
     )
@@ -263,8 +263,7 @@ def royal_containment(V: PencilVariety, beta: complex, cfg: Tolerances = DEFAULT
     # sampled check: the degree-<=d polynomial p -> det((F*-beta) + p(F-conj(beta)))
     # vanishes identically iff it vanishes at d+1 points
     p_samples = 0.6 * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    sampled = all(
-        is_member(V, GammaPoint(beta + np.conj(beta) * p, p), cfg) for p in p_samples)
+    sampled = bool(_on_variety(V.F, beta + np.conj(beta) * p_samples, p_samples, cfg).all())
     if abs(abs(beta) - 1.0) > cfg.tol_mod:
         return sampled
     joint = len(_joint_eigenspace(V.F, np.conj(beta), cfg)) > 0
@@ -275,18 +274,20 @@ def royal_containment(V: PencilVariety, beta: complex, cfg: Tolerances = DEFAULT
     return joint
 
 
-def distinguished_property_check(V: PencilVariety, samples, g_closure_only: bool = False,
+def distinguished_property_check(V: PencilVariety, s, p, g_closure_only: bool = False,
                                  cfg: Tolerances = DEFAULT) -> bool:
     """Sampled boundary constraint: Gamma-boundary hits must be bG hits.
 
-    Among samples whose larger fiber modulus sits in the tol_mod band around 1
-    (with the other not outside the closed disk), both moduli must be in the
-    band.  With ``g_closure_only`` the check is restricted to the closure of
-    the intersection with the open domain, which equals the c.n.u. part's
-    variety; samples off that part are skipped.
+    The samples are the points (s_k, p_k) of two equal-length arrays, such as
+    the ``s`` and ``p`` of a :class:`RegionAuditReport`.  Among samples whose
+    larger fiber modulus sits in the tol_mod band around 1 (with the other not
+    outside the closed disk), both moduli must be in the band.  With
+    ``g_closure_only`` the check is restricted to the closure of the
+    intersection with the open domain, which equals the c.n.u. part's variety;
+    samples off that part are skipped.
     """
-    s = np.array([complex(x.s) for x in samples], dtype=complex)
-    p = np.array([complex(x.p) for x in samples], dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
     if g_closure_only:
         # V certified nu already, so peel the unitary part without a second nu
         on = _on_variety(_peel_unitary(V.F, cfg).cnu_block, s, p, cfg)

@@ -74,6 +74,18 @@ class TestClassify:
         bad.write_text("{not json")
         assert main(["classify", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("rows, why", [
+        ([[cnum(1)], []], "ragged rows"),
+        ([[cnum(1), cnum(0)], [cnum(0)]], "ragged rows"),
+        ([[cnum(1)], 2], "each row must be a list of the same length"),
+        ([[{"re": "one"}]], "expected a complex scalar"),
+    ])
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, rows, why):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": rows}))
+        assert main(["classify", "--input", str(f)]) == 2
+        assert why in capsys.readouterr().err
+
     def test_json_report(self, jordan_matrix, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["classify", "--input", jordan_matrix, "--out", str(out)]) == 0
@@ -275,6 +287,16 @@ class TestRealize:
         f = tmp_path / "m.json"
         f.write_text(json.dumps(model))
         assert main(["realize", "--input", str(f)]) == 2
+
+    def test_ragged_block_exit_2(self, tmp_path, capsys):
+        one = [[cnum(1)]]
+        zero = [[cnum(0)]]
+        model = {"tau": {"rows": one}, "A": {"rows": zero}, "B": {"rows": one},
+                 "C": {"rows": [[cnum(1), cnum(0)], [cnum(0)]]}, "D": {"rows": zero}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model))
+        assert main(["realize", "--input", str(f)]) == 2
+        assert "block 'C': ragged rows" in capsys.readouterr().err
 
     def test_overflowing_model_not_passed(self, tmp_path, capsys):
         # A* A overflows to nan, which no unitarity or defect check may pass

@@ -1,13 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import symdisk as sd
 from symdisk import kernels
+from symdisk.cli import load_matrix
 from symdisk.errors import InputError, NumericalError
 from symdisk.gamma import Region
 from symdisk.pick import gram_on_nodes
 
 from conftest import random_g_points
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def extended_kernel(model, x, y):
+    """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the model's variety."""
+    return kernels.kernel_entry(sd.kernel_vector_at(model, x), sd.kernel_vector_at(model, y),
+                                x, y)
 
 
 @pytest.fixture
@@ -93,7 +104,7 @@ class TestComplexNodePipeline:
             scale = np.linalg.norm(K.gram)
             for i, x in enumerate(nodes):
                 for j, y in enumerate(nodes):
-                    got = sd.extended_kernel(model, x, y)
+                    got = extended_kernel(model, x, y)
                     assert abs(got - K.gram[i, j]) <= 1e-9 * scale
                 resid = sd.membership_residual(model.variety, x)
                 assert resid <= 1e-8 * max(1.0, np.linalg.norm(model.F))
@@ -143,20 +154,20 @@ class TestExtendedKernel:
             scale = np.linalg.norm(K.gram)
             for i, x in enumerate(K.nodes):
                 for j, y in enumerate(K.nodes):
-                    got = sd.extended_kernel(model, x, y)
+                    got = extended_kernel(model, x, y)
                     assert abs(got - K.gram[i, j]) <= 1e-9 * scale
 
     def test_sheet_model_closed_form(self, model_sheet):
         # unit kernel vectors make this the disk Szego kernel in p
         for p, q in ((0.3, 0.1), (0.5j, -0.2), (0.7, 0.6j)):
-            got = sd.extended_kernel(model_sheet, sd.GammaPoint(0, p), sd.GammaPoint(0, q))
+            got = extended_kernel(model_sheet, sd.GammaPoint(0, p), sd.GammaPoint(0, q))
             assert abs(got - 1 / (1 - p * np.conj(q))) <= 1e-12
 
     def test_royal_closed_form(self, royal_direct):
         # K((2z,z^2),(2w,w^2)) = (1+z conj(w)) / (sqrt(1+|z|^2) sqrt(1+|w|^2) (1-z^2 conj(w)^2))
         for z, w in ((0.3, 0.2), (0.4j, -0.1), (0.2 + 0.3j, 0.5), (0.5, 0.0)):
-            got = sd.extended_kernel(royal_direct, sd.GammaPoint(2 * z, z * z),
-                                     sd.GammaPoint(2 * w, w * w))
+            got = extended_kernel(royal_direct, sd.GammaPoint(2 * z, z * z),
+                                  sd.GammaPoint(2 * w, w * w))
             wbar = np.conj(w)
             ref = (1 + z * wbar) / (np.sqrt(1 + abs(z) ** 2) * np.sqrt(1 + abs(w) ** 2)
                                     * (1 - z * z * wbar * wbar))
@@ -165,7 +176,7 @@ class TestExtendedKernel:
     def test_diagonal_positive(self, model_royal, rng):
         for z in (0.3, 0.5j, -0.6):
             x = sd.GammaPoint(2 * z, z * z)
-            val = sd.extended_kernel(model_royal, x, x)
+            val = extended_kernel(model_royal, x, x)
             assert val.real > 0 and abs(val.imag) < 1e-12
 
 
@@ -210,6 +221,23 @@ class TestBranchTrace:
         zs = np.abs(np.array(tr.z_path))
         ratio = errs[2:] / np.sqrt(zs[2:])
         assert ratio.max() / ratio.min() < 10
+
+    # the sub-cluster projection at the origin node fails on roundoff in the
+    # resolvents of a nearly nilpotent pencil (||P^2 - P|| = 1.0e-8), the
+    # near-branch node on contour quadrature error (||P^2 - P|| = 2.0e-4)
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="contour projections fail at and near the branch point z = 0")
+    @pytest.mark.parametrize("zs", [(0, 0.3 + 0.2j, -0.4 + 0.1j),
+                                    (0.0293 + 0.0429j, 0.2491 - 0.4527j)],
+                             ids=["origin_node", "near_branch_node"])
+    def test_royal_datum_near_branch_point(self, zs):
+        F = load_matrix(str(DATA / "royal_pencil.json"))
+        data = sd.PickData(tuple(sd.GammaPoint(2 * z, z * z) for z in zs),
+                           tuple(-z for z in zs))
+        model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
+        for j in range(len(zs)):
+            tr = sd.branch_trace(model, j)
+            assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
 
 
 class TestUniqueValue:

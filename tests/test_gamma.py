@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.gamma import REGIONS, Region, classify_regions, in_closed_gamma, phi_operators
+from symdisk.gamma import REGIONS, Region, classify_regions, phi_operators
 
 from conftest import random_g_points
 
@@ -192,16 +192,21 @@ class TestClassifyRegions:
         assert classify_regions([], []).shape == (0,)
 
 
+def phi_scalar(alpha, s, p):
+    """(2 alpha p - s) / (2 - alpha s): phi_operators on the 1 x 1 tau = [alpha]."""
+    return complex(phi_operators(np.array([[alpha]]), [s], [p])[0, 0, 0])
+
+
 class TestPhiScalar:
     def test_alpha_zero(self):
-        assert sd.phi_scalar(0, sd.GammaPoint(1.2, 0.3)) == -0.6
+        assert phi_scalar(0, 1.2, 0.3) == -0.6
 
     def test_derived_value(self):
-        assert abs(sd.phi_scalar(1, sd.GammaPoint(0, 0.5)) - 0.5) < 1e-15
+        assert abs(phi_scalar(1, 0, 0.5) - 0.5) < 1e-15
 
     def test_pole(self):
         with pytest.raises(InputError):
-            sd.phi_scalar(1, sd.GammaPoint(2, 1))
+            phi_scalar(1, 2, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0, max_value=1),
@@ -210,7 +215,7 @@ class TestPhiScalar:
     def test_contractive_on_domain(self, r, t, z1, z2):
         alpha = r * np.exp(2j * np.pi * t)
         x = sd.symmetrize(z1, z2)
-        assert abs(sd.phi_scalar(alpha, x)) < 1.0
+        assert abs(phi_scalar(alpha, x.s, x.p)) < 1.0
 
 
 class TestPhiOperator:
@@ -376,6 +381,8 @@ class TestSzegoKernel:
 
 
 def test_in_closed_gamma():
-    assert in_closed_gamma(sd.GammaPoint(2, 1))
-    assert in_closed_gamma(sd.GammaPoint(0, 0))
-    assert not in_closed_gamma(sd.symmetrize(1.5, 0.2))
+    # closed Gamma: both fiber moduli at most 1, up to the tol_mod band
+    x = sd.symmetrize(1.5, 0.2)
+    z1, z2 = sd.stacked_fibers([2, 0, x.s], [1, 0, x.p])
+    inside = np.maximum(np.abs(z1), np.abs(z2)) <= 1.0 + sd.DEFAULT.tol_mod
+    assert inside.tolist() == [True, True, False]

@@ -4,22 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.numrange import pu_witness_search
+from symdisk.numrange import _support_values, pu_witness_search
 from symdisk.sweeps import haar_unitary, random_projection
 
 
 class TestSupportFunction:
+    """The support function of W(F), the largest eigenvalue of Re(e^{-i theta} F)."""
+
     def test_identity(self):
-        for theta in (0.0, 0.7, 2.0):
-            assert abs(sd.support_function(np.eye(2), theta) - np.cos(theta)) < 1e-12
+        thetas = np.array([0.0, 0.7, 2.0])
+        assert np.all(np.abs(_support_values(np.eye(2), thetas) - np.cos(thetas)) < 1e-12)
 
     def test_zero(self):
-        assert sd.support_function(np.zeros((3, 3)), 1.0) == 0
+        assert _support_values(np.zeros((3, 3)), [1.0]).tolist() == [0.0]
 
     def test_constant_for_nilpotent(self):
         F = np.array([[0, 2], [0, 0]], dtype=complex)
-        for theta in np.linspace(0, 2 * np.pi, 7):
-            assert abs(sd.support_function(F, theta) - 1.0) < 1e-12
+        assert np.all(np.abs(_support_values(F, np.linspace(0, 2 * np.pi, 7)) - 1.0) < 1e-12)
 
 
 class TestNumericalRadius:
@@ -77,7 +78,7 @@ class TestCertifiedNumericalRadius:
     def test_peak_between_33_scan_angles(self):
         F = self.PEAK_BETWEEN_33_SCAN_ANGLES
         thetas = 2 * np.pi * np.arange(33) / 33
-        assert max(sd.support_function(F, t) for t in thetas) < 1 + 1e-5  # the scan misses it
+        assert _support_values(F, thetas).max() < 1 + 1e-5  # the scan misses it
         nu = sd.numerical_radius(F, self.SCAN_33)
         assert abs(nu - (1 + 2e-5)) <= sd.DEFAULT.tol_nu
 

@@ -52,6 +52,23 @@ class TestPickData:
         with pytest.raises(InputError, match="coincide"):
             sd.PickData(pair, (0, 0), sd.with_overrides(sd.DEFAULT, tol_node=1e-7))
 
+    def test_first_error_reported(self):
+        # coincidence is checked before the domain, each in node order
+        out, inside = sd.GammaPoint(2, 1), sd.GammaPoint(0.1, 0.02)
+        with pytest.raises(InputError, match=r"^nodes 1 and 3 coincide$"):
+            sd.PickData((out, inside, sd.GammaPoint(0, 0), inside, inside), (0,) * 5)
+        with pytest.raises(InputError, match=r"^node 1 = \(\(3\+0j\), \(2\+0j\)\) is not in"):
+            sd.PickData((inside, sd.GammaPoint(3, 2), out), (0,) * 3)
+
+
+def test_table_kernel_looks_up_nodes():
+    nodes = (sd.GammaPoint(0, 0), sd.GammaPoint(0.5, 0.06))
+    G = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    k = kernels.table(nodes, G)
+    assert k(sd.GammaPoint(0.5 + 4e-10, 0.06), nodes[0]) == -0.5j
+    with pytest.raises(InputError, match="not in the kernel table"):
+        k(sd.GammaPoint(0.5 + 2e-9, 0.06), nodes[0])
+
 
 class TestPickMatrix:
     def test_sheet_datum_all_ones(self, data_sheet, kernel_sheet):

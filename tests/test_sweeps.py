@@ -65,8 +65,8 @@ class TestPuSweep:
 
 def test_g_closure_check_reuses_the_stored_radius(monkeypatch):
     V = sd.PencilVariety(np.diag([1.0, 0.5, 0.0]).astype(complex))
-    samples = sd.region_audit(V).samples
+    audit = sd.region_audit(V)
     calls = _count_numerical_radius(monkeypatch)
-    assert sd.distinguished_property_check(V, samples, g_closure_only=True)
-    assert not sd.distinguished_property_check(V, samples)
+    assert sd.distinguished_property_check(V, audit.s, audit.p, g_closure_only=True)
+    assert not sd.distinguished_property_check(V, audit.s, audit.p)
     assert calls == []

@@ -4,13 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.gamma import Region
+from symdisk.gamma import REGIONS, Region
 from symdisk.sweeps import ginibre_contraction, haar_unitary, random_projection
 from symdisk.variety import default_p_grid
 
 
 def poly_from_string_coeffs(coeffs):
     return sd.BivarPoly.from_coeffs(np.array(coeffs, dtype=complex))
+
+
+def slice_samples(V, grid):
+    """Every variety point over the slice grid, as arrays s and p."""
+    s, p = zip(*[(s, p) for p in grid for s in sd.slice_points(V, p)])
+    return np.array(s, dtype=complex), np.array(p, dtype=complex)
 
 
 class TestDefiningPoly:
@@ -116,7 +122,7 @@ class TestRegionAudit:
         grid = [0.9 * np.exp(2j * np.pi * k / 12) for k in range(12)] + [0.3, 0.6]
         audit = sd.region_audit(sd.PencilVariety(royal_F), grid)
         assert audit.strict_pass
-        assert audit.counts[Region.OPEN_G.value] == len(audit.samples)
+        assert audit.counts[Region.OPEN_G.value] == len(audit.s) == len(audit.p)
 
     def test_unimodular_scalar_hits_r1(self):
         audit = sd.region_audit(sd.PencilVariety(np.array([[1.0]])),
@@ -142,10 +148,10 @@ class TestRegionAudit:
             audit = sd.region_audit(V, grid)
             samples = [sd.GammaPoint(s, p) for p in grid for s in sd.slice_points(V, p)]
             labels = [sd.classify_region(x) for x in samples]
-            assert audit.samples == tuple(samples)
+            assert np.array_equal(audit.s, [x.s for x in samples])
+            assert np.array_equal(audit.p, [x.p for x in samples])
+            assert [REGIONS[c] for c in audit.codes] == labels
             assert audit.counts == {r.value: labels.count(r) for r in Region}
-            assert audit.offenders == tuple(
-                (x, r) for x, r in zip(samples, labels) if r in (Region.R1, Region.R2))
             assert audit.strict_pass is bool(sd.is_distinguished(V))
             assert not (planted and audit.strict_pass)
             assert audit.r2_free is True
@@ -178,32 +184,30 @@ class TestDistinguishedProperty:
     def test_royal_full_check(self, royal_F):
         V = sd.PencilVariety(royal_F)
         grid = list(default_p_grid()) + [np.exp(2j * np.pi * k / 8) for k in range(8)]
-        samples = [sd.GammaPoint(s, p) for p in grid for s in sd.slice_points(V, p)]
-        assert sd.distinguished_property_check(V, samples)
+        s, p = slice_samples(V, grid)
+        assert sd.distinguished_property_check(V, s, p)
 
     def test_identity_g_closure_vacuous(self):
         V = sd.PencilVariety(np.eye(2))
-        samples = [sd.GammaPoint(s, p) for p in (0.3, 0.5j, 0.8)
-                   for s in sd.slice_points(V, p)]
-        assert sd.distinguished_property_check(V, samples, g_closure_only=True)
+        s, p = slice_samples(V, (0.3, 0.5j, 0.8))
+        assert sd.distinguished_property_check(V, s, p, g_closure_only=True)
 
     def test_mixed_full_check_fails_on_unimodular_sheet(self):
         V = sd.PencilVariety(np.diag([1.0, 0.0]).astype(complex))
-        samples = [sd.GammaPoint(s, p) for p in (0.3, 0.5j, 0.8)
-                   for s in sd.slice_points(V, p)]
-        assert not sd.distinguished_property_check(V, samples)
-        assert sd.distinguished_property_check(V, samples, g_closure_only=True)
+        s, p = slice_samples(V, (0.3, 0.5j, 0.8))
+        assert not sd.distinguished_property_check(V, s, p)
+        assert sd.distinguished_property_check(V, s, p, g_closure_only=True)
 
 
 class TestTheoremLevelProperties:
     def test_w_always_meets_gamma(self, rng):
-        # slice at p = 0 is the adjoint spectrum, inside the closed disk
-        from symdisk.gamma import in_closed_gamma
+        # slice at p = 0 is the adjoint spectrum, inside the closed disk:
+        # both fiber moduli at most 1 up to a band of 1e-8
         for _ in range(10):
             F = ginibre_contraction(rng, int(rng.integers(1, 6)))
-            V = sd.PencilVariety(F)
-            for s in sd.slice_points(V, 0):
-                assert in_closed_gamma(sd.GammaPoint(s, 0), tol=1e-8)
+            s, p = slice_samples(sd.PencilVariety(F), [0])
+            z1, z2 = sd.stacked_fibers(s, p)
+            assert np.all(np.maximum(np.abs(z1), np.abs(z2)) <= 1.0 + 1e-8)
 
     def test_pu_compress_varieties_audit(self, rng):
         for _ in range(5):
