@@ -87,6 +87,8 @@ def load_pick_data(path: str, cfg: Tolerances = DEFAULT) -> PickData:
     data = _load_json(path)
     if not isinstance(data, dict) or "nodes" not in data or "targets" not in data:
         raise InputError(f"{path}: Pick data needs 'nodes' and 'targets'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["targets"], list):
+        raise InputError(f"{path}: 'nodes' and 'targets' must be lists")
     nodes = []
     for nd in data["nodes"]:
         if not isinstance(nd, dict) or "s" not in nd or "p" not in nd:

@@ -41,8 +41,10 @@ class Tolerances:
     tol_inner: float = 1e-9       # max boundary unitarity defect for PASS
     tol_interp: float = 1e-8      # node reproduction of interpolants
     # discretization knobs
-    n_quad: int = 64              # trapezoid nodes for contour integrals
-    dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius
+    n_quad: int = 64              # trapezoid nodes of a contour integral: the branch trace
+                                  # takes one only where its eigenvectors are ill-conditioned
+    dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius:
+                                  # sets the branch trace's disk radius and guards its contours
     n_theta: int = 33             # warm-start scan of the numerical-radius level set; the
                                   # certificate, not the scan, sets the accuracy (tol_nu)
     n_steps: int = 20             # samples along a branch-trace path

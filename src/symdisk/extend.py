@@ -8,8 +8,10 @@ so they sit on the pencil variety of F, and
     K(x, y) = <u(y), u(x)> / (1 - p conj(q))
 
 extends the original kernel to the variety's intersection with the domain.
-Eigenvalue branches through a node are traced with contour-integral spectral
-projections of the pencil F + z F*, and the closed-form uniqueness value
+Eigenvalue branches through a node are traced with the Riesz projections of
+the pencil F + z F*, read from one stacked eigendecomposition along the path
+(a contour integral where the eigenvectors are ill-conditioned), and the
+closed-form uniqueness value
 
     w = sum_j K(x, node_j) gamma_j / sum_j conj(w_j) K(x, node_j) gamma_j
 
@@ -18,6 +20,7 @@ is evaluated along the variety (gamma a Pick-matrix null vector).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -28,7 +31,7 @@ from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 from .gamma import GammaPoint, coincident
 from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector, unit_kernel_vectors
-from .linalg import cluster_indices, spectrum, spectral_projection
+from .linalg import audit_projections, cluster_indices, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
 from .variety import PencilVariety, is_distinguished, membership_residuals, pencil_matrix
@@ -128,6 +131,8 @@ class SheetTrace:
     sum_errors: tuple        # per path point: ||sum_l v_l(z) - u_j||
     membership_residuals: tuple  # per path point: worst residual of (conj a, conj z)
     projection_defects: tuple    # per path point: ||P^2 - P|| of the enclosing P(z)
+    eigvec_conditions: tuple     # per path point: cond_F(V) of the eigenvectors of F + z F*;
+                                 # above tol_proj / eps the point took the contour
     contour_radius: float
 
 
@@ -135,11 +140,17 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
                  n_steps: int | None = None, cfg: Tolerances = DEFAULT) -> SheetTrace:
     """Trace the branches alpha_l(z) -> conj(s_j) as z -> conj(p_j).
 
-    The path is radial with geometric step 1/2.  At each z the eigenvalues of
-    F + z F* inside the contour disk around conj(s_j) are clustered; branch
-    vectors are v_l(z) = P_l(z) u_j with P_l the spectral projection of the
-    cluster.  The contour auto-shrinks up to 3 times when an eigenvalue lands
-    too close to it.
+    The path is radial with geometric step 1/2.  The base pencil
+    F + conj(p_j) F* and every path pencil F + z F* take one stacked
+    eigendecomposition V diag(lambda) V^-1.  At each z the eigenvalues inside
+    the contour disk around conj(s_j) are clustered; branch vectors are
+    v_l(z) = P_l(z) u_j, with P_l = V[:, g_l] V^-1[g_l, :] the Riesz projection
+    of the cluster g_l (Kato, Perturbation Theory, II.1).  The disk's radius
+    starts at half the distance from conj(s_j) to the other base eigenvalues
+    and shrinks by 0.7, up to 3 times, while an eigenvalue lies within
+    dist_guard of its circle.  A point whose eigenvectors are ill-conditioned,
+    eps * cond_F(V) > tol_proj, takes its projections from the contour
+    integral of :func:`symdisk.linalg.spectral_projection` instead.
     """
     if n_steps is None:
         n_steps = cfg.n_steps
@@ -151,16 +162,6 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     d = F.shape[0]
     pbar = np.conj(complex(nd.p))
     sbar = np.conj(complex(nd.s))
-    V = model.variety
-
-    # at an origin node the base pencil is F itself, whose spectrum the variety keeps
-    base = V.eigenvalues if pbar == 0 else spectrum(F + pbar * F.conj().T, cfg)
-    scale = max(np.linalg.norm(F + pbar * F.conj().T), 1.0)
-    others = [ev for ev in base if abs(ev - sbar) > cfg.tol_cluster * scale]
-    if others:
-        eps0 = 0.5 * min(abs(ev - sbar) for ev in others)
-    else:
-        eps0 = 0.5 * max(1.0, scale)
 
     if radius is None:
         radius = min(0.01, 0.5 * (1.0 - abs(pbar)))
@@ -169,48 +170,85 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
         direction = -direction
     z_path = [pbar + direction * radius * 0.5 ** k for k in range(n_steps)]
 
-    branch_values, branch_vectors = [], []
-    alpha_errors, sum_errors, proj_defects = [], [], []
-    eps_used = eps0
-    for z in z_path:
-        pencil = F + z * F.conj().T
-        evs = spectrum(pencil, cfg)
-        proj = None
-        eps = eps_used
-        for _ in range(4):
-            try:
-                proj = spectral_projection(pencil, sbar, eps, cfg.n_quad, cfg, evs)
-                break
-            except IllPlacedContour:
-                eps *= 0.7
-        if proj is None:
-            raise IllPlacedContour(
-                f"no admissible contour around {sbar} at z = {z}")
-        eps_used = eps
-        inside = [i for i in range(d) if abs(evs[i] - sbar) < eps]
-        vsum = proj.matrix @ u_j
-        proj_defects.append(proj.idempotency_defect)
-        sum_errors.append(float(np.linalg.norm(vsum - u_j)))
-        ctol = cfg.tol_cluster * max(1.0, np.linalg.norm(pencil))
-        groups = cluster_indices(np.array([evs[i] for i in inside]), ctol)
-        means, vecs = [], []
-        for g in groups:
-            mean = complex(np.mean([evs[inside[i]] for i in g]))
-            means.append(mean)
-            if len(groups) == 1:
-                vecs.append(vsum)
-                continue
-            gap = min(abs(mean - evs[k]) for k in range(d)
-                      if k not in [inside[i] for i in g])
-            sub = spectral_projection(pencil, mean, 0.5 * gap, cfg.n_quad, cfg, evs)
-            vecs.append(sub.matrix @ u_j)
+    # the base pencil first, then the path pencils, in one eigendecomposition
+    pencils = F + np.array([pbar, *z_path])[:, None, None] * F.conj().T
+    try:
+        eigs, vecs = np.linalg.eig(pencils)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
+    scale = max(np.linalg.norm(pencils[0]), 1.0)
+    base, evs, V, pencils = eigs[0], eigs[1:], vecs[1:], pencils[1:]
+    Vinv = _inverses(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
+    on_contour = ~(_EPS * cond <= cfg.tol_proj)  # a singular V (nan) takes the contour too
+
+    others = np.abs(base - sbar)
+    others = others[others > cfg.tol_cluster * scale]
+    eps0 = 0.5 * (others.min() if len(others) else scale)
+    dist = np.abs(evs - sbar)
+    radii = _disk_radii(dist, eps0, cfg, sbar, z_path)
+    inside = dist < radii[:, None]
+
+    # one projection per point for its whole disk, then one per cluster where
+    # the disk holds more than one: the point, eigenvalue mask and center of each
+    ctol = cfg.tol_cluster * np.maximum(1.0, np.linalg.norm(pencils, axis=(1, 2)))
+    # inside eigenvalues closer than ctol to each other form one cluster (the
+    # greedy clustering puts them all in its first); the margin of 1/2 keeps the
+    # roundoff of a cluster mean from deciding
+    n_in = inside.sum(axis=1)
+    spread = np.where(inside[:, :, None] & inside[:, None, :],
+                      np.abs(evs[:, :, None] - evs[:, None, :]), 0.0).max(axis=(1, 2))
+    one_mean = np.where(inside, evs, 0.0).sum(axis=1) / np.maximum(n_in, 1)
+    branch_values, owner, masks, centers = [], [], [], []
+    for k in range(n_steps):
+        owner.append(k)
+        masks.append(inside[k])
+        centers.append(sbar)
+        if spread[k] <= 0.5 * ctol[k]:
+            branch_values.append((complex(one_mean[k]),) if n_in[k] else ())
+            continue
+        idx = np.flatnonzero(inside[k])
+        groups = [idx[g] for g in cluster_indices(evs[k, idx], ctol[k])]
+        means = [complex(np.mean(evs[k, g])) for g in groups]
         branch_values.append(tuple(means))
-        branch_vectors.append(tuple(vecs))
-        alpha_errors.append(max(abs(m - sbar) for m in means) if means else float("nan"))
+        if len(groups) > 1:
+            for g, mean in zip(groups, means):
+                mask = np.zeros(d, dtype=bool)
+                mask[g] = True
+                owner.append(k)
+                masks.append(mask)
+                centers.append(mean)
+    owner, masks = np.array(owner), np.array(masks)
+    P = np.empty((len(owner), d, d), dtype=complex)
+    defects = np.empty(len(owner))
+    by_eig = ~on_contour[owner]
+    if by_eig.any():
+        o = owner[by_eig]
+        P[by_eig] = (V[o] * masks[by_eig][:, None, :]) @ Vinv[o]
+        defects[by_eig] = audit_projections(P[by_eig], masks[by_eig].sum(axis=1), cfg)
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    for r in np.flatnonzero(~by_eig):
+        k, center = owner[r], centers[r]
+        if first[r]:
+            rad = radii[k]
+        else:
+            rad = 0.5 * np.abs(center - evs[k, ~masks[r]]).min()
+        proj = spectral_projection(pencils[k], center, rad, cfg.n_quad, cfg, evs[k])
+        P[r], defects[r] = proj.matrix, proj.idempotency_defect
+    vs = P @ u_j
+    # a point's rows are its disk, then its clusters where it has several: its
+    # branch vectors are the last len(means) of them
+    ends = np.r_[np.flatnonzero(first)[1:], len(owner)]
+    branch_vectors = [tuple(vs[end - len(means):end])
+                      for end, means in zip(ends, branch_values)]
+    alpha_errors = [max(abs(m - sbar) for m in means) if means else float("nan")
+                    for means in branch_values]
     # every traced point (conj(alpha_l(z)), conj(z)) in one stacked residual call
     step = np.repeat(np.arange(len(z_path)), [len(means) for means in branch_values])
     alphas = np.array([m for means in branch_values for m in means], dtype=complex)
-    resid = membership_residuals(V, np.conj(alphas), np.conj(np.asarray(z_path))[step])
+    resid = membership_residuals(model.variety, np.conj(alphas),
+                                 np.conj(np.asarray(z_path))[step])
     memb = [float(resid[step == k].max()) if means else float("nan")
             for k, means in enumerate(branch_values)]
     return SheetTrace(
@@ -220,11 +258,45 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
         branch_vectors=tuple(branch_vectors),
         branch_count=len(branch_values[-1]),
         alpha_errors=tuple(alpha_errors),
-        sum_errors=tuple(sum_errors),
+        sum_errors=tuple(np.linalg.norm(vs[first] - u_j, axis=1).tolist()),
         membership_residuals=tuple(memb),
-        projection_defects=tuple(proj_defects),
-        contour_radius=float(eps_used),
+        projection_defects=tuple(defects[first].tolist()),
+        eigvec_conditions=tuple(cond.tolist()),
+        contour_radius=float(radii[-1]),
     )
+
+
+def _disk_radii(dist: np.ndarray, eps: float, cfg: Tolerances, center, z_path) -> np.ndarray:
+    """The radius of the disk around ``center`` at each path point.
+
+    ``dist[k]`` holds the eigenvalue distances to the center at point k.  Each
+    point starts from the previous point's radius (the first from ``eps``) and
+    shrinks it by 0.7, up to 3 times, while an eigenvalue lies within
+    dist_guard of the circle: the guard of :func:`spectral_projection`,
+    decided on the known eigenvalues without a solve.
+    """
+    radii = np.empty(len(dist))
+    for k, dk in enumerate(dist):
+        for _ in range(4):
+            if not (np.abs(dk - eps) < cfg.dist_guard * eps).any():
+                break
+            eps *= 0.7
+        else:
+            raise IllPlacedContour(f"no admissible contour around {center} at z = {z_path[k]}")
+        radii[k] = eps
+    return radii
+
+
+def _inverses(V: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of a stack; nan for a singular one."""
+    try:
+        return np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        out = np.full_like(V, np.nan)
+        for k, Vk in enumerate(V):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.inv(Vk)
+        return out
 
 
 class UniqueValues(NamedTuple):

@@ -2,7 +2,8 @@
 
 General eigenvalues, Hermitian and PSD eigensolves, null spaces and PSD
 square roots are numpy/LAPACK calls behind validated contracts; contour-integral
-spectral projections and unitary completions are built on top of them.
+spectral projections, the audit every spectral projection passes, and unitary
+completions are built on top of them.
 """
 
 from __future__ import annotations
@@ -159,17 +160,40 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
     resolvents = np.linalg.solve(shifted, np.broadcast_to(np.eye(n, dtype=complex),
                                                           (n_quad, n, n)))
     P = (radius / n_quad) * np.einsum("k,kij->ij", np.exp(1j * t), resolvents)
-    defect = float(np.linalg.norm(P @ P - P))
-    # non-orthogonal projections near branch points have large norm; the
-    # idempotency contract is relative to that intrinsic scale
-    pnorm = np.linalg.norm(P, 2) if n else 0.0
-    if defect > cfg.tol_proj * max(1.0, pnorm ** 2):
-        raise NumericalError(f"projection not idempotent: ||P^2-P|| = {defect:.3e}")
-    tr = np.trace(P)
-    if abs(tr - round(tr.real)) > 0.01 or round(tr.real) != enclosed:
-        raise NumericalError(
-            f"projection rank {tr:.6f} disagrees with enclosed count {enclosed}")
+    defect = float(audit_projections(P[None], [enclosed], cfg)[0])
     return SpectralProjection(P, enclosed, complex(center), float(radius), defect)
+
+
+def audit_projections(P, enclosed, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """||P_k^2 - P_k||_F of a stack of spectral projections, each checked.
+
+    P_k fails as not idempotent when its defect exceeds
+    tol_proj * max(1, ||P_k||_2^2), and fails its rank check when its trace is
+    not within 0.01 of the integer ``enclosed[k]``.  Raises on the first
+    failure in stack order.
+    """
+    P = np.asarray(P, dtype=complex)
+    enclosed = np.asarray(enclosed)
+    defects = np.linalg.norm(P @ P - P, axis=(1, 2))
+    # non-orthogonal projections near branch points have large norm; the
+    # idempotency contract is relative to that intrinsic scale, which only a
+    # defect above tol_proj needs
+    bound = np.full(len(P), cfg.tol_proj)
+    big = defects > cfg.tol_proj
+    if big.any():
+        bound[big] *= np.maximum(1.0, np.linalg.norm(P[big], 2, axis=(1, 2)) ** 2)
+    tr = np.trace(P, axis1=1, axis2=2)
+    rank = np.round(tr.real)
+    idempotent = defects <= bound
+    ranked = (np.abs(tr - rank) <= 0.01) & (rank == enclosed)
+    failed = np.flatnonzero(~(idempotent & ranked))
+    if len(failed):
+        k = failed[0]
+        if not idempotent[k]:
+            raise NumericalError(f"projection not idempotent: ||P^2-P|| = {defects[k]:.3e}")
+        raise NumericalError(
+            f"projection rank {tr[k]:.6f} disagrees with enclosed count {enclosed[k]}")
+    return defects
 
 
 def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,

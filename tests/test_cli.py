@@ -145,6 +145,15 @@ class TestPick:
         data = write_data(tmp_path / "d.json", [(0, 0)], [0])
         assert main(["pick", "--input", data, "--kernel", "mystery"]) == 2
 
+    @pytest.mark.parametrize("datum", [{"nodes": 5, "targets": []},
+                                       {"nodes": [{"s": 0, "p": 0}], "targets": 0}],
+                             ids=["nodes", "targets"])
+    def test_non_list_nodes_or_targets_exit_2(self, tmp_path, capsys, datum):
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(datum))
+        assert main(["pick", "--input", str(f), "--kernel", "szego"]) == 2
+        assert "'nodes' and 'targets' must be lists" in capsys.readouterr().err
+
 
 class TestTrace:
     def test_sheet_datum_rows(self, tmp_path, zero_matrix, capsys):
@@ -188,37 +197,57 @@ class TestTrace:
             assert abs(s * s - 4 * p) < 1e-8
             assert abs(w + s / 2) < 1e-8
 
-    def test_one_spectrum_per_pencil(self, monkeypatch, capsys):
-        # branch_trace computes the spectrum of each pencil F + z F* once and
-        # hands it to that pencil's enclosing, retried and sub-cluster projections
+    def test_one_stacked_eig_per_trace(self, monkeypatch, capsys):
+        # branch_trace decomposes its base and path pencils in one stacked eig
+        # and reads every projection from it: no per-pencil spectrum, no contour
         import symdisk.cli as cli
         import symdisk.extend as extend
         import symdisk.linalg as linalg
-        spectrum, branch_trace = linalg.spectrum, cli.branch_trace
-        pencils = []
-        inside = []
+        eig, branch_trace = np.linalg.eig, cli.branch_trace
+        counts = {"eig": 0, "spectrum": 0, "spectral_projection": 0}
+        traces = []
 
-        def counting_spectrum(A, cfg=cli.DEFAULT):
-            if inside:
-                pencils.append(np.asarray(A, dtype=complex).tobytes())
-            return spectrum(A, cfg)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if traces:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
         def flagged_branch_trace(*args, **kwargs):
-            inside.append(True)
+            traces.append(True)
             try:
                 return branch_trace(*args, **kwargs)
             finally:
-                inside.pop()
+                traces.pop()
 
-        monkeypatch.setattr(linalg, "spectrum", counting_spectrum)
-        monkeypatch.setattr(extend, "spectrum", counting_spectrum)
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", eig))
+        for module in (linalg, extend):
+            for name in ("spectrum", "spectral_projection"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(cli, "branch_trace", flagged_branch_trace)
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0
-        # 2 nodes x (1 base pencil + cfg.n_steps path pencils), less the base
-        # pencil of the origin node, which is F and reads the variety's spectrum
-        assert len(pencils) == len(set(pencils)) == 41
+        # one branch_trace per node of the 2-node datum
+        assert counts == {"eig": 2, "spectrum": 0, "spectral_projection": 0}
+
+    def test_royal_origin_node_datum(self, tmp_path, capsys):
+        # three royal nodes, one of them at the branch point z = 0: the trace
+        # used to fail there with "projection not idempotent"
+        zs = (0, 0.3 + 0.2j, -0.4 + 0.1j)
+        data = write_data(tmp_path / "d.json", [(2 * z, z * z) for z in zs], [-z for z in zs])
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--input", data, "--kernel", f"model:{DATA / 'royal_pencil.json'}",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        s = rows[:, 0] + 1j * rows[:, 1]
+        w = rows[:, 4] + 1j * rows[:, 5]
+        # the sheet s = 0 of the 3x3 extension block is not reached by the data
+        royal = (rows[:, 7] == 1) & (np.abs(s) > 1e-12)
+        assert royal.sum() > 0
+        assert np.abs(w[royal] + s[royal] / 2).max() <= 1e-12
 
     def test_one_stacked_kernel_vector_call(self, monkeypatch, capsys):
         # the whole grid takes its kernel vectors and residuals from one stacked

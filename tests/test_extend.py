@@ -32,6 +32,21 @@ def model_royal(kernel_royal):
 
 
 @pytest.fixture
+def contour_calls(monkeypatch):
+    """The radius of every spectral_projection call branch_trace makes."""
+    import symdisk.extend as extend
+    calls = []
+    contour = extend.spectral_projection
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return contour(*args, **kwargs)
+
+    monkeypatch.setattr(extend, "spectral_projection", counting)
+    return calls
+
+
+@pytest.fixture
 def royal_direct(royal_F):
     """Extension data written directly in the royal pencil's own basis."""
     def u_of(z):
@@ -222,11 +237,9 @@ class TestBranchTrace:
         ratio = errs[2:] / np.sqrt(zs[2:])
         assert ratio.max() / ratio.min() < 10
 
-    # the sub-cluster projection at the origin node fails on roundoff in the
-    # resolvents of a nearly nilpotent pencil (||P^2 - P|| = 1.0e-8), the
-    # near-branch node on contour quadrature error (||P^2 - P|| = 2.0e-4)
-    @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="contour projections fail at and near the branch point z = 0")
+    # contour projections failed here: at the origin node on roundoff in the
+    # resolvents of a nearly nilpotent pencil (||P^2 - P|| = 1.0e-8), at the
+    # near-branch node on quadrature error (||P^2 - P|| = 2.0e-4)
     @pytest.mark.parametrize("zs", [(0, 0.3 + 0.2j, -0.4 + 0.1j),
                                     (0.0293 + 0.0429j, 0.2491 - 0.4527j)],
                              ids=["origin_node", "near_branch_node"])
@@ -238,6 +251,60 @@ class TestBranchTrace:
         for j in range(len(zs)):
             tr = sd.branch_trace(model, j)
             assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
+
+    def test_ill_conditioned_eigenvectors_take_the_contour(self, contour_calls):
+        # criterion 9's nilpotent model: at |z| ~ 1e-24 the eigenvectors of
+        # F + z F* are nearly parallel, cond(V) ~ 1e12, so eps cond(V) > tol_proj
+        data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
+        F = np.array([[0, 2], [0, 0]], dtype=complex)
+        model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
+        tr = sd.branch_trace(model, 0, radius=1e-24, n_steps=3)
+        assert len(contour_calls) == 3
+        assert min(tr.eigvec_conditions) * np.finfo(float).eps > sd.DEFAULT.tol_proj
+        assert tr.sum_errors[-1] <= 1e-12
+        assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
+        contour_calls.clear()
+        tr = sd.branch_trace(model, 0)
+        assert contour_calls == []
+        assert max(tr.eigvec_conditions) * np.finfo(float).eps <= sd.DEFAULT.tol_proj
+
+    def test_tol_proj_sets_the_contour_fallback(self, model_royal, contour_calls):
+        # eps cond(V) grows like |z|^(-1/2) along the path into the origin node;
+        # a tolerance of 1e-13 sends the points above it to the contour: one
+        # projection for the disk and one for each of the two branches
+        by_eig = sd.branch_trace(model_royal, 0)
+        assert contour_calls == []
+        cfg = sd.with_overrides(sd.DEFAULT, tol_proj=1e-13)
+        mixed = sd.branch_trace(model_royal, 0, cfg=cfg)
+        routed = int(np.sum(np.finfo(float).eps * np.array(mixed.eigvec_conditions) > 1e-13))
+        assert 0 < routed < len(mixed.z_path)
+        assert len(contour_calls) == 3 * routed
+        for a, b in zip(by_eig.branch_vectors, mixed.branch_vectors):
+            assert np.abs(np.array(a) - np.array(b)).max() <= 1e-10
+
+    def test_disk_radius_shrinks_off_eigenvalues(self, royal_direct):
+        # path z = 0.25 / 2^k into the origin node: the eigenvalues +-2 sqrt(z)
+        # = +-1, +-0.71, +-0.5, ... land within dist_guard of the disk's circle
+        # at every point, so each point shrinks the radius 1 once by 0.7
+        for n_steps in (1, 3, 5):
+            tr = sd.branch_trace(royal_direct, 0, radius=0.25, n_steps=n_steps)
+            assert tr.contour_radius == 0.7 ** n_steps
+            assert tr.branch_count == 0
+
+    def test_defective_path_pencil_takes_the_contour(self, contour_calls):
+        # F the 3x3 shift and a node at p = 0.6 traced with radius 0.6: the
+        # path starts at z = 0, where F + z F* = F is a Jordan block whose
+        # eigenvector matrix is singular
+        F = np.diag([1.0, 1.0], 1).astype(complex)
+        vals, vecs = np.linalg.eig(F + 0.6 * F.conj().T)
+        top = np.argmax(vals.real)
+        model = sd.ExtensionModel(F, (sd.GammaPoint(np.conj(vals[top]), 0.6),), (vecs[:, top],))
+        tr = sd.branch_trace(model, 0, radius=0.6, n_steps=4)
+        assert tr.z_path[0] == 0
+        assert np.isnan(tr.eigvec_conditions[0]) and np.isfinite(tr.eigvec_conditions[1:]).all()
+        assert len(contour_calls) == 1
+        assert tr.branch_values[0] == () and tr.sum_errors[0] == pytest.approx(1.0)
+        assert max(tr.projection_defects) <= 1e-14
 
 
 class TestUniqueValue:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
-from symdisk.errors import IllPlacedContour, InputError
+from symdisk.errors import IllPlacedContour, InputError, NumericalError
+from symdisk.linalg import audit_projections
 
 
 def _sorted(eigs):
@@ -163,6 +166,26 @@ class TestSpectralProjection:
     def test_ill_placed_contour(self):
         with pytest.raises(IllPlacedContour):
             sd.spectral_projection(np.diag([1.0, 3.0]).astype(complex), 0.0, 1.001)
+
+
+class TestAuditProjections:
+    def test_oblique_projection_passes_on_its_own_scale(self):
+        # P = [[1, t], [0, 0]] is idempotent with ||P||_2 ~ t; moving its
+        # zero to 1e-5 leaves a defect of about 1e-5 t = 0.1, far above
+        # tol_proj but below tol_proj * ||P||_2^2 ~ 1
+        t = 1e4
+        P = np.array([[[1, t], [0, 0]], [[1, t], [0, 1e-5]]], dtype=complex)
+        defects = audit_projections(P, [1, 1])
+        assert defects[0] == 0 and 1e-8 < defects[1] <= 1e-8 * t ** 2
+
+    @pytest.mark.parametrize("P, enclosed, why", [
+        (np.diag([1.0, 1e-7]), 1, "projection not idempotent"),
+        (np.diag([1.0, 0.0]), 2, "projection rank 1.000000+0.000000j disagrees with enclosed count 2"),
+    ])
+    def test_first_failure_raises(self, P, enclosed, why):
+        stack = np.array([np.eye(2), P], dtype=complex)
+        with pytest.raises(NumericalError, match=why.replace("+", r"\+")):
+            audit_projections(stack, [2, enclosed])
 
 
 class TestCompleteToUnitary:
