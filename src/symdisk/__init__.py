@@ -9,12 +9,13 @@ from .gamma import (GammaPoint, Region, beta_of, classify_region, classify_regio
 from .linalg import (SpectralProjection, complete_to_unitary, hermitian_eig,
                      null_space, psd_sqrt, spectral_projection, spectrum)
 from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,
-                       numerical_radius, pu_compress, pu_witness_search,
-                       verify_pu_reducing)
+                       numerical_radii, numerical_radius, pu_compress,
+                       pu_witness_search, verify_pu_reducing)
 from .variety import (BivarPoly, PencilVariety, defining_poly,
                       distinguished_property_check, is_distinguished,
-                      membership_residual, membership_residuals, region_audit,
-                      royal_containment, slice_points, stacked_slice_points)
+                      membership_residual, membership_residuals, pencil_varieties,
+                      region_audit, region_audits, royal_containment, slice_points,
+                      stacked_slice_points)
 from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
                    admissibility_audit, agreement_locus, fundamental_operator,
                    gram_on_nodes, kernel_basis_operators,

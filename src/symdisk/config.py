@@ -41,8 +41,9 @@ class Tolerances:
     tol_inner: float = 1e-9       # max boundary unitarity defect for PASS
     tol_interp: float = 1e-8      # node reproduction of interpolants
     # discretization knobs
-    n_quad: int = 64              # trapezoid nodes of a contour integral: the branch trace
-                                  # takes one only where its eigenvectors are ill-conditioned
+    n_quad: int = 64              # fewest trapezoid nodes of a contour integral; the spectrum
+                                  # sets the count above it (linalg.quadrature_nodes).  The branch
+                                  # trace takes one only where its eigenvectors are ill-conditioned
     dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius:
                                   # sets the branch trace's disk radius and guards its contours
     n_theta: int = 33             # warm-start scan of the numerical-radius level set; the

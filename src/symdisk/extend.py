@@ -34,7 +34,8 @@ from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector, unit_kernel_vectors
 from .linalg import audit_projections, cluster_indices, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
-from .variety import PencilVariety, is_distinguished, membership_residuals, pencil_matrix
+from .variety import (PencilVariety, _with_eigenvalues, is_distinguished,
+                      membership_residuals, pencil_matrix)
 
 _EPS = np.finfo(float).eps
 # gamma passes as a Pick-matrix null vector when ||P gamma|| is at most this
@@ -65,7 +66,8 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
     the unitary block of the fundamental operator (nodes come from the open
     domain), and each must be annihilated by the node's pencil.  The
     fundamental model is built once; its passed audit certifies nu(F') for
-    the peeling of the unitary block.
+    the peeling of the unitary block, and the peeling's last spectrum is the
+    spectrum of the extension's variety.
     """
     model = _fundamental_model(K, cfg)
     report = _audit_model(model, cfg)
@@ -99,6 +101,8 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
                 f"node {j} violates the pencil equation: residual {resid:.3e}")
         us.append(u)
     ext = ExtensionModel(F, tuple(nodes), tuple(us), cfg)
+    # the peeling has the spectrum of F already
+    _with_eigenvalues(ext.variety, dec.cnu_eigenvalues)
     if not is_distinguished(ext.variety, cfg):
         raise NumericalError("extension block is not completely non-unitary")
     return ext
@@ -234,7 +238,7 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
             rad = radii[k]
         else:
             rad = 0.5 * np.abs(center - evs[k, ~masks[r]]).min()
-        proj = spectral_projection(pencils[k], center, rad, cfg.n_quad, cfg, evs[k])
+        proj = spectral_projection(pencils[k], center, rad, cfg=cfg, eigenvalues=evs[k])
         P[r], defects[r] = proj.matrix, proj.idempotency_defect
     vs = P @ u_j
     # a point's rows are its disk, then its clusters where it has several: its

@@ -16,6 +16,10 @@ from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 
 _EPS = np.finfo(float).eps
+# most trapezoid nodes a contour may take: dist_guard = 0.1 needs at most 378,
+# and a contour that needs more than this has an eigenvalue within 3.5% of its
+# radius, where a smaller disk serves better than more nodes
+_MAX_QUAD = 1024
 
 
 def as_complex_matrix(A, square: bool = False) -> np.ndarray:
@@ -132,16 +136,15 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
     """Riesz projection (2*pi*i)^-1 * integral of the resolvent over a circle.
 
     Trapezoid quadrature with ``n_quad`` nodes is spectrally accurate for the
-    (analytic) resolvent.  Raises :class:`IllPlacedContour` when an eigenvalue
-    comes within ``dist_guard * radius`` of the contour.  ``eigenvalues``, the
-    spectrum of A from :func:`spectrum`, saves recomputing it when one matrix
-    is projected around several centers or radii.
+    (analytic) resolvent; by default the node count comes from the spectrum
+    (:func:`quadrature_nodes`).  Raises :class:`IllPlacedContour` when an
+    eigenvalue comes within ``dist_guard * radius`` of the contour.
+    ``eigenvalues``, the spectrum of A from :func:`spectrum`, saves
+    recomputing it when one matrix is projected around several centers or radii.
     """
     A = as_complex_matrix(A, square=True)
     if radius <= 0:
         raise InputError("contour radius must be positive")
-    if n_quad is None:
-        n_quad = cfg.n_quad
     if eigenvalues is None:
         eigs = spectrum(A, cfg)
     else:
@@ -153,6 +156,8 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
         raise IllPlacedContour(
             f"eigenvalue within {dist.min():.3e} of the contour (radius {radius:.3e})")
     enclosed = int(np.sum(np.abs(eigs - center) < radius))
+    if n_quad is None:
+        n_quad = quadrature_nodes(eigs, center, radius, cfg)
     n = A.shape[0]
     t = 2 * np.pi * np.arange(n_quad) / n_quad
     zeta = center + radius * np.exp(1j * t)
@@ -162,6 +167,27 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
     P = (radius / n_quad) * np.einsum("k,kij->ij", np.exp(1j * t), resolvents)
     defect = float(audit_projections(P[None], [enclosed], cfg)[0])
     return SpectralProjection(P, enclosed, complex(center), float(radius), defect)
+
+
+def quadrature_nodes(eigs, center: complex, radius: float, cfg: Tolerances = DEFAULT) -> int:
+    """Trapezoid nodes that bring a contour projection's quadrature error to roundoff.
+
+    On the circle |z - center| = radius the error decays like rho^n, where
+    rho is the worst ratio of an eigenvalue's distance from the center to the
+    radius, or of the radius to that distance (Trefethen & Weideman, SIAM Rev.
+    56 (2014)): n = ceil(log(eps) / log(rho)), at least cfg.n_quad.  Raises
+    :class:`IllPlacedContour` when that exceeds _MAX_QUAD nodes.
+    """
+    dist = np.abs(np.asarray(eigs, dtype=complex) - center)
+    ratios = np.minimum(dist / radius, radius / np.maximum(dist, _EPS * radius))
+    rho = float(ratios.max()) if len(ratios) else 0.0
+    if rho <= 0.0:
+        return cfg.n_quad
+    n = int(np.ceil(np.log(_EPS) / np.log(rho))) if rho < 1.0 else _MAX_QUAD + 1
+    if n > _MAX_QUAD:
+        raise IllPlacedContour(
+            f"contour of radius {radius:.3e} needs {n} > {_MAX_QUAD} nodes (rho = {rho:.6f})")
+    return max(n, cfg.n_quad)
 
 
 def audit_projections(P, enclosed, cfg: Tolerances = DEFAULT) -> np.ndarray:

@@ -3,6 +3,10 @@
 The numerical radius is a stacked eigvalsh scan of the support function,
 certified to tol_nu by a level-set iteration on the quadratic pencil
 z^2 F* - 2rzI + F, which is the variety's own pencil along (s, p) = (2rz, z^2).
+:func:`numerical_radii` runs the scan and the iteration for a list of
+matrices at once, stacked by matrix order with a mask of the matrices still
+iterating (Mengi & Overton 2005); each keeps its own stopping rule and
+certificate, and :func:`numerical_radius` is its one-matrix call.
 
 For a numerical contraction the unitary part is spanned by joint eigenvectors
 of F and F* at unimodular eigenvalues; peeling those off leaves a block with
@@ -35,37 +39,127 @@ _MAX_LEVELS = 50
 _REDUCED = 1e-9
 
 
-def _support_values(F: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Support function at every angle: one eigvalsh on the stacked Re(e^{-i theta} F)."""
-    e = np.exp(-1j * np.asarray(thetas, dtype=float))[:, None, None]
-    return np.linalg.eigvalsh((e * F + np.conj(e) * F.conj().T) / 2)[:, -1]
+def _support_values(F, thetas) -> np.ndarray:
+    """Support function of F at every angle: one eigvalsh on the stacked Re(e^{-i theta} F).
 
-
-def _level_set_angles(F: np.ndarray, r: float) -> np.ndarray:
-    """Sorted angles theta at which r is an eigenvalue of Re(e^{-i theta} F).
-
-    With z = e^{i theta} this happens exactly when z^2 F* - 2 r z I + F is
-    singular: the pencil F* + pF - sI sliced along (s, p) = (2rz, z^2).  The
-    quadratic pencil is linearized to A - zB and solved by shift and invert.
+    F is one matrix, or a stack holding the matrix of each angle.
     """
-    d = F.shape[0]
-    diag = np.arange(d)
-    A = np.zeros((2 * d, 2 * d), dtype=complex)
-    A[diag, d + diag] = 1.0
-    A[d:, :d] = -F
-    A[d + diag, d + diag] = 2 * r
-    B = np.zeros((2 * d, 2 * d), dtype=complex)
-    B[diag, diag] = 1.0
-    B[d:, d:] = F.conj().T
+    F = np.asarray(F)
+    e = np.exp(-1j * np.asarray(thetas, dtype=float))[..., None, None]
+    FH = np.conj(np.swapaxes(F, -1, -2))
+    return np.linalg.eigvalsh((e * F + np.conj(e) * FH) / 2)[..., -1]
+
+
+def _scan(F: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Entry [k, j]: the support function of F_k at thetas[j], one eigvalsh.
+
+    Each matrix's Hermitian parts are formed on their own, so its values do
+    not depend on the rest of the stack.
+    """
+    e = np.exp(-1j * thetas)[:, None, None]
+    H = np.empty((len(F), len(thetas)) + F.shape[1:], dtype=complex)
+    for Fk, Hk in zip(F, H):
+        # both factors get the angle axis: numpy rounds a complex product in
+        # another inner loop when a single factor gains a dimension
+        np.multiply(e, Fk[None], out=Hk)
+        Hk += np.conj(e) * Fk.conj().T[None]
+    H /= 2
+    return np.linalg.eigvalsh(H)[..., -1]
+
+
+def _level_set_angles(F: np.ndarray, r: np.ndarray):
+    """Level-set angles of each F_k of a stack of order d at its level r_k.
+
+    Returns (angles, counts): row k holds, in its first counts[k] entries and
+    sorted, the angles theta at which r_k is an eigenvalue of
+    Re(e^{-i theta} F_k); inf pads the rest.  With z = e^{i theta} this
+    happens exactly when z^2 F_k* - 2 r_k z I + F_k is singular: the pencil
+    F* + pF - sI sliced along (s, p) = (2rz, z^2).  The quadratic pencils are
+    linearized to A - zB and solved by shift and invert, in one stacked
+    ``solve`` and one stacked ``eigvals``.
+    """
+    m, d = F.shape[:2]
+    eye = np.eye(d)
+    A = np.zeros((m, 2 * d, 2 * d), dtype=complex)
+    A[:, :d, d:] = eye
+    A[:, d:, :d] = -F
+    A[:, d:, d:] = (2 * r)[:, None, None] * eye
+    B = np.zeros((m, 2 * d, 2 * d), dtype=complex)
+    B[:, :d, :d] = eye
+    B[:, d:, d:] = np.conj(np.swapaxes(F, 1, 2))
+    M = A - _SHIFT * B
     try:
-        mu = np.linalg.eigvals(np.linalg.solve(A - _SHIFT * B, B))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"level-set pencil solve failed at r = {r:.17g}: {exc}")
+        mu = np.linalg.eigvals(np.linalg.solve(M, B))
+    except np.linalg.LinAlgError:
+        # name the first failing matrix of the stack
+        for k in range(m):
+            try:
+                np.linalg.eigvals(np.linalg.solve(M[k], B[k]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"level-set pencil solve failed at r = {r[k]:.17g}: {exc}")
+        raise NumericalError("level-set pencil solve failed")
     # unimodular z lie within 1 + |_SHIFT| < 2 of the shift, so |mu| > 1/2;
     # mu = 0 belongs to the infinite eigenvalues of a singular F
-    mu = mu[np.abs(mu) > 0.5]
-    z = _SHIFT + 1.0 / mu
-    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_BAND]))
+    far = np.abs(mu) > 0.5
+    z = _SHIFT + 1.0 / mu[far]
+    unimodular = np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_BAND
+    keep = np.zeros_like(far)
+    keep[far] = unimodular
+    angles = np.full(mu.shape, np.inf)
+    angles[keep] = np.angle(z[unimodular])
+    return np.sort(angles, axis=1), keep.sum(axis=1)
+
+
+def _radii_of_order(F: np.ndarray, cfg: Tolerances) -> np.ndarray:
+    """Certified numerical radii of a stack of matrices of one order d >= 1.
+
+    Every matrix runs the iteration of :func:`numerical_radius` with its own
+    stopping rule; each level takes the still-active matrices together.
+    """
+    best = _scan(F, 2 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta).max(axis=1)
+    active = np.arange(len(F))
+    for _ in range(_MAX_LEVELS):
+        angles, counts = _level_set_angles(F[active], best[active] + cfg.tol_nu / 2)
+        # each arc runs from an angle to the next, the last one wrapping round
+        wrapped = np.concatenate([angles[:, 1:], angles[:, :1]], axis=1)
+        wrapped[np.arange(len(active)), counts - 1] = angles[:, 0] + 2 * np.pi
+        on_arc = np.arange(angles.shape[1]) < counts[:, None]
+        owner = np.repeat(np.arange(len(active)), counts)
+        # a matrix settles when its level set is empty or no midpoint rises above best
+        if not len(owner):
+            return best
+        values = _support_values(F[active[owner]], ((angles + wrapped) / 2)[on_arc])
+        top = np.full(len(active), -np.inf)
+        np.maximum.at(top, owner, values)
+        rising = top > best[active]
+        best[active[rising]] = top[rising]
+        active = active[rising]
+        if not len(active):
+            return best
+    raise NumericalError(
+        f"numerical radius level set did not settle in {_MAX_LEVELS} levels")
+
+
+def numerical_radii(Fs, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Certified numerical radii of a list of square matrices, stacked by order.
+
+    Per order, one stacked eigvalsh scans the support function at cfg.n_theta
+    angles for every matrix; each level of the certificate is one stacked
+    solve and eigvals of the level-set pencils of the still-active matrices
+    and one stacked eigvalsh on all their arc midpoints.  Each matrix keeps
+    the stopping rule and the tol_nu certificate of :func:`numerical_radius`,
+    so entry k does not depend on the other matrices of the list.
+    """
+    Fs = [as_complex_matrix(F, square=True) for F in Fs]
+    by_order: dict[int, list[int]] = {}
+    for k, F in enumerate(Fs):
+        if F.shape[0]:
+            by_order.setdefault(F.shape[0], []).append(k)
+    out = np.zeros(len(Fs))
+    for idx in by_order.values():
+        out[idx] = _radii_of_order(np.stack([Fs[k] for k in idx]), cfg)
+    return out
 
 
 def numerical_radius(F, cfg: Tolerances = DEFAULT) -> float:
@@ -77,24 +171,10 @@ def numerical_radius(F, cfg: Tolerances = DEFAULT) -> float:
     arc midpoints are evaluated in one stacked call and the best one taken
     (Mengi & Overton 2005; He & Watson 1997).  The iteration stops when no
     midpoint rises above ``best``: then nu < r, and the returned ``best`` is a
-    support value within tol_nu of nu.
+    support value within tol_nu of nu.  The one-matrix call of
+    :func:`numerical_radii`, which runs this iteration for many matrices at once.
     """
-    F = as_complex_matrix(F, square=True)
-    if F.shape[0] == 0:
-        return 0.0
-    thetas = 2 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
-    best = float(_support_values(F, thetas).max())
-    for _ in range(_MAX_LEVELS):
-        angles = _level_set_angles(F, best + cfg.tol_nu / 2)
-        if len(angles) == 0:
-            return best
-        wrapped = np.append(angles[1:], angles[0] + 2 * np.pi)
-        top = float(_support_values(F, (angles + wrapped) / 2).max())
-        if top <= best:
-            return best
-        best = top
-    raise NumericalError(
-        f"numerical radius level set did not settle in {_MAX_LEVELS} levels")
+    return float(numerical_radii([F], cfg)[0])
 
 
 def check_numerical_contraction(nu: float, cfg: Tolerances = DEFAULT) -> None:
@@ -141,6 +221,7 @@ class CnuDecomposition:
     transform: np.ndarray
     unitary_eigenvalues: tuple[tuple[complex, int], ...]
     cnu_block: np.ndarray
+    cnu_eigenvalues: np.ndarray   # spectrum of cnu_block, from the last peeling pass
 
 
 def _joint_eigenspace(F: np.ndarray, beta: complex, cfg: Tolerances) -> list[np.ndarray]:
@@ -189,9 +270,11 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
     transform = np.eye(n, dtype=complex)
     block = F.copy()
     peeled: list[tuple[complex, int]] = []
+    eigs = np.zeros(0, dtype=complex)
     while block.shape[0]:
         scale = max(np.linalg.norm(block), 1.0)
-        reps = _unimodular_reps(spectrum(block, cfg), scale, cfg)
+        eigs = spectrum(block, cfg)
+        reps = _unimodular_reps(eigs, scale, cfg)
         if not reps:
             break
         beta = reps[0]
@@ -217,7 +300,7 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
     perm[:, :n - k] = np.eye(n)[:, k:]
     perm[:, n - k:] = np.eye(n)[:, :k]
     transform = transform @ perm
-    dec = CnuDecomposition(transform, tuple(reversed(peeled)), block)
+    dec = CnuDecomposition(transform, tuple(reversed(peeled)), block, eigs)
     _check_reassembly(F, dec)
     return dec
 

@@ -9,6 +9,15 @@ CLI ``verify`` command:
   agree, and no sample may ever classify R2;
 * PU sweep: PU + U*(I-P) is always a numerical contraction and its c.n.u.
   verdict matches the eigen-subspace witness search.
+
+Both sweeps run in blocks of _BLOCK cases, each block in phases: draw every
+case, certify the nu of every drawn matrix in one
+:func:`symdisk.numrange.numerical_radii` call, build the matrices, build
+their varieties with :func:`symdisk.variety.pencil_varieties`, and audit them
+with :func:`symdisk.variety.region_audits`.  nu never feeds a draw, so the
+random stream is consumed in exactly the order of a case-by-case loop over
+:func:`haar_unitary`, :func:`random_projection` and :func:`ginibre_contraction`,
+and every case's verdicts equal those of that loop.
 """
 
 from __future__ import annotations
@@ -20,9 +29,14 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .gamma import GammaPoint, Region
 from .errors import InputError
-from .numrange import _pu_matrix, numerical_radius, pu_witness_search
-from .variety import (PencilVariety, distinguished_property_check, is_distinguished,
-                      region_audit)
+from .numrange import _pu_matrix, numerical_radii, pu_witness_search
+from .variety import (distinguished_property_check, is_distinguished, pencil_varieties,
+                      region_audits)
+
+# cases per block: each stacked call still carries a dozen or more matrices,
+# while a block's stacked slices and region labels stay near 1 MB, so peak
+# memory stays at the case-by-case level (a single block of 200 cases grew it by a fifth)
+_BLOCK = 16
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -39,19 +53,34 @@ def random_projection(rng: np.random.Generator, d: int) -> np.ndarray:
     return V[:, :k] @ V[:, :k].conj().T
 
 
+def _unit_ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Ginibre draw divided by its spectral norm (the zero matrix stays zero)."""
+    Z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
+    norm = np.linalg.norm(Z, 2)
+    return Z if norm == 0 else Z / norm
+
+
+def _to_unit_radius(Z: np.ndarray, nu: float) -> np.ndarray:
+    """Z scaled from numerical radius nu to at most 1.
+
+    nu is certified to tol_nu/2 absolute; on Z / ||Z||_2 it is at least 1/2,
+    so dividing by it leaves an error of at most tol_nu relative.
+    """
+    scale = 1.0 / float(nu)
+    # a slight pullback keeps roundoff from pushing nu above 1
+    return Z * scale * (1.0 - 1e-12)
+
+
+def _scaled_contractions(Zs: list, cfg: Tolerances) -> list:
+    """Every unit draw of a list scaled to numerical radius <= 1, from one nu call."""
+    nus = iter(numerical_radii([Z for Z in Zs if Z.any()], cfg))
+    return [_to_unit_radius(Z, next(nus)) if Z.any() else Z for Z in Zs]
+
+
 def ginibre_contraction(rng: np.random.Generator, d: int,
                         cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Ginibre matrix scaled to numerical radius <= 1 (often exactly 1)."""
-    Z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
-    # nu is certified to tol_nu/2 absolute; on Z / ||Z||_2 it is at least 1/2,
-    # so dividing by it leaves an error of at most tol_nu relative
-    norm = np.linalg.norm(Z, 2)
-    if norm == 0:
-        return Z
-    Z = Z / norm
-    scale = 1.0 / numerical_radius(Z, cfg)
-    # a slight pullback keeps roundoff from pushing nu above 1
-    return Z * scale * (1.0 - 1e-12)
+    return _scaled_contractions([_unit_ginibre(rng, d)], cfg)[0]
 
 
 def random_g_point(rng: np.random.Generator, rmax: float = 0.95) -> GammaPoint:
@@ -73,58 +102,95 @@ class SweepResult:
         return self.n_failures == 0
 
 
+def _blocks(n_cases: int):
+    return (range(start, min(start + _BLOCK, n_cases)) for start in range(0, n_cases, _BLOCK))
+
+
 def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
                       cfg: Tolerances = DEFAULT) -> SweepResult:
     """Random numerical contractions: the three distinguished verdicts agree.
 
     Non-c.n.u. cases are produced by planting a unitary block in a random
-    basis, since scaled Ginibre matrices are almost surely c.n.u.
+    basis, since scaled Ginibre matrices are almost surely c.n.u.  A matrix
+    that is not a numerical contraction raises its InputError, the first one
+    in case order.
     """
     rng = np.random.default_rng(seed)
     failures = []
-    for case in range(n_cases):
-        d = int(rng.integers(1, d_max + 1))
-        F = ginibre_contraction(rng, d, cfg)
-        if case % 4 == 3:
-            # plant a unimodular reducing eigenvalue
-            k = int(rng.integers(1, d + 1))
-            beta = np.exp(2j * np.pi * rng.uniform())
-            blocks = np.zeros((d, d), dtype=complex)
-            blocks[:k, :k] = beta * np.eye(k)
-            if d > k:
-                blocks[k:, k:] = ginibre_contraction(rng, d - k, cfg)
-            W = haar_unitary(rng, d)
-            F = W @ blocks @ W.conj().T
-        V = PencilVariety(F, cfg)
-        verdict = bool(is_distinguished(V, cfg))
-        audit = region_audit(V, cfg=cfg)
-        prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
-        if audit.counts[Region.R2.value] != 0:
-            failures.append((case, "R2 hit"))
-        if not (verdict == audit.strict_pass == prop):
-            failures.append(
-                (case, f"verdicts differ: cnu={verdict} audit={audit.strict_pass} "
-                       f"property={prop}"))
+    for cases in _blocks(n_cases):
+        # draw: the Ginibre draws, and for every fourth case its planted block
+        draws = []
+        for case in cases:
+            d = int(rng.integers(1, d_max + 1))
+            Zs = [_unit_ginibre(rng, d)]
+            plant = None
+            if case % 4 == 3:
+                # plant a unimodular reducing eigenvalue
+                k = int(rng.integers(1, d + 1))
+                beta = np.exp(2j * np.pi * rng.uniform())
+                if d > k:
+                    Zs.append(_unit_ginibre(rng, d - k))
+                plant = (k, beta, haar_unitary(rng, d))
+            draws.append((d, Zs, plant))
+        # certify nu and build F
+        scaled = iter(_scaled_contractions([Z for _, Zs, _ in draws for Z in Zs], cfg))
+        Fs = []
+        for d, Zs, plant in draws:
+            F = next(scaled)
+            if plant is not None:
+                k, beta, W = plant
+                blocks = np.zeros((d, d), dtype=complex)
+                blocks[:k, :k] = beta * np.eye(k)
+                if d > k:
+                    blocks[k:, k:] = next(scaled)
+                F = W @ blocks @ W.conj().T
+            Fs.append(F)
+        # build the varieties and audit them
+        Vs = pencil_varieties(Fs, cfg)
+        for V in Vs:
+            if isinstance(V, InputError):
+                raise V
+        for case, V, audit in zip(cases, Vs, region_audits(Vs, cfg=cfg)):
+            verdict = bool(is_distinguished(V, cfg))
+            prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
+            if audit.counts[Region.R2.value] != 0:
+                failures.append((case, "R2 hit"))
+            if not (verdict == audit.strict_pass == prop):
+                failures.append(
+                    (case, f"verdicts differ: cnu={verdict} audit={audit.strict_pass} "
+                           f"property={prop}"))
     return SweepResult("equivalence", n_cases, len(failures), tuple(failures))
 
 
 def pu_sweep(n_cases: int = 100, d_max: int = 4, seed: int = 0,
              cfg: Tolerances = DEFAULT) -> SweepResult:
-    """Random (P, U): nu(PU + U*(I-P)) <= 1 and witness search matches c.n.u."""
+    """Random (P, U): nu(PU + U*(I-P)) <= 1 and witness search matches c.n.u.
+
+    A pair whose matrix is not a numerical contraction is a case failure.
+    """
     rng = np.random.default_rng(seed)
     failures = []
-    for case in range(n_cases):
-        d = int(rng.integers(2, d_max + 1))
-        U = haar_unitary(rng, d)
-        P = random_projection(rng, d)
-        try:
-            V = PencilVariety(_pu_matrix(P, U, cfg), cfg)
-        except InputError as exc:  # not a numerical contraction
-            failures.append((case, str(exc)))
-            continue
-        verdict = bool(is_distinguished(V, cfg))
-        witness = pu_witness_search(P, U, cfg)
-        if verdict != (witness is None):
-            failures.append(
-                (case, f"cnu={verdict} but witness {'found' if witness else 'absent'}"))
+    for cases in _blocks(n_cases):
+        pairs = []
+        for _ in cases:
+            d = int(rng.integers(2, d_max + 1))
+            U = haar_unitary(rng, d)
+            pairs.append((random_projection(rng, d), U))
+        Ts = []
+        for P, U in pairs:
+            try:
+                Ts.append(_pu_matrix(P, U, cfg))
+            except InputError as exc:
+                Ts.append(exc)
+        Vs = iter(pencil_varieties([T for T in Ts if not isinstance(T, InputError)], cfg))
+        for case, (P, U), T in zip(cases, pairs, Ts):
+            V = T if isinstance(T, InputError) else next(Vs)
+            if isinstance(V, InputError):  # not a numerical contraction
+                failures.append((case, str(V)))
+                continue
+            verdict = bool(is_distinguished(V, cfg))
+            witness = pu_witness_search(P, U, cfg)
+            if verdict != (witness is None):
+                failures.append(
+                    (case, f"cnu={verdict} but witness {'found' if witness else 'absent'}"))
     return SweepResult("pu_family", n_cases, len(failures), tuple(failures))

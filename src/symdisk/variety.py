@@ -4,7 +4,10 @@ The variety of a d x d numerical contraction F is an algebraic curve that
 always meets the closed symmetrized bidisk; it is a distinguished variety
 exactly when F is completely non-unitary.  This module provides the defining
 polynomial, slicing, membership residuals, the distinguished classification,
-region audits, and containment of boundary sheets.
+region audits, and containment of boundary sheets.  Varieties and region
+audits also come in lists: :func:`pencil_varieties` certifies every nu(F) in
+one :func:`symdisk.numrange.numerical_radii` call, and :func:`region_audits`
+slices every variety of one order in one stacked ``eigvals``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import InputError, NumericalError
 from .gamma import REGIONS, GammaPoint, Region, classify_regions, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
 from .numrange import (CnuVerdict, _peel_unitary, check_numerical_contraction,
-                       cnu_verdict, numerical_radius)
+                       cnu_verdict, numerical_radii, numerical_radius)
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,58 @@ class PencilVariety:
     def __post_init__(self):
         F = as_complex_matrix(self.F, square=True)
         object.__setattr__(self, "F", F)
-        nu = numerical_radius(F, self.cfg)
+        self._certify(numerical_radius(F, self.cfg))
+
+    def _certify(self, nu: float) -> None:
+        """Store nu = nu(F), computed by the caller; InputError if F is no contraction."""
         check_numerical_contraction(nu, self.cfg)
         object.__setattr__(self, "nu", float(nu))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of F, sorted by (real, imag)."""
-        eigs = sorted(spectrum(self.F, self.cfg), key=lambda z: (z.real, z.imag))
-        return np.array(eigs, dtype=complex)
+        return _sorted_eigenvalues(spectrum(self.F, self.cfg))
 
     @property
     def dim(self) -> int:
         return self.F.shape[0]
+
+
+def _sorted_eigenvalues(eigs) -> np.ndarray:
+    return np.array(sorted(eigs, key=lambda z: (z.real, z.imag)), dtype=complex)
+
+
+def _with_eigenvalues(V: PencilVariety, eigs) -> None:
+    """Store ``eigs``, the spectrum of V.F computed elsewhere, as V's eigenvalues:
+    the first read of ``V.eigenvalues`` then takes no eigensolve."""
+    V.__dict__["eigenvalues"] = _sorted_eigenvalues(eigs)
+
+
+def pencil_varieties(Fs, cfg: Tolerances = DEFAULT) -> list:
+    """The pencil variety of every matrix of a list, from one nu certificate.
+
+    Entry k is ``PencilVariety(Fs[k], cfg)``, or the InputError that
+    construction raises (an invalid matrix, or one that is not a numerical
+    contraction).  All nu(F_k) come from one :func:`numerical_radii` call,
+    which keeps the certificate of each matrix its own.
+    """
+    out = []
+    for F in Fs:
+        try:
+            out.append(as_complex_matrix(F, square=True))
+        except InputError as exc:
+            out.append(exc)
+    valid = [k for k, F in enumerate(out) if not isinstance(F, InputError)]
+    for k, nu in zip(valid, numerical_radii([out[k] for k in valid], cfg)):
+        V = object.__new__(PencilVariety)
+        object.__setattr__(V, "F", out[k])
+        object.__setattr__(V, "cfg", cfg)
+        try:
+            V._certify(nu)
+            out[k] = V
+        except InputError as exc:
+            out[k] = exc
+    return out
 
 
 def defining_poly(V: PencilVariety) -> BivarPoly:
@@ -142,16 +184,29 @@ def stacked_slice_points(V: PencilVariety, p, cfg: Tolerances = DEFAULT) -> np.n
     ``eigvals`` call; the stable sort keeps the eigenvalue order of ties.  A
     scalar p gives one row, from the same arithmetic as one entry of a stack.
     """
-    p = np.asarray(p, dtype=complex)
+    return _slices(V.F[None], np.asarray(p, dtype=complex).ravel())[0]
+
+
+def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Entry [m, k] holds the sorted spectrum of F_m* + p_k F_m, for a stack F
+    of one order and a 1-D p: one stacked ``eigvals`` call."""
     if not np.all(np.isfinite(p)):
         raise InputError("slice coordinates p must be finite")
-    if V.dim == 0:
-        return np.zeros((p.size, 0), dtype=complex)
+    m, d = F.shape[:2]
+    if d == 0:
+        return np.zeros((m, p.size, 0), dtype=complex)
+    # the pencils F* + pF of each matrix on their own, so its slices do not
+    # depend on the rest of the stack; both factors get the stack axis, since
+    # numpy rounds p F in another inner loop when a single p gains a dimension
+    pencils = np.empty((m, p.size, d, d), dtype=complex)
+    for Fk, out in zip(F, pencils):
+        np.multiply(p[:, None, None], Fk[None], out=out)
+        out += Fk.conj().T
     try:
-        eigs = np.linalg.eigvals(pencil_matrix(V.F, 0.0, p[..., None, None]))
+        eigs = np.linalg.eigvals(pencils)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
-    return np.sort(eigs.reshape(p.size, V.dim), axis=1, kind="stable")
+    return np.sort(eigs, axis=2, kind="stable")
 
 
 def slice_points(V: PencilVariety, p: complex, cfg: Tolerances = DEFAULT) -> list[complex]:
@@ -216,36 +271,64 @@ class RegionAuditReport:
 
 
 def default_p_grid(radii=(0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35),
-                   n_angles: int = 16) -> list[complex]:
-    """Slice grid avoiding the |p| = 1 band, inside and outside the disk."""
-    return [r * np.exp(2j * np.pi * k / n_angles)
-            for r in radii for k in range(n_angles)]
+                   n_angles: int = 16) -> np.ndarray:
+    """Slice grid avoiding the |p| = 1 band, inside and outside the disk:
+    ``n_angles`` points on each circle of radius ``radii``, circle by circle."""
+    # the angles are divided as reals: numpy divides a complex array by
+    # multiplying with the reciprocal, which moves last bits when n_angles is
+    # not a power of two
+    circle = np.exp(1j * (2 * np.pi * np.arange(n_angles) / n_angles))
+    return (np.asarray(radii, dtype=float)[:, None] * circle).ravel()
+
+
+_DEFAULT_P_GRID = default_p_grid()
+
+
+def region_audits(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAuditReport]:
+    """The region audit of every variety of a list, in one stacked pass.
+
+    The slices of all varieties of one order come from one stacked
+    ``eigvals`` over varieties x ``p_grid``, and all sampled points are
+    labelled in one :func:`symdisk.gamma.classify_regions` call.  Report k
+    equals ``region_audit(Vs[k], p_grid, cfg)``: the points, codes and counts
+    of one variety do not depend on the others.
+    """
+    if not Vs:
+        return []
+    p_arr = _DEFAULT_P_GRID if p_grid is None else np.asarray(p_grid, dtype=complex).ravel()
+    s_of: list = [None] * len(Vs)
+    by_order: dict[int, list[int]] = {}
+    for k, V in enumerate(Vs):
+        by_order.setdefault(V.dim, []).append(k)
+    for idx in by_order.values():
+        slices = _slices(np.stack([Vs[k].F for k in idx]), p_arr)
+        for k, row in zip(idx, slices):
+            s_of[k] = row.ravel()
+    p_of = [np.repeat(p_arr, V.dim) for V in Vs]
+    sizes = [len(s) for s in s_of]
+    codes = classify_regions(np.concatenate(s_of), np.concatenate(p_of), cfg=cfg)
+    owner = np.repeat(np.arange(len(Vs)), sizes)
+    counts = np.bincount(owner * len(REGIONS) + codes,
+                         minlength=len(Vs) * len(REGIONS)).reshape(len(Vs), len(REGIONS))
+    code_r1, code_r2 = REGIONS.index(Region.R1), REGIONS.index(Region.R2)
+    return [RegionAuditReport(
+        counts={label.value: int(n) for label, n in zip(REGIONS, row)},
+        s=s,
+        p=p,
+        codes=c,
+        strict_pass=bool(row[code_r1] == 0 and row[code_r2] == 0),
+        r2_free=bool(row[code_r2] == 0),
+    ) for s, p, c, row in zip(s_of, p_of, np.split(codes, np.cumsum(sizes)[:-1]), counts)]
 
 
 def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> RegionAuditReport:
     """Classify every sampled variety point and count region hits.
 
     A c.n.u. pencil avoids both R1 and R2 (strict PASS); a general numerical
-    contraction still never meets R2.
+    contraction still never meets R2.  The one-variety call of
+    :func:`region_audits`.
     """
-    if p_grid is None:
-        p_grid = default_p_grid()
-    # all slices in one stacked eigvals call and all points labelled in one
-    # classify_regions call
-    p_arr = np.asarray(p_grid, dtype=complex).ravel()
-    s = stacked_slice_points(V, p_arr, cfg).ravel()
-    p = np.repeat(p_arr, V.dim)
-    codes = classify_regions(s, p, cfg=cfg)
-    counts = np.bincount(codes, minlength=len(REGIONS))
-    code_r1, code_r2 = REGIONS.index(Region.R1), REGIONS.index(Region.R2)
-    return RegionAuditReport(
-        counts={label.value: int(n) for label, n in zip(REGIONS, counts)},
-        s=s,
-        p=p,
-        codes=codes,
-        strict_pass=bool(counts[code_r1] == 0 and counts[code_r2] == 0),
-        r2_free=bool(counts[code_r2] == 0),
-    )
+    return region_audits([V], p_grid, cfg)[0]
 
 
 def royal_containment(V: PencilVariety, beta: complex, cfg: Tolerances = DEFAULT) -> bool:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symdisk as sd
-from symdisk import kernels
+from symdisk import kernels, numrange, variety
 from symdisk.cli import load_matrix
 from symdisk.errors import InputError, NumericalError
 from symdisk.gamma import Region
@@ -88,6 +88,26 @@ class TestBuildExtension:
 
     def test_variety_built_once(self, model_royal):
         assert model_royal.variety is model_royal.variety
+
+    def test_block_spectrum_computed_once(self, monkeypatch, capsys, tmp_path):
+        # the peeling's last spectrum is the extension variety's: across a
+        # whole trace command every spectrum call has a matrix of its own
+        import symdisk.linalg as linalg
+        from symdisk.cli import main
+        matrices = []
+        spectrum = linalg.spectrum
+
+        def recorded(A, cfg=sd.DEFAULT):
+            a = np.asarray(A, dtype=complex)
+            matrices.append((a.shape, a.tobytes()))
+            return spectrum(A, cfg)
+
+        for module in (linalg, numrange, variety):
+            monkeypatch.setattr(module, "spectrum", recorded)
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"),
+                     "--kernel", f"model:{DATA / 'royal_pencil.json'}",
+                     "--grid-n", "64", "--out", str(tmp_path / "t.csv")]) == 0
+        assert matrices and len(matrices) == len(set(matrices))
 
 
 class TestComplexNodePipeline:
@@ -251,6 +271,18 @@ class TestBranchTrace:
         for j in range(len(zs)):
             tr = sd.branch_trace(model, j)
             assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
+
+    def test_contour_fallback_takes_nodes_from_the_spectrum(self, contour_calls):
+        # nodes (0, 0) and (2z, z^2), z^2 = 0.6: the first path point's pencil
+        # has eigenvectors of condition 1.3e8 and eigenvalues at ratio 0.7 of
+        # the contour radius; 64 fixed nodes left ||P^2 - P|| = 1.008e-08
+        F = load_matrix(str(DATA / "royal_pencil.json"))
+        z = np.sqrt(0.6)
+        data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(2 * z, 0.6)), (0, -z))
+        model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
+        tr = sd.branch_trace(model, 1, radius=0.6, n_steps=4)
+        assert len(contour_calls) == 1
+        assert max(tr.projection_defects) <= 1e-12
 
     def test_ill_conditioned_eigenvectors_take_the_contour(self, contour_calls):
         # criterion 9's nilpotent model: at |z| ~ 1e-24 the eigenvectors of

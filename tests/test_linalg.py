@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import IllPlacedContour, InputError, NumericalError
-from symdisk.linalg import audit_projections
+from symdisk.linalg import audit_projections, quadrature_nodes
 
 
 def _sorted(eigs):
@@ -166,6 +166,38 @@ class TestSpectralProjection:
     def test_ill_placed_contour(self):
         with pytest.raises(IllPlacedContour):
             sd.spectral_projection(np.diag([1.0, 3.0]).astype(complex), 0.0, 1.001)
+
+
+class TestQuadratureNodes:
+    def test_floor_is_n_quad(self):
+        # eigenvalues at ratio 1/2 need 52 nodes for roundoff: the floor wins
+        assert quadrature_nodes([0.0, 2.0], 0.0, 1.0) == sd.DEFAULT.n_quad
+        assert quadrature_nodes([], 0.0, 1.0) == sd.DEFAULT.n_quad
+
+    def test_count_from_the_worst_ratio(self):
+        # the worst eigenvalue sits at 0.7 of the radius, or the radius at 0.7
+        # of its distance: 0.7^n falls to machine epsilon at n = 102
+        n = int(np.ceil(np.log(np.finfo(float).eps) / np.log(0.7)))
+        assert quadrature_nodes([0.0, 0.7], 0.0, 1.0) == n
+        assert quadrature_nodes([0.1, 1.0 / 0.7], 0.0, 1.0) == n
+
+    def test_cap_raises(self):
+        with pytest.raises(IllPlacedContour):
+            quadrature_nodes([0.99], 0.0, 1.0)
+
+    def test_default_projection_takes_the_count(self, monkeypatch):
+        counts = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            counts.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        # the eigenvalue 0.75 at ratio 0.87 of the radius asks for 251 nodes
+        P = sd.spectral_projection(np.diag([0.0, 0.75]).astype(complex), 0.0, np.sqrt(0.75))
+        assert counts == [quadrature_nodes([0.0, 0.75], 0.0, np.sqrt(0.75))] == [251]
+        assert P.idempotency_defect <= 1e-14
 
 
 class TestAuditProjections:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
-from symdisk.errors import InputError
-from symdisk.numrange import _support_values, pu_witness_search
+from symdisk.errors import InputError, NumericalError
+from symdisk.numrange import _support_values, numerical_radii, pu_witness_search
 from symdisk.sweeps import haar_unitary, random_projection
 
 
@@ -113,6 +113,64 @@ class TestCertifiedNumericalRadius:
         U = haar_unitary(rng, d)
         F = U @ np.diag(lam) @ U.conj().T
         assert abs(sd.numerical_radius(F) - np.abs(lam).max()) <= sd.DEFAULT.tol_nu
+
+
+def _mixed_orders() -> list:
+    """Matrices of orders 0, 1, 2, 5 and 16, the missed peak and the shifts."""
+    rng = np.random.default_rng(11)
+    Fs = [np.zeros((0, 0), dtype=complex)]
+    for d in (1, 2, 5, 16, 2, 5, 1):
+        Fs.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    Fs.append(_peak_between_scan_angles(100.5, 257))
+    Fs += [np.diag(np.ones(d - 1), 1) for d in (1, 2, 5, 16)]
+    return Fs
+
+
+class TestNumericalRadii:
+    """The stacked certificate: one entry per matrix, independent of the batch."""
+
+    @pytest.mark.parametrize("n_theta", [33, 257])
+    def test_entries_equal_one_matrix_calls(self, n_theta):
+        cfg = sd.with_overrides(sd.DEFAULT, n_theta=n_theta)
+        Fs = _mixed_orders()
+        batched = numerical_radii(Fs, cfg)
+        assert batched.tolist() == [numerical_radii([F], cfg)[0] for F in Fs]
+        assert batched.tolist() == [sd.numerical_radius(F, cfg) for F in Fs]
+
+    def test_certified_values(self):
+        Fs = _mixed_orders()
+        nu = numerical_radii(Fs)
+        assert nu[0] == 0.0
+        assert abs(nu[8] - (1 + 2e-5)) <= sd.DEFAULT.tol_nu
+        for d, value in zip((1, 2, 5, 16), nu[9:]):
+            assert abs(value - np.cos(np.pi / (d + 1))) <= sd.DEFAULT.tol_nu
+
+    def test_empty_list(self):
+        assert numerical_radii([]).shape == (0,)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InputError):
+            numerical_radii([np.eye(2), np.ones((2, 3))])
+
+    def test_failed_solve_names_its_matrix(self, monkeypatch):
+        # the stacked solve fails for the whole stack; the error carries the
+        # level of the matrix whose own solve fails, here the second one
+        Fs = [np.diag([0.5, 0.25]), np.diag([0.9, 0.1])]
+        solve, failing = np.linalg.solve, []
+
+        def singular_second(M, B):
+            if not failing:
+                failing.append(M[1].copy())
+            if any(np.array_equal(Mk, failing[0]) for Mk in M.reshape(-1, *M.shape[-2:])):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, B)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_second)
+        with pytest.raises(NumericalError, match="level-set pencil solve failed at r = ") as exc:
+            numerical_radii(Fs)
+        thetas = 2 * np.pi * np.arange(sd.DEFAULT.n_theta) / sd.DEFAULT.n_theta
+        level = _support_values(Fs[1], thetas).max() + sd.DEFAULT.tol_nu / 2
+        assert f"r = {level:.17g}:" in str(exc.value)
 
 
 class TestIsCnu:

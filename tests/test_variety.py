@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
+from symdisk import variety
 from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region
 from symdisk.sweeps import ginibre_contraction, haar_unitary, random_projection
@@ -156,6 +157,83 @@ class TestRegionAudit:
             assert not (planted and audit.strict_pass)
             assert audit.r2_free is True
             assert all(type(n) is int for n in audit.counts.values())
+
+
+def _mixed_varieties(rng) -> list:
+    """Varieties of orders 0 to 5, c.n.u. and with a planted unimodular eigenvalue."""
+    Vs = [sd.PencilVariety(np.zeros((0, 0)))]
+    for d in (1, 2, 3, 5, 2, 1, 4, 5):
+        F = ginibre_contraction(rng, d)
+        if d % 2:
+            F[0, :] = F[:, 0] = 0.0
+            F[0, 0] = np.exp(2j * np.pi * rng.uniform())
+        Vs.append(sd.PencilVariety(F))
+    return Vs
+
+
+class TestRegionAudits:
+    @pytest.mark.parametrize("grid", [None, [0.3], [0.0, 0.3, 0.5j, 1.2]])
+    def test_reports_equal_one_variety_calls(self, rng, grid):
+        Vs = _mixed_varieties(rng)
+        for batched, V in zip(variety.region_audits(Vs, grid), Vs):
+            one = sd.region_audit(V, grid)
+            assert np.array_equal(batched.s, one.s)
+            assert np.array_equal(batched.p, one.p)
+            assert np.array_equal(batched.codes, one.codes)
+            assert batched.counts == one.counts
+            assert (batched.strict_pass, batched.r2_free) == (one.strict_pass, one.r2_free)
+
+    def test_one_slice_call_per_order(self, rng, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a)[-1])
+            return eigvals(a)
+
+        Vs = _mixed_varieties(rng)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        variety.region_audits(Vs)
+        assert sorted(calls) == sorted({V.dim for V in Vs} - {0})
+
+    def test_empty_list(self):
+        assert variety.region_audits([]) == []
+
+    def test_default_grid_is_the_circle_by_circle_grid(self):
+        radii, n = (0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35), 16
+        expected = [r * np.exp(2j * np.pi * k / n) for r in radii for k in range(n)]
+        assert default_p_grid().tolist() == expected
+        # angles 2 pi k / n with n not a power of two, bit for bit
+        assert default_p_grid((0.5,), 25).tolist() == [0.5 * np.exp(2j * np.pi * k / 25)
+                                                      for k in range(25)]
+
+
+class TestPencilVarieties:
+    def test_entries_equal_one_matrix_construction(self, rng):
+        Fs = [ginibre_contraction(rng, d) for d in (3, 1, 2, 3)]
+        for V, F in zip(variety.pencil_varieties(Fs), Fs):
+            one = sd.PencilVariety(F)
+            assert np.array_equal(V.F, one.F) and V.nu == one.nu
+            assert np.array_equal(V.eigenvalues, one.eigenvalues)
+
+    def test_errors_stay_in_place(self):
+        out = variety.pencil_varieties([np.eye(2) * 0.5, 2.0 * np.eye(2), np.ones((2, 3)),
+                                        np.array([[np.nan]])])
+        assert isinstance(out[0], sd.PencilVariety) and out[0].nu == 0.5
+        assert all(isinstance(e, InputError) for e in out[1:])
+        assert "not a numerical contraction" in str(out[1])
+
+    def test_one_radius_call(self, rng, monkeypatch):
+        calls = []
+        radii = variety.numerical_radii
+
+        def counted(Fs, cfg=sd.DEFAULT):
+            calls.append(len(Fs))
+            return radii(Fs, cfg)
+
+        monkeypatch.setattr(variety, "numerical_radii", counted)
+        variety.pencil_varieties([ginibre_contraction(rng, d) for d in (1, 2, 3, 2)])
+        assert calls == [4]
 
 
 class TestRoyalContainment:
