@@ -60,21 +60,15 @@ def _unit_ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
     return Z if norm == 0 else Z / norm
 
 
-def _to_unit_radius(Z: np.ndarray, nu: float) -> np.ndarray:
-    """Z scaled from numerical radius nu to at most 1.
+def _scaled_contractions(Zs: list, cfg: Tolerances) -> list:
+    """Every unit draw of a list scaled to numerical radius <= 1, from one nu call.
 
     nu is certified to tol_nu/2 absolute; on Z / ||Z||_2 it is at least 1/2,
-    so dividing by it leaves an error of at most tol_nu relative.
+    so dividing by it leaves an error of at most tol_nu relative, and a slight
+    pullback keeps roundoff from pushing nu above 1.
     """
-    scale = 1.0 / float(nu)
-    # a slight pullback keeps roundoff from pushing nu above 1
-    return Z * scale * (1.0 - 1e-12)
-
-
-def _scaled_contractions(Zs: list, cfg: Tolerances) -> list:
-    """Every unit draw of a list scaled to numerical radius <= 1, from one nu call."""
     nus = iter(numerical_radii([Z for Z in Zs if Z.any()], cfg))
-    return [_to_unit_radius(Z, next(nus)) if Z.any() else Z for Z in Zs]
+    return [Z * (1.0 / float(next(nus))) * (1.0 - 1e-12) if Z.any() else Z for Z in Zs]
 
 
 def ginibre_contraction(rng: np.random.Generator, d: int,
