@@ -131,14 +131,14 @@ class SpectralProjection:
     idempotency_defect: float
 
 
-def spectral_projection(A, center: complex, radius: float, n_quad: int | None = None,
-                        cfg: Tolerances = DEFAULT, eigenvalues=None) -> SpectralProjection:
+def spectral_projection(A, center: complex, radius: float, cfg: Tolerances = DEFAULT,
+                        eigenvalues=None) -> SpectralProjection:
     """Riesz projection (2*pi*i)^-1 * integral of the resolvent over a circle.
 
-    Trapezoid quadrature with ``n_quad`` nodes is spectrally accurate for the
-    (analytic) resolvent; by default the node count comes from the spectrum
-    (:func:`quadrature_nodes`).  Raises :class:`IllPlacedContour` when an
-    eigenvalue comes within ``dist_guard * radius`` of the contour.
+    Trapezoid quadrature is spectrally accurate for the (analytic) resolvent;
+    the node count comes from the spectrum (:func:`quadrature_nodes`).
+    Raises :class:`IllPlacedContour` when an eigenvalue comes within
+    ``dist_guard * radius`` of the contour.
     ``eigenvalues``, the spectrum of A from :func:`spectrum`, saves
     recomputing it when one matrix is projected around several centers or radii.
     """
@@ -156,8 +156,7 @@ def spectral_projection(A, center: complex, radius: float, n_quad: int | None = 
         raise IllPlacedContour(
             f"eigenvalue within {dist.min():.3e} of the contour (radius {radius:.3e})")
     enclosed = int(np.sum(np.abs(eigs - center) < radius))
-    if n_quad is None:
-        n_quad = quadrature_nodes(eigs, center, radius, cfg)
+    n_quad = quadrature_nodes(eigs, center, radius, cfg)
     n = A.shape[0]
     t = 2 * np.pi * np.arange(n_quad) / n_quad
     zeta = center + radius * np.exp(1j * t)

@@ -42,29 +42,13 @@ _REDUCED = 1e-9
 def _support_values(F, thetas) -> np.ndarray:
     """Support function of F at every angle: one eigvalsh on the stacked Re(e^{-i theta} F).
 
-    F is one matrix, or a stack holding the matrix of each angle.
+    F is one matrix, a stack holding the matrix of each angle, or a stack of
+    shape (m, 1, d, d), whose row k of values holds F_k at every angle.
     """
     F = np.asarray(F)
     e = np.exp(-1j * np.asarray(thetas, dtype=float))[..., None, None]
-    FH = np.conj(np.swapaxes(F, -1, -2))
+    FH = F.swapaxes(-1, -2).conj()
     return np.linalg.eigvalsh((e * F + np.conj(e) * FH) / 2)[..., -1]
-
-
-def _scan(F: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Entry [k, j]: the support function of F_k at thetas[j], one eigvalsh.
-
-    Each matrix's Hermitian parts are formed on their own, so its values do
-    not depend on the rest of the stack.
-    """
-    e = np.exp(-1j * thetas)[:, None, None]
-    H = np.empty((len(F), len(thetas)) + F.shape[1:], dtype=complex)
-    for Fk, Hk in zip(F, H):
-        # both factors get the angle axis: numpy rounds a complex product in
-        # another inner loop when a single factor gains a dimension
-        np.multiply(e, Fk[None], out=Hk)
-        Hk += np.conj(e) * Fk.conj().T[None]
-    H /= 2
-    return np.linalg.eigvalsh(H)[..., -1]
 
 
 def _level_set_angles(F: np.ndarray, r: np.ndarray):
@@ -86,7 +70,7 @@ def _level_set_angles(F: np.ndarray, r: np.ndarray):
     A[:, d:, d:] = (2 * r)[:, None, None] * eye
     B = np.zeros((m, 2 * d, 2 * d), dtype=complex)
     B[:, :d, :d] = eye
-    B[:, d:, d:] = np.conj(np.swapaxes(F, 1, 2))
+    B[:, d:, d:] = F.swapaxes(1, 2).conj()
     M = A - _SHIFT * B
     try:
         mu = np.linalg.eigvals(np.linalg.solve(M, B))
@@ -100,15 +84,13 @@ def _level_set_angles(F: np.ndarray, r: np.ndarray):
                     f"level-set pencil solve failed at r = {r[k]:.17g}: {exc}")
         raise NumericalError("level-set pencil solve failed")
     # unimodular z lie within 1 + |_SHIFT| < 2 of the shift, so |mu| > 1/2;
-    # mu = 0 belongs to the infinite eigenvalues of a singular F
-    far = np.abs(mu) > 0.5
-    z = _SHIFT + 1.0 / mu[far]
-    unimodular = np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_BAND
-    keep = np.zeros_like(far)
-    keep[far] = unimodular
-    angles = np.full(mu.shape, np.inf)
-    angles[keep] = np.angle(z[unimodular])
-    return np.sort(angles, axis=1), keep.sum(axis=1)
+    # mu = 0 belongs to the infinite eigenvalues of a singular F, and every
+    # mu near it is given z = inf
+    z = _SHIFT + np.divide(1.0, mu, out=np.full_like(mu, np.inf), where=np.abs(mu) > 0.5)
+    keep = np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_BAND
+    angles = np.where(keep, np.angle(z), np.inf)
+    angles.sort(axis=1)
+    return angles, keep.sum(axis=1)
 
 
 def _radii_of_order(F: np.ndarray, cfg: Tolerances) -> np.ndarray:
@@ -117,18 +99,19 @@ def _radii_of_order(F: np.ndarray, cfg: Tolerances) -> np.ndarray:
     Every matrix runs the iteration of :func:`numerical_radius` with its own
     stopping rule; each level takes the still-active matrices together.
     """
-    best = _scan(F, 2 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta).max(axis=1)
+    thetas = 2 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
+    best = _support_values(F[:, None], thetas).max(axis=1)
     active = np.arange(len(F))
     for _ in range(_MAX_LEVELS):
         angles, counts = _level_set_angles(F[active], best[active] + cfg.tol_nu / 2)
+        # a matrix settles when its level set is empty or no midpoint rises above best
+        if not counts.any():
+            return best
         # each arc runs from an angle to the next, the last one wrapping round
         wrapped = np.concatenate([angles[:, 1:], angles[:, :1]], axis=1)
         wrapped[np.arange(len(active)), counts - 1] = angles[:, 0] + 2 * np.pi
         on_arc = np.arange(angles.shape[1]) < counts[:, None]
-        owner = np.repeat(np.arange(len(active)), counts)
-        # a matrix settles when its level set is empty or no midpoint rises above best
-        if not len(owner):
-            return best
+        owner = on_arc.nonzero()[0]
         values = _support_values(F[active[owner]], ((angles + wrapped) / 2)[on_arc])
         top = np.full(len(active), -np.inf)
         np.maximum.at(top, owner, values)
@@ -158,7 +141,7 @@ def numerical_radii(Fs, cfg: Tolerances = DEFAULT) -> np.ndarray:
             by_order.setdefault(F.shape[0], []).append(k)
     out = np.zeros(len(Fs))
     for idx in by_order.values():
-        out[idx] = _radii_of_order(np.stack([Fs[k] for k in idx]), cfg)
+        out[idx] = _radii_of_order(np.array([Fs[k] for k in idx]), cfg)
     return out
 
 
@@ -270,12 +253,13 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
     transform = np.eye(n, dtype=complex)
     block = F.copy()
     peeled: list[tuple[complex, int]] = []
-    eigs = np.zeros(0, dtype=complex)
+    eigs = np.zeros(0, dtype=complex)  # the spectrum of a block that peels off entirely
     while block.shape[0]:
         scale = max(np.linalg.norm(block), 1.0)
-        eigs = spectrum(block, cfg)
-        reps = _unimodular_reps(eigs, scale, cfg)
+        block_eigs = spectrum(block, cfg)
+        reps = _unimodular_reps(block_eigs, scale, cfg)
         if not reps:
+            eigs = block_eigs
             break
         beta = reps[0]
         basis = _joint_eigenspace(block, beta, cfg)

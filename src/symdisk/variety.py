@@ -102,12 +102,20 @@ class PencilVariety:
 
     def __post_init__(self):
         F = as_complex_matrix(self.F, square=True)
-        object.__setattr__(self, "F", F)
-        self._certify(numerical_radius(F, self.cfg))
+        self._certify(F, numerical_radius(F, self.cfg))
 
-    def _certify(self, nu: float) -> None:
-        """Store nu = nu(F), computed by the caller; InputError if F is no contraction."""
+    @classmethod
+    def _of_certified(cls, F: np.ndarray, nu: float, cfg: Tolerances) -> "PencilVariety":
+        """The variety of a validated complex matrix F whose nu(F) the caller computed."""
+        V = cls.__new__(cls)
+        object.__setattr__(V, "cfg", cfg)
+        V._certify(F, nu)
+        return V
+
+    def _certify(self, F: np.ndarray, nu: float) -> None:
+        """Store F and nu = nu(F); InputError if F is no numerical contraction."""
         check_numerical_contraction(nu, self.cfg)
+        object.__setattr__(self, "F", F)
         object.__setattr__(self, "nu", float(nu))
 
     @cached_property
@@ -146,12 +154,8 @@ def pencil_varieties(Fs, cfg: Tolerances = DEFAULT) -> list:
             out.append(exc)
     valid = [k for k, F in enumerate(out) if not isinstance(F, InputError)]
     for k, nu in zip(valid, numerical_radii([out[k] for k in valid], cfg)):
-        V = object.__new__(PencilVariety)
-        object.__setattr__(V, "F", out[k])
-        object.__setattr__(V, "cfg", cfg)
         try:
-            V._certify(nu)
-            out[k] = V
+            out[k] = PencilVariety._of_certified(out[k], nu, cfg)
         except InputError as exc:
             out[k] = exc
     return out
@@ -184,29 +188,26 @@ def stacked_slice_points(V: PencilVariety, p, cfg: Tolerances = DEFAULT) -> np.n
     ``eigvals`` call; the stable sort keeps the eigenvalue order of ties.  A
     scalar p gives one row, from the same arithmetic as one entry of a stack.
     """
-    return _slices(V.F[None], np.asarray(p, dtype=complex).ravel())[0]
+    return _slices(V.F[None], np.asarray(p, dtype=complex))[0]
 
 
 def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Entry [m, k] holds the sorted spectrum of F_m* + p_k F_m, for a stack F
-    of one order and a 1-D p: one stacked ``eigvals`` call."""
+    of one order and the points p_k of p in flat order: one stacked ``eigvals`` call."""
     if not np.all(np.isfinite(p)):
         raise InputError("slice coordinates p must be finite")
     m, d = F.shape[:2]
     if d == 0:
         return np.zeros((m, p.size, 0), dtype=complex)
-    # the pencils F* + pF of each matrix on their own, so its slices do not
-    # depend on the rest of the stack; both factors get the stack axis, since
-    # numpy rounds p F in another inner loop when a single p gains a dimension
-    pencils = np.empty((m, p.size, d, d), dtype=complex)
-    for Fk, out in zip(F, pencils):
-        np.multiply(p[:, None, None], Fk[None], out=out)
-        out += Fk.conj().T
+    # the pencils of each matrix on their own, so its slices do not depend on
+    # the rest of the stack; p keeps its shape, since numpy rounds p F in
+    # another inner loop when a one-element stack of p meets a 1 x 1 F
+    pencils = np.stack([pencil_matrix(Fk, 0.0, p[..., None, None]) for Fk in F])
     try:
         eigs = np.linalg.eigvals(pencils)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
-    return np.sort(eigs, axis=2, kind="stable")
+    return np.sort(eigs.reshape(m, p.size, d), axis=2, kind="stable")
 
 
 def slice_points(V: PencilVariety, p: complex, cfg: Tolerances = DEFAULT) -> list[complex]:

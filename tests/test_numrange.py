@@ -18,6 +18,16 @@ class TestSupportFunction:
     def test_zero(self):
         assert _support_values(np.zeros((3, 3)), [1.0]).tolist() == [0.0]
 
+    def test_stack_rows_equal_one_matrix_calls(self, rng):
+        # shape (m, 1, d, d): row k holds F_k at every angle, bit for bit
+        thetas = 2 * np.pi * np.arange(33) / 33
+        for d in (1, 2, 5):
+            F = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+            rows = _support_values(F[:, None], thetas)
+            assert rows.shape == (4, 33)
+            for Fk, row in zip(F, rows):
+                assert np.array_equal(row, _support_values(Fk, thetas))
+
     def test_constant_for_nilpotent(self):
         F = np.array([[0, 2], [0, 0]], dtype=complex)
         assert np.all(np.abs(_support_values(F, np.linspace(0, 2 * np.pi, 7)) - 1.0) < 1e-12)
@@ -202,11 +212,13 @@ class TestCnuDecompose:
         dec = sd.cnu_decompose(np.diag([1.0, 0.5]).astype(complex))
         assert [(round(abs(b), 9), m) for b, m in dec.unitary_eigenvalues] == [(1.0, 1)]
         assert np.allclose(dec.cnu_block, [[0.5]])
+        assert np.allclose(dec.cnu_eigenvalues, [0.5])
 
     def test_unitary_all_peeled(self, rng):
         U = haar_unitary(rng, 4)
         dec = sd.cnu_decompose(U)
         assert dec.cnu_block.shape == (0, 0)
+        assert dec.cnu_eigenvalues.shape == (0,)
         assert sum(m for _, m in dec.unitary_eigenvalues) == 4
 
     def test_scalar_unitary_block_peels(self):
