@@ -81,7 +81,8 @@ def classify_regions(s, p, tol: float | None = None,
     """Label points by fiber moduli, with a tolerance band around modulus 1.
 
     Returns one code per point, an index into ``REGIONS``.  Points whose
-    fiber modulus lands inside the band count as boundary.  Membership in the
+    fiber modulus lands inside the band count as boundary, and so do points
+    that meet the characterization of bG within the band.  Membership in the
     open domain is decided by the strict inequality |s - conj(s) p| < 1 - |p|^2.
     """
     if tol is None:
@@ -92,9 +93,14 @@ def classify_regions(s, p, tol: float | None = None,
     m1, m2 = np.abs(z1), np.abs(z2)
     on1 = np.abs(m1 - 1.0) <= tol
     on2 = np.abs(m2 - 1.0) <= tol
-    inside = np.abs(s - np.conj(s) * p) < 1.0 - np.abs(p) ** 2
+    gap = np.abs(s - np.conj(s) * p)
+    mod_p = np.abs(p)
+    inside = gap < 1.0 - mod_p ** 2
+    # bG is |p| = 1, s = conj(s) p, |s| <= 2 (Agler-Young): unlike the fiber
+    # moduli, which move by sqrt(eps) at a double root, these are well conditioned
+    torus = (np.abs(mod_p - 1.0) <= tol) & (gap <= tol) & (np.abs(s) <= 2.0 + tol)
     labels = [Region.DIST_BOUNDARY, Region.R1, Region.OPEN_G, Region.SYM_EXTERIOR]
-    return np.select([on1 & on2, on1 | on2, inside, (m1 > 1.0) & (m2 > 1.0)],
+    return np.select([(on1 & on2) | torus, on1 | on2, inside, (m1 > 1.0) & (m2 > 1.0)],
                      [REGIONS.index(label) for label in labels],
                      default=REGIONS.index(Region.R2))
 
@@ -124,9 +130,11 @@ def coincident(s, p, t, q, tol: float) -> np.ndarray:
 _PENCIL_SINGULAR = 1e-13
 
 
-# Weyl margin of the pencil check: the SVD decides only where 2 - |s| t does
-# not exceed this multiple of 2 + |s| t; it dwarfs the 1e-13 threshold plus
-# the n*eps rounding of t, |s|, the pencil and its SVD for any practical h
+# margin of the two screens of the pencil check: the SVD decides only where
+# neither 2 - |s| t > margin * (2 + |s| t) (Weyl) nor
+# 1 > margin * max(||P||_F, 1) * ||P^{-1}||_F holds; it dwarfs the 1e-13
+# threshold plus the n*eps rounding of t, |s| and the pencil, and at a
+# condition of 1e6 or less the computed inverse is off by about h*1e6*eps
 _PENCIL_MARGIN = 1e-6
 
 
@@ -137,11 +145,13 @@ def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT, *,
     ``s`` and ``p`` are equal-length sequences; the result has shape
     (len(s), h, h).  The contraction check on tau runs once per stack, on
     ``tau_norm`` when the caller has ||tau||_2 already (a realization model
-    keeps it).  The pencil 2*I - s*tau is singular when
+    keeps it).  The pencil P = 2*I - s*tau is singular when
     sigma_min <= _PENCIL_SINGULAR * max(sigma_max, 1); with t = ||tau||_2,
-    Weyl's inequality gives sigma_min >= 2 - |s| t and sigma_max <= 2 + |s| t,
-    so the SVD runs only on the points where that bound does not clear the
-    threshold by a wide margin (on the torus, the diagonal z1 = z2).
+    Weyl's inequality gives sigma_min >= 2 - |s| t and sigma_max <= 2 + |s| t.
+    Where that bound does not clear the threshold by a wide margin (on the
+    torus, the diagonal z1 = z2) the inverse decides instead, by
+    sigma_min >= 1 / ||P^{-1}||_F and sigma_max <= ||P||_F, and the SVD runs
+    only where neither bound does.
     """
     tau = as_complex_matrix(tau, square=True)
     s = np.asarray(s, dtype=complex)[:, None, None]
@@ -156,9 +166,20 @@ def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT, *,
     eye = np.eye(tau.shape[1])[None]
     pencil = 2.0 * eye - s * tau
     st = np.abs(s[:, 0, 0]) * t
-    # written so that a non-finite s stays undecided and goes to the SVD
-    undecided = ~(2.0 - st > _PENCIL_MARGIN * (2.0 + st))
-    if undecided.any():
+    # written so that a non-finite s, or a norm that overflows, stays
+    # undecided and goes to the SVD; an exactly singular member leaves the
+    # whole inverse screen undecided
+    undecided = np.flatnonzero(~(2.0 - st > _PENCIL_MARGIN * (2.0 + st)))
+    if len(undecided):
+        P = pencil[undecided]
+        with np.errstate(invalid="ignore", over="ignore"):
+            try:
+                undecided = undecided[~(1.0 > _PENCIL_MARGIN
+                                        * np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
+                                        * np.linalg.norm(np.linalg.inv(P), axis=(1, 2)))]
+            except np.linalg.LinAlgError:
+                pass
+    if len(undecided):
         sv = np.linalg.svd(pencil[undecided], compute_uv=False)
         if np.any(sv[:, -1] <= _PENCIL_SINGULAR * np.maximum(sv[:, 0], 1.0)):
             raise InputError("singular pencil 2*I - s*tau")

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
@@ -140,7 +140,9 @@ def _reference_label(x, tol=TOL_MOD) -> Region:
     r2 = p / r1 if abs(r1) > 1e-150 else (s - disc) / 2.0
     m1, m2 = abs(r1), abs(r2)
     on1, on2 = abs(m1 - 1.0) <= tol, abs(m2 - 1.0) <= tol
-    if on1 and on2:
+    # bG is |p| = 1, s = conj(s) p, |s| <= 2
+    torus = abs(abs(p) - 1.0) <= tol and abs(s - s.conjugate() * p) <= tol and abs(s) <= 2.0 + tol
+    if (on1 and on2) or torus:
         return Region.DIST_BOUNDARY
     if on1 or on2:
         return Region.R1
@@ -158,6 +160,7 @@ class TestClassifyRegions:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(off_edge_moduli, angles, off_edge_moduli, angles),
                     min_size=1, max_size=40))
+    @example(pairs=[(1.0, 0.625, 1.0, 0.625)])
     def test_stacked_labels_equal_reference(self, pairs):
         points = [sd.symmetrize(r1 * np.exp(2j * np.pi * t1), r2 * np.exp(2j * np.pi * t2))
                   for r1, t1, r2, t2 in pairs]
@@ -176,6 +179,15 @@ class TestClassifyRegions:
         r1, r2 = sd.stacked_fibers([x.s for x in points], [x.p for x in points])
         for x, a, b in zip(points, r1, r2):
             assert sd.fibers(x) == (a, b)
+
+    @pytest.mark.parametrize("q", [0.625, 0.125, 0.9, 0.0, 0.25, 0.3, 0.5, 0.77])
+    def test_double_root_on_torus_is_boundary(self, q):
+        # s^2 - 4p is roundoff at (2w, w^2), so the fiber moduli move by about
+        # sqrt(eps); |p| = 1, s = conj(s) p and |s| <= 2 still hold to eps
+        x = sd.symmetrize(np.exp(2j * np.pi * q), np.exp(2j * np.pi * q))
+        assert REGIONS[classify_regions([x.s], [x.p])[0]] is Region.DIST_BOUNDARY
+        assert sd.classify_region(x) is Region.DIST_BOUNDARY
+        assert _reference_label(x) is Region.DIST_BOUNDARY
 
     def test_band_edges(self):
         inside, outside = 1.0 - 0.5 * TOL_MOD, 1.0 + 2 * TOL_MOD
@@ -297,6 +309,9 @@ class TestPencilCheck:
 
     OFFSETS = (-1e-12, -1e-13, -3e-14, -1e-14, 0.0, 1e-14, 3e-14, 1e-13, 1e-12,
                -1e-5, -1e-6, -4e-7, 1e-6)
+    # angles off the dominant eigenvalue at |s| t = 2, where the Weyl bound
+    # is 0 and the inverse decides (for a unitary tau, the torus diagonal)
+    ANGLES = (1e-15, 1e-14, 1e-13, 3e-13, 1e-12, 1e-9, 3e-7, 1e-6, 3e-6, 1e-4, 1e-2)
 
     def _points(self, rng, tau):
         t = np.linalg.norm(tau, 2)
@@ -308,6 +323,9 @@ class TestPencilCheck:
             for u in (np.conj(lam) / abs(lam), np.exp(2j * np.pi * rng.uniform())):
                 s.append((2.0 + delta) / t * u)
                 p.append(complex(rng.standard_normal(), rng.standard_normal()))
+        for eps in self.ANGLES:
+            s.append(2.0 / t * np.conj(lam) / abs(lam) * np.exp(1j * eps))
+            p.append(s[-1] ** 2 / 4)
         # points far inside the bound and outside it
         for r in (0.0, 0.5, 1.9, 2.5):
             s.append(r / t * np.exp(2j * np.pi * rng.uniform()))
@@ -338,13 +356,36 @@ class TestPencilCheck:
             # a normal tau has a singular pencil at |s| t = 2 along its eigenvalue
             assert raised > 0
 
-    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(np.inf, 0.0)])
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)])
     def test_non_finite_s_reaches_the_svd(self, s):
-        # the bound cannot clear a nan or infinite s, so the SVD still runs
-        # there and decides as before (it raises LinAlgError on a nan pencil)
+        # neither bound can clear a nan or infinite s, so the SVD still runs
+        # there and decides as before (it raises LinAlgError on a nan pencil);
+        # the point |s| = 2 goes to the inverse screen with it
         tau = np.array([[1.0]])
-        _assert_same_outcome(_outcome(phi_operators, tau, [s, 0.5], [0.0, 0.0]),
-                             _outcome(_phi_svd_at_every_point, tau, [s, 0.5], [0.0, 0.0]))
+        s, p = [s, 0.5, 2.0 * np.exp(0.3j)], [0.0, 0.0, np.exp(0.6j)]
+        _assert_same_outcome(_outcome(phi_operators, tau, s, p),
+                             _outcome(_phi_svd_at_every_point, tau, s, p))
+
+    @pytest.mark.parametrize("h", [1, 2, 4, 8])
+    def test_benign_torus_grid_runs_no_svd(self, monkeypatch, rng, h):
+        # the Weyl bound clears every grid point but the diagonal, the inverse the rest
+        from symdisk.sweeps import haar_unitary
+        tau = haar_unitary(rng, h)
+        torus = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+        s = (torus[:, None] + torus[None, :]).ravel()
+        p = (torus[:, None] * torus[None, :]).ravel()
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        phi = phi_operators(tau, s, p, tau_norm=np.linalg.norm(tau, 2))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert calls == []
+        _assert_same_outcome(phi, _phi_svd_at_every_point(tau, s, p))
 
 
 def test_passed_tau_norm_still_rejects_a_non_contraction():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symdisk as sd
-from symdisk import kernels
+from symdisk import kernels, realization
 from symdisk.errors import InputError, NumericalError
 from symdisk.gamma import phi_operators
 from symdisk.pick import gram_on_nodes
@@ -312,10 +312,12 @@ class TestBoundaryAudit:
 
     @pytest.mark.parametrize("d,h", [(1, 1), (2, 3), (3, 1), (1, 4), (3, 3)])
     def test_equals_per_point_maximum(self, rng, d, h):
-        # the row-stacked, Frobenius-screened audit reproduces a per-point loop
-        # bit for bit; a unitary block plus 1e-6 noise is not inner, so the
-        # maximum mostly moves after the first row and the screen skips points
-        for noise, n in ((0.0, 12), (1e-6, 12), (0.0, 32), (1e-6, 32)):
+        # the half-grid, block-stacked, Frobenius-screened audit reproduces a
+        # per-point loop over the full grid bit for bit, for odd and tiny n
+        # too; a unitary block plus 1e-6 noise is not inner, so the maximum
+        # mostly moves after the first row and the screen skips points
+        for noise, n in ((0.0, 1), (1e-6, 1), (0.0, 2), (1e-6, 2), (0.0, 7), (1e-6, 7),
+                         (0.0, 12), (1e-6, 12), (0.0, 32), (1e-6, 32)):
             m = random_model(rng, d=d, h=h)
             if noise:
                 m = sd.RealizationModel(m.tau, *(M + noise * (rng.standard_normal(M.shape)
@@ -323,8 +325,28 @@ class TestBoundaryAudit:
                                                  for M in (m.A, m.B, m.C, m.D)))
             worst, worst_ref, skipped = self._per_point_maximum(m, n)
             if noise:
-                assert worst > 1e-7 and skipped > n
+                assert worst > 1e-7 and (skipped > n or n < 7)
             assert sd.boundary_unitarity_audit(m, n) == worst == worst_ref
+
+    @pytest.mark.parametrize("d,h", [(1, 1), (2, 3), (1, 8), (8, 8)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_evaluates_each_boundary_point_once(self, monkeypatch, rng, d, h, n):
+        # the triangle z2 >= z1 of the grid, n(n + 1)/2 distinct points, in
+        # stacks of about _AUDIT_BLOCK_ENTRIES entries
+        seen, calls = [], []
+
+        def counting(m, s, p, cfg):
+            calls.append(len(s))
+            seen.extend(zip(s, p))
+            return _transfer(m, s, p, cfg)
+
+        monkeypatch.setattr(realization, "_transfer", counting)
+        sd.boundary_unitarity_audit(random_model(rng, d=d, h=h), n)
+        torus = [complex(np.exp(1j * (2 * np.pi * (k + 0.5) / n))) for k in range(n)]
+        assert len(seen) == n * (n + 1) // 2
+        assert set(seen) == {(z1 + z2, z1 * z2) for z1 in torus for z2 in torus}
+        block = max(1, realization._AUDIT_BLOCK_ENTRIES // (d + h) ** 2)
+        assert len(calls) <= -(-len(seen) // block) + n
 
     def test_takes_tau_norm_once(self, monkeypatch, rng):
         # one ||tau||_2 per model, not one per torus row
@@ -368,6 +390,55 @@ class TestBoundaryAudit:
         with pytest.raises(NumericalError, match="I - D phi is singular") as stacked:
             sd.boundary_unitarity_audit(m, 8)
         assert type(single.value) is type(stacked.value)
+
+
+class TestAuditFailureOrder:
+    """On a grid whose points all fit one stack, the first triangle row with
+    a non-finite defect or a singular point decides the outcome, as in a
+    row-by-row pass over the full grid."""
+
+    N = 8
+
+    def _point(self, a, b):
+        z1, z2 = (complex(np.exp(1j * (2 * np.pi * (k + 0.5) / self.N))) for k in (a, b))
+        return sd.GammaPoint(z1 + z2, z1 * z2)
+
+    def _model(self, overflow_at, singular_at, kind):
+        """tau = diag(1, t), D = diag(D1, D2): I - D phi is 1e-10 from singular at
+        overflow_at, so ||I - Psi* Psi||_F overflows there only, and the pencil
+        (kind "pencil", singular_at on the diagonal) or I - D phi (kind
+        "transfer") is singular at singular_at."""
+        x0, x1 = self._point(*overflow_at), self._point(*singular_at)
+        t = np.conj(x1.s / 2) if kind == "pencil" else 1.0
+        tau = np.diag([1.0, t]).astype(complex)
+        d1 = (1 - 1e-10) / sd.phi_operator(tau, x0)[0, 0]
+        d2 = 0.0 if kind == "pencil" else 1 / sd.phi_operator(tau, x1)[1, 1]
+        m = sd.RealizationModel(tau, np.zeros((1, 1)), np.ones((1, 2)),
+                                np.array([[1e70], [1.0]]), np.diag([d1, d2]))
+        assert realization._AUDIT_BLOCK_ENTRIES // 3 ** 2 >= self.N * (self.N + 1) // 2
+        return m, x0, x1
+
+    @pytest.mark.parametrize("kind,singular_at", [("transfer", (2, 4)), ("pencil", (2, 2))])
+    def test_non_finite_row_before_singular_row_fails_as_nan(self, kind, singular_at):
+        m, x0, x1 = self._model((0, 3), singular_at, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = sd.eval_model(m, x0, validate=False)
+            assert not np.isfinite(np.linalg.norm(np.eye(1) - psi.conj().T @ psi))
+            with pytest.raises((InputError, NumericalError)):
+                sd.eval_model(m, x1, validate=False)
+            assert np.isnan(sd.boundary_unitarity_audit(m, self.N))
+
+    @pytest.mark.parametrize("kind,singular_at", [("transfer", (0, 3)), ("pencil", (0, 0))])
+    def test_singular_row_before_non_finite_row_raises_like_eval_model(self, kind,
+                                                                      singular_at):
+        m, x0, x1 = self._model((2, 4), singular_at, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((InputError, NumericalError)) as single:
+                sd.eval_model(m, x1, validate=False)
+            with pytest.raises((InputError, NumericalError)) as stacked:
+                sd.boundary_unitarity_audit(m, self.N)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestLurkingIsometry:
