@@ -251,7 +251,10 @@ def cmd_pick(args, cfg: Tolerances) -> int:
                 "mp_norm": audit.mp_norm,
                 "ms_norm": audit.ms_norm,
                 "nu_fundamental": audit.nu_fundamental,
+                "fundamental_residual": audit.fundamental_residual,
                 "isometry_defect": audit.isometry_defect,
+                "intertwine_s": audit.intertwine_s,
+                "commutator": audit.commutator,
             },
         }
         _write_atomic(args.out, json.dumps(report, indent=2) + "\n")
@@ -376,6 +379,14 @@ def _extract_tolerance_flags(argv):
     return rest, overrides
 
 
+def _grid_n(text: str) -> int:
+    """The value of --grid-n: a grid needs at least one point."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symdisk",
@@ -394,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a pencil variety")
     common(p)
     p.add_argument("--grid-radius", type=float, action="append", default=None)
-    p.add_argument("--grid-n", type=int, default=16)
+    p.add_argument("--grid-n", type=_grid_n, default=16)
 
     p = sub.add_parser("pick", help="Pick matrix, PSD report, admissibility audit")
     common(p, kernel=True)
@@ -402,11 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="uniqueness values along the extended variety")
     common(p, kernel=True)
     p.add_argument("--grid-radius", type=float, default=0.81)
-    p.add_argument("--grid-n", type=int, default=25)
+    p.add_argument("--grid-n", type=_grid_n, default=25)
 
     p = sub.add_parser("realize", help="audit a realization model")
     common(p)
-    p.add_argument("--grid-n", type=int, default=64)
+    p.add_argument("--grid-n", type=_grid_n, default=64)
 
     p = sub.add_parser("verify", help="run the randomized theorem sweeps")
     p.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,7 @@ run can be tightened or loosened coherently, e.g. from the CLI via
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -49,6 +50,17 @@ class Tolerances:
     n_theta: int = 33             # warm-start scan of the numerical-radius level set; the
                                   # certificate, not the scan, sets the accuracy (tol_nu)
     n_steps: int = 20             # samples along a branch-trace path
+
+    def __post_init__(self):
+        """Reject a value no layer can run with: a float that is not finite and
+        positive, a dist_guard of 1 or more (every contour would be ill-placed),
+        or an int below 1."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            top = 1 if f.name == "dist_guard" else math.inf
+            ok = value >= 1 if f.type == "int" else math.isfinite(value) and 0 < value < top
+            if not ok:
+                raise InputError(f"bad tolerance value: {f.name} = {value!r}")
 
 
 DEFAULT = Tolerances()

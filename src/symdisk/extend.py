@@ -66,8 +66,8 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
     the unitary block of the fundamental operator (nodes come from the open
     domain), and each must be annihilated by the node's pencil.  The
     fundamental model is built once; its passed audit certifies nu(F') for
-    the peeling of the unitary block, and the peeling's last spectrum is the
-    spectrum of the extension's variety.
+    the splitting of the unitary block, and the splitting's c.n.u. spectrum
+    is the spectrum of the extension's variety.
     """
     model = _fundamental_model(K, cfg)
     report = _audit_model(model, cfg)
@@ -101,7 +101,7 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
                 f"node {j} violates the pencil equation: residual {resid:.3e}")
         us.append(u)
     ext = ExtensionModel(F, tuple(nodes), tuple(us), cfg)
-    # the peeling has the spectrum of F already
+    # the splitting has the spectrum of F already
     _with_eigenvalues(ext.variety, dec.cnu_eigenvalues)
     if not is_distinguished(ext.variety, cfg):
         raise NumericalError("extension block is not completely non-unitary")

@@ -56,9 +56,8 @@ def cluster_indices(values, tol: float) -> list[list[int]]:
     A value joins the first cluster whose current mean lies within ``tol``.
     """
     values = np.asarray(values, dtype=complex)
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
     groups: list[list[int]] = []
-    for i in order:
+    for i in np.argsort(values, kind="stable").tolist():
         for g in groups:
             if abs(values[i] - np.mean(values[g])) <= tol:
                 g.append(i)
@@ -91,19 +90,11 @@ def hermitian_eig(H, cfg: Tolerances = DEFAULT):
 def null_space(A, *, cfg: Tolerances = DEFAULT, scale: float | None = None):
     """Right singular vectors with singular value <= rank_tol * scale (default sigma_max)."""
     A = as_complex_matrix(A)
-    if A.shape[1] == 0:
-        return []
-    if A.shape[0] == 0:
-        return [np.eye(A.shape[1], dtype=complex)[:, j] for j in range(A.shape[1])]
     _, sv, Vh = np.linalg.svd(A)
     if scale is None:
-        scale = max(sv[0] if len(sv) else 0.0, _EPS)
-    basis = []
-    for i in range(A.shape[1]):
-        s_i = sv[i] if i < len(sv) else 0.0
-        if s_i <= cfg.rank_tol * scale:
-            basis.append(Vh[i].conj())
-    return basis
+        scale = max(sv.max(initial=0.0), _EPS)
+    # rows of Vh past the singular values span ker A outright
+    return list(Vh[np.pad(sv, (0, A.shape[1] - len(sv))) <= cfg.rank_tol * scale].conj())
 
 
 def psd_eigh(M, cfg: Tolerances = DEFAULT):
@@ -254,20 +245,11 @@ def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,
     # re-phasing them (QR would), so the prescribed images are preserved
     gw, gv = np.linalg.eigh(Qr.conj().T @ Qr)
     Qr = Qr @ (gv * (1.0 / np.sqrt(np.clip(gw, _EPS, None)))) @ gv.conj().T
-    Qd_perp = _orthogonal_complement(Qd)
-    Qr_perp = _orthogonal_complement(Qr)
-    U = np.hstack([Qr, Qr_perp]) @ np.hstack([Qd, Qd_perp]).conj().T
+    # the complements: the trailing left singular vectors of X, and a complete QR of Qr
+    Qr_full = np.hstack([Qr, np.linalg.qr(Qr, mode="complete")[0][:, r:]])
+    U = Qr_full @ np.hstack([Qd, U_[:, r:]]).conj().T
     err = max(np.linalg.norm(U @ X[:, j] - Y[:, j]) for j in range(X.shape[1]))
     if err > np.sqrt(cfg.tol_gram) * max(1.0, np.linalg.norm(Y)):
         raise NumericalError(f"unitary completion maps with residual {err:.3e}")
     return U
 
-
-def _orthogonal_complement(Q: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of the column span of Q."""
-    n, r = Q.shape
-    if r >= n:
-        return np.zeros((n, 0), dtype=complex)
-    M = np.eye(n, dtype=complex) - Q @ Q.conj().T
-    U_, sv, _ = np.linalg.svd(M)
-    return U_[:, :n - r]

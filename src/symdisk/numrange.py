@@ -9,8 +9,9 @@ iterating (Mengi & Overton 2005); each keeps its own stopping rule and
 certificate, and :func:`numerical_radius` is its one-matrix call.
 
 For a numerical contraction the unitary part is spanned by joint eigenvectors
-of F and F* at unimodular eigenvalues; peeling those off leaves a block with
-no spectrum on the circle.  The family PU + U*(I-P) (P a projection, U a
+of F and F* at unimodular eigenvalues, which are orthogonal across distinct
+eigenvalues; splitting them off in one pass leaves a block with no spectrum
+on the circle.  The family PU + U*(I-P) (P a projection, U a
 unitary) consists of numerical contractions and is handled by the same tools.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .linalg import _orthogonal_complement, as_complex_matrix, null_space, spectrum
+from .linalg import as_complex_matrix, null_space, spectrum
 
 # Shift of the shift-and-invert level-set solve: any point off the unit
 # circle that is not an eigenvalue of the pencil will do.
@@ -182,8 +183,9 @@ def cnu_verdict(eigs, cfg: Tolerances = DEFAULT) -> CnuVerdict:
     Witnesses are the eigenvalues within tol_mod of the unit circle, sorted
     by (real, imag).
     """
-    witnesses = tuple(sorted((complex(ev) for ev in eigs if abs(abs(ev) - 1.0) <= cfg.tol_mod),
-                             key=lambda z: (z.real, z.imag)))
+    eigs = np.asarray(eigs, dtype=complex)
+    witnesses = tuple(complex(ev) for ev in
+                      np.sort(eigs[np.abs(np.abs(eigs) - 1.0) <= cfg.tol_mod], kind="stable"))
     return CnuVerdict(len(witnesses) == 0, witnesses)
 
 
@@ -204,43 +206,58 @@ class CnuDecomposition:
     transform: np.ndarray
     unitary_eigenvalues: tuple[tuple[complex, int], ...]
     cnu_block: np.ndarray
-    cnu_eigenvalues: np.ndarray   # spectrum of cnu_block, from the last peeling pass
+    cnu_eigenvalues: np.ndarray   # spectrum of cnu_block
 
 
-def _joint_eigenspace(F: np.ndarray, beta: complex, cfg: Tolerances) -> list[np.ndarray]:
-    """Orthonormal basis of ker(F - beta I) \\cap ker(F* - conj(beta) I).
+def _joint_eigenspace(F: np.ndarray, beta: complex, cfg: Tolerances,
+                      found=()) -> list[np.ndarray]:
+    """Orthonormal basis of ker(F - beta I) \\cap ker(F* - conj(beta) I),
+    orthogonal to the vectors ``found``.
 
     The cut is rank_tol * max(||F||, 1): on a scalar unitary block the stacked
     pencil is all roundoff, and a cut relative to its own sigma_max keeps nothing.
     """
     n = F.shape[0]
-    stacked = np.vstack([F - beta * np.eye(n), F.conj().T - np.conj(beta) * np.eye(n)])
+    stacked = np.vstack([F - beta * np.eye(n), F.conj().T - np.conj(beta) * np.eye(n),
+                         np.reshape(found, (-1, n)).conj()])
     return null_space(stacked, cfg=cfg, scale=max(np.linalg.norm(F), 1.0))
 
 
-def _unimodular_reps(eigs, scale: float, cfg: Tolerances) -> list[complex]:
-    """One raw representative per cluster of unimodular eigenvalues.
+def _unimodular_eigenspaces(F: np.ndarray, eigs, cfg: Tolerances) -> list:
+    """(beta, joint eigenbasis of F at beta) per cluster of unimodular eigenvalues.
 
-    Raw values (not cluster means) keep the null-space cutoff sharp: unimodular
-    eigenvalues of numerical contractions are semisimple, so the computed
-    copies agree to near machine precision.
+    ``eigs`` is the spectrum of F; its unimodular members are the witnesses of
+    :func:`cnu_verdict`, read in (real, imag) order.  One raw
+    eigenvalue (not the cluster mean) stands for each cluster, which keeps the
+    null-space cutoff sharp: unimodular eigenvalues of numerical contractions
+    are semisimple, so the computed copies agree to near machine precision.
+    Each eigenvalue within tol_cluster of a representative uses up one vector
+    of its basis; one that finds no vector left (distinct eigenvalues closer
+    than tol_cluster but beyond the cutoff) stands for a cluster of its own,
+    whose basis leaves out the vectors found before it.
     """
-    uni = sorted((ev for ev in eigs if abs(abs(ev) - 1.0) <= cfg.tol_mod),
-                 key=lambda z: (z.real, z.imag))
-    reps: list[complex] = []
-    tol = cfg.tol_cluster * max(scale, 1.0)
-    for ev in uni:
-        if not any(abs(ev - r) <= tol for r in reps):
-            reps.append(complex(ev))
-    return reps
+    tol = cfg.tol_cluster * max(np.linalg.norm(F), 1.0)
+    parts: list = []
+    spare: list[int] = []   # vectors of each part's basis not yet used up
+    for ev in cnu_verdict(eigs, cfg).witnesses:
+        k = next((k for k, (beta, _) in enumerate(parts)
+                  if spare[k] > 0 and abs(ev - beta) <= tol), None)
+        if k is None:
+            found = [v for _, basis in parts for v in basis]
+            parts.append((ev, _joint_eigenspace(F, ev, cfg, found)))
+            spare.append(len(parts[-1][1]) - 1)
+        else:
+            spare[k] -= 1
+    return parts
 
 
 def cnu_decompose(F, cfg: Tolerances = DEFAULT) -> CnuDecomposition:
-    """Peel unimodular eigenvalues off a numerical contraction.
+    """Split a numerical contraction into its unitary and c.n.u. parts.
 
     Each unimodular eigenvalue of a numerical contraction sits on the boundary
     of the numerical range and therefore carries a reducing joint eigenvector;
-    the peeling repeats until the remaining block is c.n.u.
+    joint eigenvectors at distinct unimodular eigenvalues are orthogonal, so
+    together they span the unitary part, and its complement is c.n.u.
     """
     F = as_complex_matrix(F, square=True)
     check_numerical_contraction(numerical_radius(F, cfg), cfg)
@@ -248,68 +265,38 @@ def cnu_decompose(F, cfg: Tolerances = DEFAULT) -> CnuDecomposition:
 
 
 def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
-    """The peeling of :func:`cnu_decompose` for a certified numerical contraction F."""
+    """The splitting of :func:`cnu_decompose` for a certified numerical contraction F.
+
+    One spectrum of F, one joint eigenbasis per unimodular cluster, and one
+    complete QR of all of them: the unitary part leads, its clusters in
+    descending (real, imag) order, and the c.n.u. block is the rest.
+    """
     n = F.shape[0]
-    transform = np.eye(n, dtype=complex)
-    block = F.copy()
-    peeled: list[tuple[complex, int]] = []
-    eigs = np.zeros(0, dtype=complex)  # the spectrum of a block that peels off entirely
-    while block.shape[0]:
-        scale = max(np.linalg.norm(block), 1.0)
-        block_eigs = spectrum(block, cfg)
-        reps = _unimodular_reps(block_eigs, scale, cfg)
-        if not reps:
-            eigs = block_eigs
-            break
-        beta = reps[0]
-        basis = _joint_eigenspace(block, beta, cfg)
+    eigs = spectrum(F, cfg)
+    parts = _unimodular_eigenspaces(F, eigs, cfg)
+    if not parts:
+        return CnuDecomposition(np.eye(n, dtype=complex), (), F.copy(), eigs)
+    for beta, basis in parts:
         if not basis:
             raise NumericalError(
                 f"unimodular eigenvalue {beta:.6f} has no reducing eigenvector")
-        Q = np.column_stack(basis)
-        m = Q.shape[1]
-        rest = _orthogonal_complement(Q)
-        W = np.hstack([rest, Q])  # keep c.n.u. candidates in the leading block
-        block_new = W.conj().T @ block @ W
-        off = np.linalg.norm(block_new[: block.shape[0] - m, block.shape[0] - m:]) + \
-            np.linalg.norm(block_new[block.shape[0] - m:, : block.shape[0] - m])
-        if off > _REDUCED * scale:
-            raise NumericalError("joint eigenspace failed to reduce the matrix")
-        transform = transform @ _embed_tail(W, n)
-        peeled.append((complex(beta), m))
-        block = block_new[: block.shape[0] - m, : block.shape[0] - m]
-    # assemble with the unitary part leading, per the decomposition convention
-    k = block.shape[0]
-    perm = np.zeros((n, n), dtype=complex)
-    perm[:, :n - k] = np.eye(n)[:, k:]
-    perm[:, n - k:] = np.eye(n)[:, :k]
-    transform = transform @ perm
-    dec = CnuDecomposition(transform, tuple(reversed(peeled)), block, eigs)
-    _check_reassembly(F, dec)
-    return dec
-
-
-def _embed_tail(W: np.ndarray, n: int) -> np.ndarray:
-    """Embed a k x k unitary into the leading k coordinates of C^n."""
-    k = W.shape[0]
-    out = np.eye(n, dtype=complex)
-    out[:k, :k] = W
-    return out
-
-
-def _check_reassembly(F: np.ndarray, dec: CnuDecomposition) -> None:
-    n = F.shape[0]
-    blocks = [beta * np.eye(m, dtype=complex) for beta, m in dec.unitary_eigenvalues]
-    blocks.append(dec.cnu_block)
+    parts.reverse()
+    Q = np.column_stack([v for _, basis in parts for v in basis])
+    m = Q.shape[1]
+    transform = np.linalg.qr(Q, mode="complete")[0]
+    G = transform.conj().T @ F @ transform
+    scale = max(np.linalg.norm(F), 1.0)
+    if np.linalg.norm(G[:m, m:]) + np.linalg.norm(G[m:, :m]) > _REDUCED * scale:
+        raise NumericalError("joint eigenspace failed to reduce the matrix")
+    cnu_block = G[m:, m:]
     D = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        D[at:at + k, at:at + k] = b
-        at += k
-    err = np.linalg.norm(dec.transform @ D @ dec.transform.conj().T - F)
-    if err > _REDUCED * max(1.0, np.linalg.norm(F)):
+    D[:m, :m] = np.diag([beta for beta, basis in parts for _ in basis])
+    D[m:, m:] = cnu_block
+    err = np.linalg.norm(transform @ D @ transform.conj().T - F)
+    if err > _REDUCED * scale:
         raise NumericalError(f"c.n.u. decomposition reassembly residual {err:.3e}")
+    return CnuDecomposition(transform, tuple((beta, len(basis)) for beta, basis in parts),
+                            cnu_block, spectrum(cnu_block, cfg))
 
 
 def _pu_matrix(P, U, cfg: Tolerances) -> np.ndarray:
@@ -400,10 +387,7 @@ def pu_witness_search(P, U, cfg: Tolerances = DEFAULT):
     from itertools import combinations
 
     T = _pu_matrix(P, U, cfg)
-    scale = max(np.linalg.norm(T), 1.0)
-    basis: list[np.ndarray] = []
-    for ev in _unimodular_reps(spectrum(T, cfg), scale, cfg):
-        basis.extend(_joint_eigenspace(T, ev, cfg))
+    basis = [v for _, vs in _unimodular_eigenspaces(T, spectrum(T, cfg), cfg) for v in vs]
     for r in range(1, len(basis) + 1):
         for comb in combinations(range(len(basis)), r):
             cand = [basis[i] for i in comb]

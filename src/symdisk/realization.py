@@ -189,8 +189,10 @@ def boundary_unitarity_audit(m: RealizationModel, n_per_axis: int = 64,
     first row with a non-finite defect (nan) or a singular pencil or
     I - D phi (raise) decides, as in that pass.  The model is not validated
     here: a non-unitary block simply shows up as a large defect, which is the
-    audit's verdict to report.
+    audit's verdict to report.  An empty grid (n_per_axis < 1) is an InputError.
     """
+    if n_per_axis < 1:
+        raise InputError(f"the boundary grid needs n_per_axis >= 1, got {n_per_axis}")
     torus = [complex(np.exp(1j * (2 * np.pi * (k + 0.5) / n_per_axis)))
              for k in range(n_per_axis)]
     block = max(1, _AUDIT_BLOCK_ENTRIES // (m.A.shape[0] + m.tau.shape[0]) ** 2)

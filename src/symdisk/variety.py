@@ -45,14 +45,7 @@ class BivarPoly:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, s: complex, p: complex) -> complex:
-        # Horner in s of Horner-in-p rows
-        acc = 0.0 + 0.0j
-        for row in self.coeffs[::-1]:
-            racc = 0.0 + 0.0j
-            for c in row[::-1]:
-                racc = racc * p + c
-            acc = acc * s + racc
-        return complex(acc)
+        return complex(np.polynomial.polynomial.polyval2d(s, p, self.coeffs))
 
     def normalized(self) -> np.ndarray:
         """Unit-Frobenius coefficients with the largest entry made positive real."""
@@ -129,7 +122,7 @@ class PencilVariety:
 
 
 def _sorted_eigenvalues(eigs) -> np.ndarray:
-    return np.array(sorted(eigs, key=lambda z: (z.real, z.imag)), dtype=complex)
+    return np.sort(np.asarray(eigs, dtype=complex), kind="stable")
 
 
 def _with_eigenvalues(V: PencilVariety, eigs) -> None:
@@ -170,15 +163,11 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
     """
     n = V.dim + 1
     omega = np.exp(2j * np.pi * np.arange(n) / n)
-    s_nodes = 2.0 * omega
-    p_nodes = 1.0 * omega
-    vals = np.linalg.det(pencil_matrix(V.F, s_nodes[:, None, None, None],
-                                       p_nodes[None, :, None, None]))
+    vals = np.linalg.det(pencil_matrix(V.F, 2.0 * omega[:, None, None, None],
+                                       omega[None, :, None, None]))
     hatc = np.fft.fft2(vals) / (n * n)
-    powers_s = 2.0 ** np.arange(n)
-    powers_p = 1.0 ** np.arange(n)
-    coeffs = hatc / np.outer(powers_s, powers_p)
-    return BivarPoly.from_coeffs(coeffs)
+    # the p-radius is 1, so only the s powers rescale the coefficients
+    return BivarPoly.from_coeffs(hatc / (2.0 ** np.arange(n))[:, None])
 
 
 def stacked_slice_points(V: PencilVariety, p, cfg: Tolerances = DEFAULT) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import symdisk
 from symdisk.cli import main
+from symdisk.pick import AdmissibilityReport
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # eight sheet nodes, two of them 0.02 apart (Gram condition number about 2e7)
@@ -61,6 +63,12 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "distinguished: False" in out
         assert "witnesses" in out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_grid_exit_2(self, jordan_matrix, capsys, n):
+        assert main(["classify", "--input", jordan_matrix, "--grid-radius", "0.5",
+                     "--grid-n", n]) == 2
+        assert "PASS" not in capsys.readouterr().out
 
     def test_peak_between_scan_angles_exit_2(self, tmp_path, capsys):
         # nu = 1.00002 at an angle halfway between two of the 257 scan angles
@@ -117,6 +125,17 @@ class TestPick:
         assert line.startswith("  isometry defect = ")
         assert "  intertwining = " in line and "  commutator = " in line
         assert "tail bound" not in line
+
+    def test_out_keeps_every_audit_field(self, tmp_path, zero_matrix, capsys):
+        data = write_data(tmp_path / "d.json", [(0, 0), (0, 0.5)], [0, 0.5])
+        out = tmp_path / "pick.json"
+        assert main(["pick", "--input", data, "--kernel", f"model:{zero_matrix}",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["admissibility"]
+        fields = [f.name for f in dataclasses.fields(AdmissibilityReport)]
+        assert list(report) == fields
+        assert all(isinstance(report[name], float) for name in
+                   ("fundamental_residual", "intertwine_s", "commutator"))
 
     def test_close_sheet_nodes_pass(self, tmp_path, zero_matrix, capsys):
         data = write_data(tmp_path / "d.json", [(0, p) for p in CLOSE_SHEET_P], CLOSE_SHEET_P)
@@ -269,8 +288,9 @@ class TestTrace:
         assert sorted(sizes) == [1, 1, 64 * 2]
 
     def test_off_variety_grid_point_exit_2(self, tmp_path, capsys):
-        # with tol_memb = 0 every point of positive residual is off the variety;
-        # the error names the first of them in row order
+        # with tol_memb the smallest positive double (0 is not a valid tolerance)
+        # every point of positive residual is off the variety; the error names
+        # the first of them in row order
         argv = ["trace", "--input", str(DATA / "datum_royal.json"),
                 "--kernel", f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "8"]
         out = tmp_path / "trace.csv"
@@ -278,13 +298,18 @@ class TestTrace:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         first = rows[np.flatnonzero(rows[:, 6] > 0)[0]]
         capsys.readouterr()
-        assert main(argv + ["--tol-memb=0"]) == 2
+        assert main(argv + ["--tol-memb=5e-324"]) == 2
         point = f"({complex(first[0], first[1])}, {complex(first[2], first[3])})"
         assert f"point {point} is off the variety" in capsys.readouterr().err
 
     def test_nonextremal_datum_exit_4(self, tmp_path, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, 0.5])
         assert main(["trace", "--input", data, "--kernel", "szego"]) == 4
+
+    def test_empty_grid_exit_2(self, capsys):
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"), "--kernel",
+                     f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "0"]) == 2
+        assert "re_s" not in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path, royal_matrix, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, -0.5])
@@ -308,6 +333,12 @@ class TestRealize:
         f.write_text(json.dumps(model))
         assert main(["realize", "--input", str(f), "--grid-n", "16"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_grid_exit_2(self, capsys, n):
+        assert main(["realize", "--input", str(DATA / "mobius_model.json"),
+                     "--grid-n", n]) == 2
+        assert "PASS" not in capsys.readouterr().out
 
     def test_non_unitary_model_exit_2(self, tmp_path):
         one = [[cnum(1)]]
@@ -375,6 +406,17 @@ class TestTolOverridesAndThreads:
         # knobs without the tol_ prefix are reached by their own name
         assert main(["classify", "--input", royal_matrix, "--tol-n-theta=33",
                      "--tol-n-quad=32", "--tol-dist-guard=0.2", "--tol-rank=1e-12"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--tol-n-theta=0", "--tol-nu=nan", "--tol-nu=inf",
+                                      "--tol-mod=-1", "--tol-dist-guard=1"])
+    def test_bad_tolerance_value_exit_2(self, royal_matrix, capsys, flag):
+        assert main(["classify", "--input", royal_matrix, flag]) == 2
+        assert "bad tolerance value" in capsys.readouterr().err
+
+    def test_zero_trace_steps_exit_2(self, capsys):
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"), "--kernel",
+                     f"model:{DATA / 'royal_pencil.json'}", "--tol-n-steps=0"]) == 2
+        assert "bad tolerance value: n_steps" in capsys.readouterr().err
 
     def test_tolerance_value_parsed_with_field_type(self, royal_matrix, capsys):
         from symdisk.cli import _extract_tolerance_flags

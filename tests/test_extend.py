@@ -90,7 +90,7 @@ class TestBuildExtension:
         assert model_royal.variety is model_royal.variety
 
     def test_block_spectrum_computed_once(self, monkeypatch, capsys, tmp_path):
-        # the peeling's last spectrum is the extension variety's: across a
+        # the splitting's c.n.u. spectrum is the extension variety's: across a
         # whole trace command every spectrum call has a matrix of its own
         import symdisk.linalg as linalg
         from symdisk.cli import main

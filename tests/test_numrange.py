@@ -237,6 +237,53 @@ class TestCnuDecompose:
         assert dec.unitary_eigenvalues == ()
         assert np.allclose(dec.cnu_block, F)
 
+    def test_one_pass_split(self, rng, monkeypatch):
+        # W (beta1 + beta2 I_2 + G) W*: two unimodular clusters cost one spectrum
+        # of F and one of the c.n.u. block, not one spectrum per cluster
+        import symdisk.numrange as numrange
+        calls = []
+
+        def counted(A, cfg=sd.DEFAULT):
+            calls.append(np.shape(A))
+            return sd.spectrum(A, cfg)
+
+        monkeypatch.setattr(numrange, "spectrum", counted)
+        betas = np.exp(1j * np.array([2.0, -0.4]))
+        G = np.array([[0.2, 0.9], [0.0, -0.3j]])
+        blocks = np.zeros((5, 5), dtype=complex)
+        blocks[0, 0] = betas[0]
+        blocks[1:3, 1:3] = betas[1] * np.eye(2)
+        blocks[3:, 3:] = G / sd.numerical_radius(G) * 0.9
+        W = haar_unitary(rng, 5)
+        F = W @ blocks @ W.conj().T
+        dec = sd.cnu_decompose(F)
+        assert len(calls) <= 2
+        # descending (real, imag): beta2 = e^{-0.4i} before beta1 = e^{2i}
+        keys = [(b.real, b.imag) for b, _ in dec.unitary_eigenvalues]
+        assert keys == sorted(keys, reverse=True)
+        assert [m for _, m in dec.unitary_eigenvalues] == [2, 1]
+        assert np.allclose([b for b, _ in dec.unitary_eigenvalues], betas[::-1], atol=1e-12)
+        D = np.diag([betas[1], betas[1], betas[0], 0, 0])
+        D[3:, 3:] = dec.cnu_block
+        assert np.linalg.norm(dec.transform @ D @ dec.transform.conj().T - F) <= 1e-9
+        assert np.allclose(np.sort(dec.cnu_eigenvalues), np.sort(np.linalg.eigvals(blocks[3:, 3:])))
+
+    @pytest.mark.parametrize("offsets", [[0.0, 5e-9], [0.0, 1e-10, 2e-10]])
+    def test_close_unimodular_eigenvalues_all_split(self, rng, offsets):
+        # one cluster at tol_cluster, but the joint eigenspace at its first
+        # eigenvalue misses the eigenvector of the last (5e-9 away), or holds
+        # that of the middle one and misses the last (1e-10 steps), so the
+        # rest take eigenbases of their own, without the vectors found before
+        k = len(offsets)
+        blocks = np.zeros((k + 2, k + 2), dtype=complex)
+        blocks[:k, :k] = np.diag(np.exp(1j * (0.3 + np.array(offsets))))
+        blocks[k:, k:] = [[0.3, 0.5], [0.0, -0.2]]
+        W = haar_unitary(rng, k + 2)
+        dec = sd.cnu_decompose(W @ blocks @ W.conj().T)
+        assert sum(m for _, m in dec.unitary_eigenvalues) == k
+        assert dec.cnu_block.shape == (2, 2)
+        assert np.all(np.abs(dec.cnu_eigenvalues) < 0.5)
+
     def test_reassembly_random_mixture(self, rng):
         for _ in range(10):
             d_u = int(rng.integers(0, 3))

@@ -279,6 +279,12 @@ class TestBoundaryAudit:
             defect = sd.boundary_unitarity_audit(overflow_model, 8)
         assert not defect <= sd.DEFAULT.tol_inner
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_grid_rejected(self, mobius_model, n):
+        # an empty grid has no defect to report, so it may not pass
+        with pytest.raises(InputError, match="n_per_axis >= 1"):
+            sd.boundary_unitarity_audit(mobius_model, n)
+
     def test_non_unitary_block_fails_audit(self):
         one = np.array([[1.0]], dtype=complex)
         m = sd.RealizationModel(one, 0.5 * one, one, one, 0 * one)
