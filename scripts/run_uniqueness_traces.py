@@ -9,9 +9,9 @@ Datum B: {((0,0), 0), ((0,1/2), 1/2)} with the {s=0}-model kernel.  The
 uniqueness variety is the sheet s = 0 and the forced value is p itself.
 
 The script rebuilds both pipelines from scratch (Pick matrix, null vector,
-kernel extension), evaluates the uniqueness formula at all samples of a
-variety in one stacked call, and prints its worst deviation from the known
-interpolants along each variety.
+kernel extension, the branch traces of all nodes in one call), evaluates the
+uniqueness formula at all samples of a variety in one stacked call, and
+prints its worst deviation from the known interpolants along each variety.
 """
 
 import argparse
@@ -37,8 +37,9 @@ def run_datum(name, data, pencil, variety_desc, reference, sampler, n, seed):
     model = sd.build_extension(K)
     print(f"    extension block: {model.F.shape[0]} x {model.F.shape[0]}, "
           f"variety {variety_desc}")
-    for j in range(len(data)):
-        tr = sd.branch_trace(model, j)
+    for j, tr in enumerate(sd.branch_traces(model)):
+        if isinstance(tr, Exception):
+            raise tr
         print(f"    node {j}: {tr.branch_count} branch(es), "
               f"sum error {tr.sum_errors[-1]:.2e}")
     rng = np.random.default_rng(seed)

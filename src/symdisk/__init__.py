@@ -20,7 +20,7 @@ from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
                    admissibility_audit, agreement_locus, fundamental_operator,
                    gram_on_nodes, kernel_basis_operators,
                    nonextremal_perturbation, pick_matrix, psd_report)
-from .extend import (ExtensionModel, SheetTrace, UniqueValues, branch_trace,
+from .extend import (ExtensionModel, SheetTrace, UniqueValues, branch_trace, branch_traces,
                      build_extension, kernel_vector_at, unique_value, unique_values)
 from .realization import (RealizationModel, boundary_unitarity_audit,
                           eval_model, inner_defect, inner_defects,

@@ -10,6 +10,7 @@ achieved.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -22,7 +23,7 @@ import numpy as np
 from . import kernels
 from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
-from .extend import branch_trace, build_extension, unique_values
+from .extend import branch_traces, build_extension, unique_values
 from .gamma import GammaPoint
 from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
@@ -121,14 +122,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv(header, rows) -> str:
+    """CSV text of a table whose rows all have the column types of its first:
+    floats printed with 17 significant digits (round-trip exact), the rest with str."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    if rows:
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -275,8 +275,9 @@ def cmd_trace(args, cfg: Tolerances) -> int:
     gamma = rep.null_vector
     model = build_extension(K, cfg)
     print(f"extension block dimension: {model.F.shape[0]}")
-    for j in range(len(data)):
-        tr = branch_trace(model, j, cfg=cfg)
+    for j, tr in enumerate(branch_traces(model, cfg)):
+        if isinstance(tr, Exception):
+            raise tr
         print(f"node {j}: {tr.branch_count} branch(es), "
               f"final alpha error {tr.alpha_errors[-1]:.3e}, "
               f"final sum error {tr.sum_errors[-1]:.3e}, "
@@ -387,7 +388,10 @@ def _grid_n(text: str) -> int:
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the process:
+    parsing leaves no state in it."""
     ap = argparse.ArgumentParser(
         prog="symdisk",
         description="Distinguished varieties and Pick interpolation "
@@ -440,7 +444,7 @@ def main(argv=None) -> int:
         argv, overrides = _extract_tolerance_flags(argv)
         cfg = with_overrides(DEFAULT, **overrides)
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
         return _HANDLERS[args.command](args, cfg)

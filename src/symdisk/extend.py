@@ -28,10 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import IllPlacedContour, InputError, NumericalError
+from .errors import IllPlacedContour, InputError, NumericalError, SymdiskError
 from .gamma import GammaPoint, coincident
 from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector, unit_kernel_vectors
-from .linalg import audit_projections, cluster_indices, spectral_projection
+from .linalg import _projection_failures, cluster_indices, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
 from .variety import (PencilVariety, _with_eigenvalues, is_distinguished,
@@ -67,7 +67,8 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
     domain), and each must be annihilated by the node's pencil.  The
     fundamental model is built once; its passed audit certifies nu(F') for
     the splitting of the unitary block, and the splitting's c.n.u. spectrum
-    is the spectrum of the extension's variety.
+    is the spectrum of the extension's variety.  When nothing splits off, the
+    audit's nu(F') is the variety's nu(F) too.
     """
     model = _fundamental_model(K, cfg)
     report = _audit_model(model, cfg)
@@ -101,6 +102,9 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
                 f"node {j} violates the pencil equation: residual {resid:.3e}")
         us.append(u)
     ext = ExtensionModel(F, tuple(nodes), tuple(us), cfg)
+    if m_uni == 0:
+        # nothing split off: F is a copy of F', whose nu the passed audit certified
+        ext.__dict__["variety"] = PencilVariety._of_certified(F, report.nu_fundamental, cfg)
     # the splitting has the spectrum of F already
     _with_eigenvalues(ext.variety, dec.cnu_eigenvalues)
     if not is_distinguished(ext.variety, cfg):
@@ -154,49 +158,176 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     and shrinks by 0.7, up to 3 times, while an eigenvalue lies within
     dist_guard of its circle.  A point whose eigenvectors are ill-conditioned,
     eps * cond_F(V) > tol_proj, takes its projections from the contour
-    integral of :func:`symdisk.linalg.spectral_projection` instead.
+    integral of :func:`symdisk.linalg.spectral_projection` instead.  The
+    one-node call of :func:`branch_traces`.
     """
     if n_steps is None:
         n_steps = cfg.n_steps
     if not (0 <= node_index < len(model.nodes)):
         raise InputError("node index out of range")
-    nd = model.nodes[node_index]
-    u_j = model.u_nodes[node_index]
+    trace, = _branch_traces(model, [node_index], radius, n_steps, cfg)
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
+
+
+def branch_traces(model: ExtensionModel, cfg: Tolerances = DEFAULT) -> list:
+    """The branch trace of :func:`branch_trace` through every node, in one pass.
+
+    Entry j is ``branch_trace(model, j, cfg=cfg)``, or the exception that call
+    raises; a LAPACK failure of the stacked eigendecomposition or residuals
+    raises for all nodes.  The base and path pencils of all nodes take one
+    stacked eigendecomposition, their Riesz projections one batched product
+    and one audit, and their traced points one stacked membership residual.
+    Python runs per step only where the eigenvalues in the disk may form
+    more than one cluster, and at points that take the contour integral.
+    """
+    return _branch_traces(model, range(len(model.nodes)), None, cfg.n_steps, cfg)
+
+
+def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
+                   cfg: Tolerances) -> list:
+    """The traces of :func:`branch_traces` at the given nodes, each a
+    SheetTrace or its node's exception.
+
+    Arrays run over the nodes' path points in node order, n_steps per node;
+    a node that fails keeps its first error and drops out of later stages.
+    """
     F = model.F
     d = F.shape[0]
-    pbar = np.conj(complex(nd.p))
-    sbar = np.conj(complex(nd.s))
+    nodes = [model.nodes[j] for j in node_indices]
+    if not nodes:
+        return []
+    n_nodes, n = len(nodes), n_steps
+    sbar = np.array([np.conj(complex(nd.s)) for nd in nodes], dtype=complex)
+    paths = []
+    for nd in nodes:
+        pbar = np.conj(complex(nd.p))
+        r = min(0.01, 0.5 * (1.0 - abs(pbar))) if radius is None else radius
+        direction = pbar / abs(pbar) if abs(pbar) > 1e-14 else 1.0 + 0.0j
+        if abs(pbar) + r >= 1.0 - 1e-12:
+            direction = -direction
+        paths.append([pbar, *(pbar + direction * r * 0.5 ** k for k in range(n))])
 
-    if radius is None:
-        radius = min(0.01, 0.5 * (1.0 - abs(pbar)))
-    direction = pbar / abs(pbar) if abs(pbar) > 1e-14 else 1.0 + 0.0j
-    if abs(pbar) + radius >= 1.0 - 1e-12:
-        direction = -direction
-    z_path = [pbar + direction * radius * 0.5 ** k for k in range(n_steps)]
-
-    # the base pencil first, then the path pencils, in one eigendecomposition
-    pencils = F + np.array([pbar, *z_path])[:, None, None] * F.conj().T
+    # each node's base pencil first, then its path pencils, in one eigendecomposition
+    pencils = F + np.array(paths)[:, :, None, None] * F.conj().T
     try:
         eigs, vecs = np.linalg.eig(pencils)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
-    scale = max(np.linalg.norm(pencils[0]), 1.0)
-    base, evs, V, pencils = eigs[0], eigs[1:], vecs[1:], pencils[1:]
+    scales = np.array([max(np.linalg.norm(block[0]), 1.0) for block in pencils])
+    base = eigs[:, 0]
+    paths = [path[1:] for path in paths]
+    # one row per path point from here on: node a, step k is row a * n + k
+    evs = eigs[:, 1:].reshape(-1, d)
+    V = vecs[:, 1:].reshape(-1, d, d)
+    pencils = pencils[:, 1:].reshape(-1, d, d)
+    node_of = np.repeat(np.arange(n_nodes), n)
     Vinv = _inverses(V)
     with np.errstate(over="ignore", invalid="ignore"):
         cond = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
     on_contour = ~(_EPS * cond <= cfg.tol_proj)  # a singular V (nan) takes the contour too
 
-    others = np.abs(base - sbar)
-    others = others[others > cfg.tol_cluster * scale]
-    eps0 = 0.5 * (others.min() if len(others) else scale)
-    dist = np.abs(evs - sbar)
-    radii = _disk_radii(dist, eps0, cfg, sbar, z_path)
+    gap = np.abs(base - sbar[:, None])
+    far = gap > cfg.tol_cluster * scales[:, None]
+    eps0 = 0.5 * np.where(far.any(axis=1), np.where(far, gap, np.inf).min(axis=1), scales)
+    dist = np.abs(evs - sbar[node_of, None])
+    radii, stuck = _disk_radii(dist.reshape(n_nodes, n, d), eps0, cfg)
+    errors = [None if k < 0 else IllPlacedContour(f"no admissible contour around {sbar[a]} "
+                                                  f"at z = {paths[a][k]}")
+              for a, k in enumerate(stuck.tolist())]
+    radii = radii.ravel()
     inside = dist < radii[:, None]
 
-    # one projection per point for its whole disk, then one per cluster where
-    # the disk holds more than one: the point, eigenvalue mask and center of each
     ctol = cfg.tol_cluster * np.maximum(1.0, np.linalg.norm(pencils, axis=(1, 2)))
+    live = np.array([e is None for e in errors])[node_of]
+    values, owner, masks, centers, start = _projection_rows(evs, inside, ctol, live,
+                                                            sbar[node_of])
+    first = np.zeros(len(owner), dtype=bool)
+    first[start[live]] = True
+
+    P = np.zeros((len(owner), d, d), dtype=complex)
+    defects = np.zeros(len(owner))
+    by_eig = ~on_contour[owner]
+    if by_eig.any():
+        o = owner[by_eig]
+        P[by_eig] = (V[o] * masks[by_eig][:, None, :]) @ Vinv[o]
+        defects[by_eig], failures = _projection_failures(P[by_eig], masks[by_eig].sum(axis=1),
+                                                         cfg)
+        rows = np.flatnonzero(by_eig)
+        for r, exc in failures.items():
+            a = node_of[owner[rows[r]]]
+            if errors[a] is None:
+                errors[a] = exc
+    for r in np.flatnonzero(~by_eig).tolist():
+        i = owner[r]
+        if errors[node_of[i]] is not None:
+            continue
+        rad = radii[i] if first[r] else 0.5 * np.abs(centers[r] - evs[i, ~masks[r]]).min()
+        try:
+            proj = spectral_projection(pencils[i], centers[r], rad, cfg=cfg, eigenvalues=evs[i])
+        except SymdiskError as exc:
+            errors[node_of[i]] = exc
+            continue
+        P[r], defects[r] = proj.matrix, proj.idempotency_defect
+    u = np.array(model.u_nodes, dtype=complex).reshape(-1, d)[list(node_indices)]
+    vs = (P @ u[node_of[owner], :, None])[:, :, 0]
+    sum_errors = np.full(len(live), np.nan)
+    sum_errors[live] = np.linalg.norm(vs[first] - u[node_of[live]], axis=1)
+    point_defects = np.full(len(live), np.nan)
+    point_defects[live] = defects[first]
+
+    # every traced point (conj(alpha_l(z)), conj(z)) of the nodes without an
+    # error in one stacked residual call, and each point's worst
+    ok = np.array([e is None for e in errors])
+    n_vals = np.array([len(v) for v in values]) * ok[node_of]
+    alphas = np.conj(np.array([m for v, keep in zip(values, ok[node_of]) if keep for m in v],
+                              dtype=complex))
+    zbar = np.repeat(np.conj(np.array(paths, dtype=complex)).ravel(), n_vals)
+    resid = membership_residuals(model.variety, alphas, zbar) if ok.any() else np.zeros(0)
+    memb = np.full(len(n_vals), np.nan)
+    has = n_vals > 0
+    if has.any():
+        memb[has] = np.maximum.reduceat(resid, (np.cumsum(n_vals) - n_vals)[has])
+
+    vectors = list(vs)
+    ends = np.r_[start[1:], len(owner)].tolist()
+    out = []
+    for a, j in enumerate(node_indices):
+        if errors[a] is not None:
+            out.append(errors[a])
+            continue
+        pts = slice(a * n, (a + 1) * n)
+        bv = values[pts]
+        sb = sbar[a]
+        out.append(SheetTrace(
+            node_index=j,
+            z_path=tuple(paths[a]),
+            branch_values=tuple(bv),
+            branch_vectors=tuple(tuple(vectors[end - len(v):end])
+                                 for end, v in zip(ends[pts], bv)),
+            branch_count=len(bv[-1]),
+            alpha_errors=tuple(max(abs(m - sb) for m in v) if v else float("nan")
+                               for v in bv),
+            sum_errors=tuple(sum_errors[pts].tolist()),
+            membership_residuals=tuple(memb[pts].tolist()),
+            projection_defects=tuple(point_defects[pts].tolist()),
+            eigvec_conditions=tuple(cond[pts].tolist()),
+            contour_radius=float(radii[(a + 1) * n - 1]),
+        ))
+    return out
+
+
+def _projection_rows(evs: np.ndarray, inside: np.ndarray, ctol: np.ndarray, live: np.ndarray,
+                     center: np.ndarray):
+    """The Riesz projections the path points need, one row each.
+
+    A point gets one projection for its whole disk (the eigenvalues
+    ``inside[i]`` around ``center[i]``), then one per cluster where the disk
+    holds more than one; a point that is not ``live`` gets none.  Returns
+    the cluster means of every point, each row's point, eigenvalue mask and
+    center (a cluster's center is its mean), and each point's first row.
+    """
     # inside eigenvalues closer than ctol to each other form one cluster (the
     # greedy clustering puts them all in its first); the margin of 1/2 keeps the
     # roundoff of a cluster mean from deciding
@@ -204,91 +335,59 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     spread = np.where(inside[:, :, None] & inside[:, None, :],
                       np.abs(evs[:, :, None] - evs[:, None, :]), 0.0).max(axis=(1, 2))
     one_mean = np.where(inside, evs, 0.0).sum(axis=1) / np.maximum(n_in, 1)
-    branch_values, owner, masks, centers = [], [], [], []
-    for k in range(n_steps):
-        owner.append(k)
-        masks.append(inside[k])
-        centers.append(sbar)
-        if spread[k] <= 0.5 * ctol[k]:
-            branch_values.append((complex(one_mean[k]),) if n_in[k] else ())
-            continue
-        idx = np.flatnonzero(inside[k])
-        groups = [idx[g] for g in cluster_indices(evs[k, idx], ctol[k])]
-        means = [complex(np.mean(evs[k, g])) for g in groups]
-        branch_values.append(tuple(means))
+    values = [(m,) if k else () for m, k in zip(one_mean.tolist(), n_in.tolist())]
+    counts = live.astype(int)
+    clusters = {}
+    for i in np.flatnonzero(live & ~(spread <= 0.5 * ctol)).tolist():
+        idx = np.flatnonzero(inside[i])
+        groups = [idx[g] for g in cluster_indices(evs[i, idx], ctol[i])]
+        values[i] = tuple(complex(np.mean(evs[i, g])) for g in groups)
         if len(groups) > 1:
-            for g, mean in zip(groups, means):
-                mask = np.zeros(d, dtype=bool)
-                mask[g] = True
-                owner.append(k)
-                masks.append(mask)
-                centers.append(mean)
-    owner, masks = np.array(owner), np.array(masks)
-    P = np.empty((len(owner), d, d), dtype=complex)
-    defects = np.empty(len(owner))
-    by_eig = ~on_contour[owner]
-    if by_eig.any():
-        o = owner[by_eig]
-        P[by_eig] = (V[o] * masks[by_eig][:, None, :]) @ Vinv[o]
-        defects[by_eig] = audit_projections(P[by_eig], masks[by_eig].sum(axis=1), cfg)
-    first = np.r_[True, owner[1:] != owner[:-1]]
-    for r in np.flatnonzero(~by_eig):
-        k, center = owner[r], centers[r]
-        if first[r]:
-            rad = radii[k]
-        else:
-            rad = 0.5 * np.abs(center - evs[k, ~masks[r]]).min()
-        proj = spectral_projection(pencils[k], center, rad, cfg=cfg, eigenvalues=evs[k])
-        P[r], defects[r] = proj.matrix, proj.idempotency_defect
-    vs = P @ u_j
-    # a point's rows are its disk, then its clusters where it has several: its
-    # branch vectors are the last len(means) of them
-    ends = np.r_[np.flatnonzero(first)[1:], len(owner)]
-    branch_vectors = [tuple(vs[end - len(means):end])
-                      for end, means in zip(ends, branch_values)]
-    alpha_errors = [max(abs(m - sbar) for m in means) if means else float("nan")
-                    for means in branch_values]
-    # every traced point (conj(alpha_l(z)), conj(z)) in one stacked residual call
-    step = np.repeat(np.arange(len(z_path)), [len(means) for means in branch_values])
-    alphas = np.array([m for means in branch_values for m in means], dtype=complex)
-    resid = membership_residuals(model.variety, np.conj(alphas),
-                                 np.conj(np.asarray(z_path))[step])
-    memb = [float(resid[step == k].max()) if means else float("nan")
-            for k, means in enumerate(branch_values)]
-    return SheetTrace(
-        node_index=node_index,
-        z_path=tuple(z_path),
-        branch_values=tuple(branch_values),
-        branch_vectors=tuple(branch_vectors),
-        branch_count=len(branch_values[-1]),
-        alpha_errors=tuple(alpha_errors),
-        sum_errors=tuple(np.linalg.norm(vs[first] - u_j, axis=1).tolist()),
-        membership_residuals=tuple(memb),
-        projection_defects=tuple(defects[first].tolist()),
-        eigvec_conditions=tuple(cond.tolist()),
-        contour_radius=float(radii[-1]),
-    )
+            clusters[i] = groups
+            counts[i] += len(groups)
+    owner = np.repeat(np.arange(len(evs)), counts)
+    start = np.cumsum(counts) - counts
+    masks = inside[owner]
+    centers = center[owner]
+    # the cluster rows follow their point's disk row
+    for i, groups in clusters.items():
+        for r, g, mean in zip(range(start[i] + 1, start[i] + counts[i]), groups, values[i]):
+            masks[r] = False
+            masks[r, g] = True
+            centers[r] = mean
+    return values, owner, masks, centers, start
 
 
-def _disk_radii(dist: np.ndarray, eps: float, cfg: Tolerances, center, z_path) -> np.ndarray:
-    """The radius of the disk around ``center`` at each path point.
+def _disk_radii(dist: np.ndarray, eps: np.ndarray, cfg: Tolerances):
+    """The radius of the disk around each node's center at each of its path points.
 
-    ``dist[k]`` holds the eigenvalue distances to the center at point k.  Each
-    point starts from the previous point's radius (the first from ``eps``) and
-    shrinks it by 0.7, up to 3 times, while an eigenvalue lies within
-    dist_guard of the circle: the guard of :func:`spectral_projection`,
-    decided on the known eigenvalues without a solve.
+    ``dist[a, k]`` holds the eigenvalue distances to node a's center at its
+    point k.  Each point starts from the previous point's radius (the first
+    from ``eps[a]``) and shrinks it by 0.7, up to 3 times, while an eigenvalue
+    lies within dist_guard of the circle: the guard of
+    :func:`spectral_projection`, decided on the known eigenvalues without a
+    solve.  Returns the radii and, per node, the first step that finds no
+    admissible radius (-1 where every step does).
     """
-    radii = np.empty(len(dist))
-    for k, dk in enumerate(dist):
+    n_nodes, n, _ = dist.shape
+    radii = np.repeat(eps[:, None], n, axis=1)
+    stuck = np.full(n_nodes, -1)
+    guard = cfg.dist_guard * eps[:, None, None]
+    hits = (np.abs(dist - eps[:, None, None]) < guard).any(axis=2).any(axis=0)
+    if not hits.any():
+        return radii, stuck     # no radius ever shrinks
+    eps = eps.copy()
+    for k in range(int(np.argmax(hits)), n):
         for _ in range(4):
-            if not (np.abs(dk - eps) < cfg.dist_guard * eps).any():
+            hit = (np.abs(dist[:, k] - eps[:, None]) < cfg.dist_guard * eps[:, None]).any(axis=1)
+            hit &= stuck < 0
+            if not hit.any():
                 break
-            eps *= 0.7
+            eps = np.where(hit, eps * 0.7, eps)
         else:
-            raise IllPlacedContour(f"no admissible contour around {center} at z = {z_path[k]}")
-        radii[k] = eps
-    return radii
+            stuck[hit] = k
+        radii[:, k] = eps
+    return radii, stuck
 
 
 def _inverses(V: np.ndarray) -> np.ndarray:

@@ -188,6 +188,16 @@ def audit_projections(P, enclosed, cfg: Tolerances = DEFAULT) -> np.ndarray:
     not within 0.01 of the integer ``enclosed[k]``.  Raises on the first
     failure in stack order.
     """
+    defects, failures = _projection_failures(P, enclosed, cfg)
+    if failures:
+        raise failures[min(failures)]
+    return defects
+
+
+def _projection_failures(P, enclosed, cfg: Tolerances):
+    """The defects of :func:`audit_projections` and its error for each failed
+    projection, by stack index: a stack that serves several callers gives each
+    the first failure among its own projections."""
     P = np.asarray(P, dtype=complex)
     enclosed = np.asarray(enclosed)
     defects = np.linalg.norm(P @ P - P, axis=(1, 2))
@@ -202,14 +212,12 @@ def audit_projections(P, enclosed, cfg: Tolerances = DEFAULT) -> np.ndarray:
     rank = np.round(tr.real)
     idempotent = defects <= bound
     ranked = (np.abs(tr - rank) <= 0.01) & (rank == enclosed)
-    failed = np.flatnonzero(~(idempotent & ranked))
-    if len(failed):
-        k = failed[0]
-        if not idempotent[k]:
-            raise NumericalError(f"projection not idempotent: ||P^2-P|| = {defects[k]:.3e}")
-        raise NumericalError(
-            f"projection rank {tr[k]:.6f} disagrees with enclosed count {enclosed[k]}")
-    return defects
+    failures = {}
+    for k in np.flatnonzero(~(idempotent & ranked)).tolist():
+        failures[k] = NumericalError(
+            f"projection not idempotent: ||P^2-P|| = {defects[k]:.3e}" if not idempotent[k]
+            else f"projection rank {tr[k]:.6f} disagrees with enclosed count {enclosed[k]}")
+    return defects, failures
 
 
 def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,

@@ -384,10 +384,16 @@ def pu_witness_search(P, U, cfg: Tolerances = DEFAULT):
     only the unimodular eigenstructure of T, so it does not repeat the
     numerical-radius audit of :func:`pu_compress`.
     """
+    T = _pu_matrix(P, U, cfg)
+    return _pu_witness(P, U, T, spectrum(T, cfg), cfg)
+
+
+def _pu_witness(P, U, T: np.ndarray, eigs, cfg: Tolerances):
+    """The search of :func:`pu_witness_search` on T = PU + U*(I-P), which the
+    caller built with :func:`_pu_matrix`, and its spectrum ``eigs``."""
     from itertools import combinations
 
-    T = _pu_matrix(P, U, cfg)
-    basis = [v for _, vs in _unimodular_eigenspaces(T, spectrum(T, cfg), cfg) for v in vs]
+    basis = [v for _, vs in _unimodular_eigenspaces(T, eigs, cfg) for v in vs]
     for r in range(1, len(basis) + 1):
         for comb in combinations(range(len(basis)), r):
             cand = [basis[i] for i in comb]

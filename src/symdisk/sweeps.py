@@ -29,7 +29,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .gamma import GammaPoint, Region
 from .errors import InputError
-from .numrange import _pu_matrix, numerical_radii, pu_witness_search
+from .numrange import _pu_matrix, _pu_witness, numerical_radii
 from .variety import (distinguished_property_check, is_distinguished, pencil_varieties,
                       region_audits)
 
@@ -183,7 +183,8 @@ def pu_sweep(n_cases: int = 100, d_max: int = 4, seed: int = 0,
                 failures.append((case, str(V)))
                 continue
             verdict = bool(is_distinguished(V, cfg))
-            witness = pu_witness_search(P, U, cfg)
+            # T and its spectrum, read for the verdict, serve the search too
+            witness = _pu_witness(P, U, T, V.eigenvalues, cfg)
             if verdict != (witness is None):
                 failures.append(
                     (case, f"cnu={verdict} but witness {'found' if witness else 'absent'}"))

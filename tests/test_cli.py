@@ -13,6 +13,10 @@ from symdisk.cli import main
 from symdisk.pick import AdmissibilityReport
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# stdout and CSV of `trace --grid-n 64` on the data/ royal and sheet data,
+# recorded before the stacked branch traces, the cached parser and the
+# one-format-string CSV writer
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # eight sheet nodes, two of them 0.02 apart (Gram condition number about 2e7)
 CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
                  -0.05 + 0.82j, 0.01 + 0.22j, 0.59 - 0.5j, 0.03 + 0.22j)
@@ -217,12 +221,13 @@ class TestTrace:
             assert abs(w + s / 2) < 1e-8
 
     def test_one_stacked_eig_per_trace(self, monkeypatch, capsys):
-        # branch_trace decomposes its base and path pencils in one stacked eig
-        # and reads every projection from it: no per-pencil spectrum, no contour
+        # branch_traces decomposes the base and path pencils of every node in
+        # one stacked eig and reads every projection from it: no per-pencil
+        # spectrum, no contour
         import symdisk.cli as cli
         import symdisk.extend as extend
         import symdisk.linalg as linalg
-        eig, branch_trace = np.linalg.eig, cli.branch_trace
+        eig, branch_traces = np.linalg.eig, cli.branch_traces
         counts = {"eig": 0, "spectrum": 0, "spectral_projection": 0}
         traces = []
 
@@ -233,10 +238,10 @@ class TestTrace:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def flagged_branch_trace(*args, **kwargs):
+        def flagged_branch_traces(*args, **kwargs):
             traces.append(True)
             try:
-                return branch_trace(*args, **kwargs)
+                return branch_traces(*args, **kwargs)
             finally:
                 traces.pop()
 
@@ -245,12 +250,12 @@ class TestTrace:
             for name in ("spectrum", "spectral_projection"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        monkeypatch.setattr(cli, "branch_trace", flagged_branch_trace)
+        monkeypatch.setattr(cli, "branch_traces", flagged_branch_traces)
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0
-        # one branch_trace per node of the 2-node datum
-        assert counts == {"eig": 2, "spectrum": 0, "spectral_projection": 0}
+        # one eig for both nodes of the 2-node datum
+        assert counts == {"eig": 1, "spectrum": 0, "spectral_projection": 0}
 
     def test_royal_origin_node_datum(self, tmp_path, capsys):
         # three royal nodes, one of them at the branch point z = 0: the trace
@@ -311,6 +316,54 @@ class TestTrace:
                      f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "0"]) == 2
         assert "re_s" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("datum", ["royal", "sheet"])
+    def test_golden_output(self, tmp_path, capsys, datum):
+        argv = ["trace", "--input", str(DATA / f"datum_{datum}.json"),
+                "--kernel", f"model:{DATA / f'{datum}_pencil.json'}", "--grid-n", "64"]
+        assert main(argv) == 0
+        stdout = (GOLDEN / f"trace_{datum}_grid64.stdout").read_text()
+        assert capsys.readouterr().out == stdout
+        out = tmp_path / "trace.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        csv = (GOLDEN / f"trace_{datum}_grid64.csv").read_text()
+        assert out.read_text() == csv
+        node_lines = stdout[:len(stdout) - len(csv)]
+        assert capsys.readouterr().out == node_lines + f"wrote 128 rows to {out}\n"
+
+    def test_later_node_error_keeps_earlier_lines(self, tmp_path, capsys):
+        # the royal datum with its nodes swapped: at --tol-dist-guard=0.9 the
+        # node at the branch point (now node 1) finds no admissible contour,
+        # and node 0's line is printed before the error
+        data = write_data(tmp_path / "d.json", [(1, 0.25), (0, 0)], [-0.5, 0])
+        assert main(["trace", "--input", data, "--kernel",
+                     f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "4",
+                     "--tol-dist-guard=0.9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ("extension block dimension: 2\n"
+                                "node 0: 1 branch(es), final alpha error 3.815e-08, "
+                                "final sum error 1.907e-08, contour radius 1.000e+00\n")
+        assert captured.err == ("numerical error: no admissible contour around -0j "
+                                "at z = (0.01+0j)\n")
+
+    def test_nu_of_the_extension_block_taken_from_the_audit(self, monkeypatch, capsys):
+        # one numerical radius for the kernel's pencil and one for F' in the
+        # admissibility audit; the c.n.u. block is F' itself, so its variety
+        # reuses the audit's value
+        import symdisk.numrange as numrange
+        import symdisk.variety as variety
+        radii = numrange.numerical_radii
+        calls = []
+
+        def counted(Fs, *args, **kwargs):
+            calls.append(len(Fs))
+            return radii(Fs, *args, **kwargs)
+
+        for module in (numrange, variety):
+            monkeypatch.setattr(module, "numerical_radii", counted)
+        assert main(["trace", "--input", str(DATA / "datum_royal.json"),
+                     "--kernel", f"model:{DATA / 'royal_pencil.json'}"]) == 0
+        assert calls == [1, 1]
+
     def test_byte_identical_reruns(self, tmp_path, royal_matrix, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, -0.5])
         outs = []
@@ -369,6 +422,46 @@ class TestRealize:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["realize", "--input", str(f), "--grid-n", "8"]) != 0
         assert "PASS" not in capsys.readouterr().out
+
+
+def _csv_per_value(header, rows) -> str:
+    """The CSV writer the one-format-string writer replaced: one format per value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvAndParser:
+    def test_csv_matches_per_value_formatter(self):
+        from symdisk.cli import _csv
+        header = ["a", "b", "c", "flag"]
+        specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1,
+                    -1.2345678901234567e-300, 1.7976931348623157e308, 1 / 3]
+        rows = [(x, y, -x, i) for i, (x, y) in enumerate(zip(specials, specials[::-1]))]
+        rows += [(np.float64(0.7), 2.0, np.float64(-0.0), -1)]
+        assert _csv(header, rows) == _csv_per_value(header, rows)
+        assert _csv(header, []) == _csv_per_value(header, []) == "a,b,c,flag\n"
+
+    def test_failed_parse_then_valid_command(self, jordan_matrix, capsys):
+        assert main(["classify", "--input", jordan_matrix]) == 0
+        expected = capsys.readouterr()
+        assert main(["classify", "--input", jordan_matrix, "--grid-n", "many"]) == 2
+        assert "invalid _grid_n value" in capsys.readouterr().err
+        assert main(["classify", "--input", jordan_matrix]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_appended_grid_radius_does_not_leak(self, jordan_matrix, capsys):
+        assert main(["classify", "--input", jordan_matrix]) == 0
+        default = capsys.readouterr().out
+        assert main(["classify", "--input", jordan_matrix, "--grid-radius", "0.5",
+                     "--grid-radius", "0.9", "--grid-n", "4"]) == 0
+        assert capsys.readouterr().out != default
+        assert main(["classify", "--input", jordan_matrix]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["classify", "--input", jordan_matrix, "--grid-radius", "0.5",
+                     "--grid-n", "4"]) == 0
+        assert "{'open_G': 8, " in capsys.readouterr().out
 
 
 class TestTolOverridesAndThreads:

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +339,54 @@ class TestBranchTrace:
         assert len(contour_calls) == 1
         assert tr.branch_values[0] == () and tr.sum_errors[0] == pytest.approx(1.0)
         assert max(tr.projection_defects) <= 1e-14
+
+
+def _same(x, y) -> bool:
+    """x == y, through tuples and arrays, with nan equal to nan."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y or (x != x and y != y)
+
+
+def _same_trace(a, b):
+    for f in dataclasses.fields(sd.SheetTrace):
+        assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+class TestBranchTraces:
+    @pytest.mark.parametrize("which", ["royal", "origin_node", "sheet5"])
+    def test_batch_equals_one_node_calls(self, request, which):
+        if which == "royal":
+            model = request.getfixturevalue("model_royal")
+        elif which == "origin_node":
+            zs = (0, 0.3 + 0.2j, -0.4 + 0.1j)
+            F = load_matrix(str(DATA / "royal_pencil.json"))
+            data = sd.PickData(tuple(sd.GammaPoint(2 * z, z * z) for z in zs),
+                               tuple(-z for z in zs))
+            model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
+        else:
+            ps = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j, -0.05 + 0.82j)
+            data = sd.PickData(tuple(sd.GammaPoint(0, p) for p in ps), ps)
+            model = sd.build_extension(gram_on_nodes(data, kernels.model(np.zeros((2, 2)))))
+        traces = sd.branch_traces(model)
+        assert len(traces) == len(model.nodes)
+        for j, tr in enumerate(traces):
+            _same_trace(tr, sd.branch_trace(model, j))
+
+    def test_each_node_keeps_its_own_error(self):
+        # the royal datum at dist_guard = 0.9: the node at the branch point
+        # finds no admissible contour, the other traces as on its own
+        data = sd.PickData((sd.GammaPoint(1, 0.25), sd.GammaPoint(0, 0)), (-0.5, 0))
+        cfg = sd.with_overrides(sd.DEFAULT, dist_guard=0.9)
+        F = load_matrix(str(DATA / "royal_pencil.json"))
+        model = sd.build_extension(gram_on_nodes(data, kernels.model(F, cfg), cfg), cfg)
+        first, second = sd.branch_traces(model, cfg)
+        _same_trace(first, sd.branch_trace(model, 0, cfg=cfg))
+        assert isinstance(second, sd.IllPlacedContour)
+        with pytest.raises(sd.IllPlacedContour, match=re.escape(str(second))):
+            sd.branch_trace(model, 1, cfg=cfg)
 
 
 class TestUniqueValue:

@@ -36,16 +36,20 @@ def _count_numerical_radii(monkeypatch) -> list:
     return calls
 
 
-def _pu_cases(seed: int, n_cases: int, d_max: int = 4) -> list:
-    """The matrices PU + U*(I-P) of a plain case-by-case pu_sweep loop."""
+def _pu_pairs(seed: int, n_cases: int, d_max: int = 4) -> list:
+    """The pairs (P, U) of a plain case-by-case pu_sweep loop."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_cases):
         d = int(rng.integers(2, d_max + 1))
         U = haar_unitary(rng, d)
-        P = random_projection(rng, d)
-        out.append(numrange._pu_matrix(P, U, sd.DEFAULT))
+        out.append((random_projection(rng, d), U))
     return out
+
+
+def _pu_cases(seed: int, n_cases: int, d_max: int = 4) -> list:
+    """The matrices PU + U*(I-P) of a plain case-by-case pu_sweep loop."""
+    return [numrange._pu_matrix(P, U, sd.DEFAULT) for P, U in _pu_pairs(seed, n_cases, d_max)]
 
 
 def _equivalence_cases(seed: int, n_cases: int, d_max: int = 5) -> list:
@@ -118,6 +122,43 @@ class TestPuSweep:
         result = pu_sweep(n_cases=3, seed=3)
         assert result.n_failures == 3
         assert all("not a numerical contraction" in why for _, why in result.failures)
+
+    def test_witness_search_takes_the_sweep_spectrum(self, monkeypatch):
+        # each PU + U*(I-P) has its spectrum taken once, for the verdict, and
+        # the witness search reads the same one
+        import symdisk.linalg as linalg
+        spectrum = linalg.spectrum
+        seen = []
+
+        def recorded(A, cfg=sd.DEFAULT):
+            a = np.asarray(A, dtype=complex)
+            seen.append((a.shape, a.tobytes()))
+            return spectrum(A, cfg)
+
+        for module in (linalg, numrange, variety):
+            monkeypatch.setattr(module, "spectrum", recorded)
+        assert pu_sweep(n_cases=20, seed=3).passed
+        cases = [(T.shape, T.tobytes()) for T in _pu_cases(3, 20)]
+        assert sorted(seen) == sorted(cases)
+
+    def test_witnesses_match_the_public_search(self):
+        # on the pairs of the verify seeds 0-19, the search from the sweep's T
+        # and its sorted spectrum finds the witness pu_witness_search finds
+        # from (P, U), so no verdict of verify moves
+        found_any = False
+        for seed in range(20):
+            for P, U in _pu_pairs(seed, 100):
+                T = numrange._pu_matrix(P, U, sd.DEFAULT)
+                eigs = np.sort(sd.spectrum(T), kind="stable")
+                found = numrange._pu_witness(P, U, T, eigs, sd.DEFAULT)
+                ref = sd.pu_witness_search(P, U)
+                if found is None or ref is None:
+                    assert found is ref
+                else:
+                    found_any = True
+                    assert len(found) == len(ref)
+                    assert all(np.array_equal(a, b) for a, b in zip(found, ref))
+        assert found_any
 
 
 def test_g_closure_check_reuses_the_stored_radius(monkeypatch):
