@@ -5,7 +5,7 @@ from .config import DEFAULT, Tolerances, with_overrides
 from .errors import (IllPlacedContour, InputError, NoActiveKernel,
                      NumericalError, SymdiskError)
 from .gamma import (GammaPoint, Region, beta_of, classify_region, classify_regions,
-                    fibers, phi_operator, stacked_fibers, symmetrize, szego_kernel)
+                    phi_operator, stacked_fibers, symmetrize, szego_kernel)
 from .linalg import (SpectralProjection, complete_to_unitary, hermitian_eig,
                      null_space, psd_sqrt, spectral_projection, spectrum)
 from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,

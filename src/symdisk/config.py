@@ -42,18 +42,16 @@ class Tolerances:
     tol_inner: float = 1e-9       # max boundary unitarity defect for PASS
     tol_interp: float = 1e-8      # node reproduction of interpolants
     # discretization knobs
-    n_quad: int = 64              # fewest trapezoid nodes of a contour integral; the spectrum
-                                  # sets the count above it (linalg.quadrature_nodes).  The branch
-                                  # trace takes one only where its eigenvectors are ill-conditioned
-    dist_guard: float = 0.1       # min eigenvalue-to-contour distance, relative to radius:
-                                  # sets the branch trace's disk radius and guards its contours
+    dist_guard: float = 0.1       # min eigenvalue-to-circle distance, relative to radius:
+                                  # sets the branch trace's disk radius and guards the disks
+                                  # of linalg.spectral_projection
     n_theta: int = 33             # warm-start scan of the numerical-radius level set; the
                                   # certificate, not the scan, sets the accuracy (tol_nu)
     n_steps: int = 20             # samples along a branch-trace path
 
     def __post_init__(self):
         """Reject a value no layer can run with: a float that is not finite and
-        positive, a dist_guard of 1 or more (every contour would be ill-placed),
+        positive, a dist_guard of 1 or more (every disk would be ill-placed),
         or an int below 1."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)

@@ -14,7 +14,7 @@ class NumericalError(SymdiskError):
 
 
 class IllPlacedContour(NumericalError):
-    """An eigenvalue sits too close to an integration contour."""
+    """An eigenvalue sits too close to the circle of a spectral projection's disk."""
 
 
 class NoActiveKernel(SymdiskError):

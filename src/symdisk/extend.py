@@ -10,8 +10,8 @@ so they sit on the pencil variety of F, and
 extends the original kernel to the variety's intersection with the domain.
 Eigenvalue branches through a node are traced with the Riesz projections of
 the pencil F + z F*, read from one stacked eigendecomposition along the path
-(a contour integral where the eigenvectors are ill-conditioned), and the
-closed-form uniqueness value
+(from the matrix sign function where the eigenvectors are ill-conditioned),
+and the closed-form uniqueness value
 
     w = sum_j K(x, node_j) gamma_j / sum_j conj(w_j) K(x, node_j) gamma_j
 
@@ -140,7 +140,7 @@ class SheetTrace:
     membership_residuals: tuple  # per path point: worst residual of (conj a, conj z)
     projection_defects: tuple    # per path point: ||P^2 - P|| of the enclosing P(z)
     eigvec_conditions: tuple     # per path point: cond_F(V) of the eigenvectors of F + z F*;
-                                 # above tol_proj / eps the point took the contour
+                                 # above tol_proj / eps the point took spectral_projection
     contour_radius: float
 
 
@@ -157,9 +157,10 @@ def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = 
     starts at half the distance from conj(s_j) to the other base eigenvalues
     and shrinks by 0.7, up to 3 times, while an eigenvalue lies within
     dist_guard of its circle.  A point whose eigenvectors are ill-conditioned,
-    eps * cond_F(V) > tol_proj, takes its projections from the contour
-    integral of :func:`symdisk.linalg.spectral_projection` instead.  The
-    one-node call of :func:`branch_traces`.
+    eps * cond_F(V) > tol_proj, takes its projections from
+    :func:`symdisk.linalg.spectral_projection` instead, which reads them off
+    the matrix sign function without eigenvectors.  The one-node call of
+    :func:`branch_traces`.
     """
     if n_steps is None:
         n_steps = cfg.n_steps
@@ -180,7 +181,7 @@ def branch_traces(model: ExtensionModel, cfg: Tolerances = DEFAULT) -> list:
     stacked eigendecomposition, their Riesz projections one batched product
     and one audit, and their traced points one stacked membership residual.
     Python runs per step only where the eigenvalues in the disk may form
-    more than one cluster, and at points that take the contour integral.
+    more than one cluster, and at points that take spectral_projection.
     """
     return _branch_traces(model, range(len(model.nodes)), None, cfg.n_steps, cfg)
 
@@ -226,7 +227,7 @@ def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
     Vinv = _inverses(V)
     with np.errstate(over="ignore", invalid="ignore"):
         cond = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
-    on_contour = ~(_EPS * cond <= cfg.tol_proj)  # a singular V (nan) takes the contour too
+    on_contour = ~(_EPS * cond <= cfg.tol_proj)  # a singular V (nan) takes it too
 
     gap = np.abs(base - sbar[:, None])
     far = gap > cfg.tol_cluster * scales[:, None]

@@ -58,12 +58,6 @@ def stacked_fibers(s, p) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
-def fibers(x: GammaPoint) -> tuple[complex, complex]:
-    """The unordered root pair of l^2 - s*l + p (preimages under symmetrize)."""
-    r1, r2 = stacked_fibers([x.s], [x.p])
-    return complex(r1[0]), complex(r2[0])
-
-
 def beta_of(x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
     """The disk coordinate beta = (s - conj(s)p) / (1 - |p|^2); needs |p| != 1."""
     s, p = complex(x.s), complex(x.p)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra used by every other module.
 
 General eigenvalues, Hermitian and PSD eigensolves, null spaces and PSD
-square roots are numpy/LAPACK calls behind validated contracts; contour-integral
-spectral projections, the audit every spectral projection passes, and unitary
-completions are built on top of them.
+square roots are numpy/LAPACK calls behind validated contracts; Riesz
+projections onto the eigenvalues in a disk (from the matrix sign function),
+the audit every spectral projection passes, and unitary completions are built
+on top of them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError
 
 _EPS = np.finfo(float).eps
-# most trapezoid nodes a contour may take: dist_guard = 0.1 needs at most 378,
-# and a contour that needs more than this has an eigenvalue within 3.5% of its
-# radius, where a smaller disk serves better than more nodes
-_MAX_QUAD = 1024
+_MAX_SIGN_STEPS = 60
 
 
 def as_complex_matrix(A, square: bool = False) -> np.ndarray:
@@ -114,7 +112,7 @@ def psd_sqrt(M, cfg: Tolerances = DEFAULT) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralProjection:
-    """Contour-integral spectral projection of a matrix."""
+    """Riesz projection of a matrix onto its eigenvalues inside a disk."""
     matrix: np.ndarray
     enclosed_count: int
     center: complex
@@ -124,12 +122,14 @@ class SpectralProjection:
 
 def spectral_projection(A, center: complex, radius: float, cfg: Tolerances = DEFAULT,
                         eigenvalues=None) -> SpectralProjection:
-    """Riesz projection (2*pi*i)^-1 * integral of the resolvent over a circle.
+    """Riesz projection onto the eigenvalues of A in the disk |z - center| < radius.
 
-    Trapezoid quadrature is spectrally accurate for the (analytic) resolvent;
-    the node count comes from the spectrum (:func:`quadrature_nodes`).
-    Raises :class:`IllPlacedContour` when an eigenvalue comes within
-    ``dist_guard * radius`` of the contour.
+    The Cayley map W = I + 2 (U - I)^-1 of U = (A - center I) / radius sends
+    the disk to the open left half plane and its exterior to the right, so
+    P = (I - sign W) / 2 (Higham, Functions of Matrices, SIAM 2008, ch. 5;
+    Kenney & Laub, SIAM J. Matrix Anal. Appl. 12 (1991)); see
+    :func:`_matrix_sign`.  Raises :class:`IllPlacedContour` when an
+    eigenvalue comes within ``dist_guard * radius`` of the circle.
     ``eigenvalues``, the spectrum of A from :func:`spectrum`, saves
     recomputing it when one matrix is projected around several centers or radii.
     """
@@ -147,37 +147,39 @@ def spectral_projection(A, center: complex, radius: float, cfg: Tolerances = DEF
         raise IllPlacedContour(
             f"eigenvalue within {dist.min():.3e} of the contour (radius {radius:.3e})")
     enclosed = int(np.sum(np.abs(eigs - center) < radius))
-    n_quad = quadrature_nodes(eigs, center, radius, cfg)
-    n = A.shape[0]
-    t = 2 * np.pi * np.arange(n_quad) / n_quad
-    zeta = center + radius * np.exp(1j * t)
-    shifted = zeta[:, None, None] * np.eye(n) - A[None, :, :]
-    resolvents = np.linalg.solve(shifted, np.broadcast_to(np.eye(n, dtype=complex),
-                                                          (n_quad, n, n)))
-    P = (radius / n_quad) * np.einsum("k,kij->ij", np.exp(1j * t), resolvents)
+    eye = np.eye(A.shape[0])
+    U = (A - center * eye) / radius
+    try:
+        P = (eye - _matrix_sign(eye + 2 * np.linalg.inv(U - eye))) / 2
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"matrix sign iteration failed: {exc}")
     defect = float(audit_projections(P[None], [enclosed], cfg)[0])
     return SpectralProjection(P, enclosed, complex(center), float(radius), defect)
 
 
-def quadrature_nodes(eigs, center: complex, radius: float, cfg: Tolerances = DEFAULT) -> int:
-    """Trapezoid nodes that bring a contour projection's quadrature error to roundoff.
+def _matrix_sign(X: np.ndarray) -> np.ndarray:
+    """sign(X) by the Newton iteration X <- (mu X + (mu X)^-1) / 2.
 
-    On the circle |z - center| = radius the error decays like rho^n, where
-    rho is the worst ratio of an eigenvalue's distance from the center to the
-    radius, or of the radius to that distance (Trefethen & Weideman, SIAM Rev.
-    56 (2014)): n = ceil(log(eps) / log(rho)), at least cfg.n_quad.  Raises
-    :class:`IllPlacedContour` when that exceeds _MAX_QUAD nodes.
+    The determinant scaling mu = |det X|^(-1/n) stops once the relative step
+    falls to 1e-2, where convergence is quadratic.  The iteration ends one
+    step after the relative step reaches sqrt(eps), or when an unscaled step
+    fails to halve the last one, where roundoff has taken over (Higham,
+    section 5.8), and raises :class:`NumericalError` after _MAX_SIGN_STEPS.
     """
-    dist = np.abs(np.asarray(eigs, dtype=complex) - center)
-    ratios = np.minimum(dist / radius, radius / np.maximum(dist, _EPS * radius))
-    rho = float(ratios.max()) if len(ratios) else 0.0
-    if rho <= 0.0:
-        return cfg.n_quad
-    n = int(np.ceil(np.log(_EPS) / np.log(rho))) if rho < 1.0 else _MAX_QUAD + 1
-    if n > _MAX_QUAD:
-        raise IllPlacedContour(
-            f"contour of radius {radius:.3e} needs {n} > {_MAX_QUAD} nodes (rho = {rho:.6f})")
-    return max(n, cfg.n_quad)
+    n = len(X)
+    if not n:
+        return X
+    last = np.inf
+    for _ in range(_MAX_SIGN_STEPS):
+        X_inv = np.linalg.inv(X)
+        mu = np.exp(-np.linalg.slogdet(X)[1] / n) if last > 1e-2 else 1.0
+        X_next = (mu * X + X_inv / mu) / 2
+        step = np.linalg.norm(X_next - X) / np.linalg.norm(X_next)
+        X = X_next
+        if last <= np.sqrt(_EPS) or (last <= 1e-2 and step > last / 2):
+            return X
+        last = step
+    raise NumericalError(f"matrix sign iteration did not converge in {_MAX_SIGN_STEPS} steps")
 
 
 def audit_projections(P, enclosed, cfg: Tolerances = DEFAULT) -> np.ndarray:

@@ -259,19 +259,22 @@ class TestTrace:
 
     def test_royal_origin_node_datum(self, tmp_path, capsys):
         # three royal nodes, one of them at the branch point z = 0: the trace
-        # used to fail there with "projection not idempotent"
+        # used to fail there with "projection not idempotent", and the
+        # trapezoid contour still did from --tol-proj=1e-12
         zs = (0, 0.3 + 0.2j, -0.4 + 0.1j)
         data = write_data(tmp_path / "d.json", [(2 * z, z * z) for z in zs], [-z for z in zs])
         out = tmp_path / "trace.csv"
-        assert main(["trace", "--input", data, "--kernel", f"model:{DATA / 'royal_pencil.json'}",
-                     "--out", str(out)]) == 0
-        rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        s = rows[:, 0] + 1j * rows[:, 1]
-        w = rows[:, 4] + 1j * rows[:, 5]
-        # the sheet s = 0 of the 3x3 extension block is not reached by the data
-        royal = (rows[:, 7] == 1) & (np.abs(s) > 1e-12)
-        assert royal.sum() > 0
-        assert np.abs(w[royal] + s[royal] / 2).max() <= 1e-12
+        for tol_flags in ([], ["--tol-proj=1e-12"], ["--tol-proj=1e-13"]):
+            assert main(["trace", "--input", data, "--kernel",
+                         f"model:{DATA / 'royal_pencil.json'}", "--out", str(out),
+                         *tol_flags]) == 0
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)
+            s = rows[:, 0] + 1j * rows[:, 1]
+            w = rows[:, 4] + 1j * rows[:, 5]
+            # the sheet s = 0 of the 3x3 extension block is not reached by the data
+            royal = (rows[:, 7] == 1) & (np.abs(s) > 1e-12)
+            assert royal.sum() > 0
+            assert np.abs(w[royal] + s[royal] / 2).max() <= 1e-12
 
     def test_one_stacked_kernel_vector_call(self, monkeypatch, capsys):
         # the whole grid takes its kernel vectors and residuals from one stacked
@@ -467,6 +470,8 @@ class TestCsvAndParser:
 class TestTolOverridesAndThreads:
     def test_unknown_tolerance_rejected(self, jordan_matrix):
         assert main(["classify", "--input", jordan_matrix, "--tol-bogus=1e-3"]) == 2
+        # n_quad, the trapezoid node floor, went with the contour quadrature
+        assert main(["classify", "--input", jordan_matrix, "--tol-n-quad=64"]) == 2
 
     def test_tolerance_override_applies(self, tmp_path, capsys):
         # an absurd tol_active makes a strictly PSD Pick matrix "active"
@@ -498,7 +503,7 @@ class TestTolOverridesAndThreads:
     def test_every_tolerance_field_reachable(self, royal_matrix):
         # knobs without the tol_ prefix are reached by their own name
         assert main(["classify", "--input", royal_matrix, "--tol-n-theta=33",
-                     "--tol-n-quad=32", "--tol-dist-guard=0.2", "--tol-rank=1e-12"]) == 0
+                     "--tol-dist-guard=0.2", "--tol-rank=1e-12"]) == 0
 
     @pytest.mark.parametrize("flag", ["--tol-n-theta=0", "--tol-nu=nan", "--tol-nu=inf",
                                       "--tol-mod=-1", "--tol-dist-guard=1"])

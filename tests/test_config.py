@@ -55,7 +55,7 @@ def test_every_private_helper_is_referenced():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_theta", 0), ("n_steps", 0), ("n_quad", -1),
+    ("n_theta", 0), ("n_steps", 0),
     ("tol_nu", float("nan")), ("tol_nu", float("inf")), ("tol_mod", -1.0),
     ("tol_memb", 0.0), ("dist_guard", 1.0), ("dist_guard", 1.5),
 ])
@@ -67,6 +67,5 @@ def test_bad_tolerance_values_rejected(field, value):
 
 
 def test_smallest_valid_values_accepted():
-    cfg = with_overrides(DEFAULT, n_theta=1, n_steps=1, n_quad=1, dist_guard=0.99,
-                         tol_memb=5e-324)
-    assert (cfg.n_theta, cfg.n_steps, cfg.n_quad) == (1, 1, 1)
+    cfg = with_overrides(DEFAULT, n_theta=1, n_steps=1, dist_guard=0.99, tol_memb=5e-324)
+    assert (cfg.n_theta, cfg.n_steps) == (1, 1)

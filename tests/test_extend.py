@@ -261,7 +261,9 @@ class TestBranchTrace:
 
     # contour projections failed here: at the origin node on roundoff in the
     # resolvents of a nearly nilpotent pencil (||P^2 - P|| = 1.0e-8), at the
-    # near-branch node on quadrature error (||P^2 - P|| = 2.0e-4)
+    # near-branch node on quadrature error (||P^2 - P|| = 2.0e-4).  At
+    # tol_proj = 1e-13 the trapezoid contour still left 1.3e-12 at the origin
+    # node; the matrix sign function leaves 1.8e-14
     @pytest.mark.parametrize("zs", [(0, 0.3 + 0.2j, -0.4 + 0.1j),
                                     (0.0293 + 0.0429j, 0.2491 - 0.4527j)],
                              ids=["origin_node", "near_branch_node"])
@@ -270,14 +272,16 @@ class TestBranchTrace:
         data = sd.PickData(tuple(sd.GammaPoint(2 * z, z * z) for z in zs),
                            tuple(-z for z in zs))
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
-        for j in range(len(zs)):
-            tr = sd.branch_trace(model, j)
-            assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
+        for tol_proj in (1e-8, 1e-13):
+            cfg = sd.with_overrides(sd.DEFAULT, tol_proj=tol_proj)
+            for j in range(len(zs)):
+                tr = sd.branch_trace(model, j, cfg=cfg)
+                assert max(tr.projection_defects) <= tol_proj
 
     def test_contour_fallback_takes_nodes_from_the_spectrum(self, contour_calls):
         # nodes (0, 0) and (2z, z^2), z^2 = 0.6: the first path point's pencil
         # has eigenvectors of condition 1.3e8 and eigenvalues at ratio 0.7 of
-        # the contour radius; 64 fixed nodes left ||P^2 - P|| = 1.008e-08
+        # the disk radius; a 64-node trapezoid contour left ||P^2 - P|| = 1.008e-08
         F = load_matrix(str(DATA / "royal_pencil.json"))
         z = np.sqrt(0.6)
         data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(2 * z, 0.6)), (0, -z))
@@ -315,6 +319,28 @@ class TestBranchTrace:
         assert len(contour_calls) == 3 * routed
         for a, b in zip(by_eig.branch_vectors, mixed.branch_vectors):
             assert np.abs(np.array(a) - np.array(b)).max() <= 1e-10
+
+    def test_sign_fallback_matches_a_50_digit_reference(self, model_royal):
+        # at tol_proj = 1e-13, 9 points of the path into the origin node take
+        # spectral_projection for their disk and each of their two branches;
+        # every branch vector lies within 1e-12 of the exact projection of u_0
+        # onto its eigenvector (the trapezoid contour was off by 1.0e-11)
+        mpmath = pytest.importorskip("mpmath")
+        cfg = sd.with_overrides(sd.DEFAULT, tol_proj=1e-13)
+        tr = sd.branch_trace(model_royal, 0, cfg=cfg)
+        routed = np.flatnonzero(np.finfo(float).eps * np.array(tr.eigvec_conditions) > 1e-13)
+        assert len(routed) == 9
+        F, u = model_royal.F, model_royal.u_nodes[0]
+        with mpmath.workdps(50):
+            for k in routed:
+                E, V = mpmath.eig(mpmath.matrix((F + tr.z_path[k] * F.conj().T).tolist()))
+                Vinv = mpmath.inverse(V)
+                assert len(tr.branch_values[k]) == len(E) == 2
+                for mean, v in zip(tr.branch_values[k], tr.branch_vectors[k]):
+                    i = min(range(2), key=lambda i: abs(E[i] - mean))
+                    coef = sum(Vinv[i, m] * u[m] for m in range(2))
+                    ref = np.array([complex(V[m, i] * coef) for m in range(2)])
+                    assert np.abs(v - ref).max() <= 1e-12
 
     def test_disk_radius_shrinks_off_eigenvalues(self, royal_direct):
         # path z = 0.25 / 2^k into the origin node: the eigenvalues +-2 sqrt(z)

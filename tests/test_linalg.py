@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import IllPlacedContour, InputError, NumericalError
-from symdisk.linalg import audit_projections, quadrature_nodes
+from symdisk.linalg import audit_projections
 
 
 def _sorted(eigs):
@@ -163,41 +163,41 @@ class TestSpectralProjection:
         assert P.enclosed_count == 1
         assert P.idempotency_defect <= 1e-10
 
+    def test_empty_matrix(self):
+        P = sd.spectral_projection(np.zeros((0, 0)), 0.0, 1.0)
+        assert P.matrix.shape == (0, 0) and P.enclosed_count == 0
+
     def test_ill_placed_contour(self):
         with pytest.raises(IllPlacedContour):
             sd.spectral_projection(np.diag([1.0, 3.0]).astype(complex), 0.0, 1.001)
 
 
-class TestQuadratureNodes:
-    def test_floor_is_n_quad(self):
-        # eigenvalues at ratio 1/2 need 52 nodes for roundoff: the floor wins
-        assert quadrature_nodes([0.0, 2.0], 0.0, 1.0) == sd.DEFAULT.n_quad
-        assert quadrature_nodes([], 0.0, 1.0) == sd.DEFAULT.n_quad
-
-    def test_count_from_the_worst_ratio(self):
-        # the worst eigenvalue sits at 0.7 of the radius, or the radius at 0.7
-        # of its distance: 0.7^n falls to machine epsilon at n = 102
-        n = int(np.ceil(np.log(np.finfo(float).eps) / np.log(0.7)))
-        assert quadrature_nodes([0.0, 0.7], 0.0, 1.0) == n
-        assert quadrature_nodes([0.1, 1.0 / 0.7], 0.0, 1.0) == n
-
-    def test_cap_raises(self):
-        with pytest.raises(IllPlacedContour):
-            quadrature_nodes([0.99], 0.0, 1.0)
-
-    def test_default_projection_takes_the_count(self, monkeypatch):
+class TestMatrixSign:
+    def test_few_inverses(self, monkeypatch):
         counts = []
-        solve = np.linalg.solve
+        inv = np.linalg.inv
 
-        def counted(a, b):
+        def counted(a):
             counts.append(len(a))
-            return solve(a, b)
+            return inv(a)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        # the eigenvalue 0.75 at ratio 0.87 of the radius asks for 251 nodes
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        # an eigenvalue at ratio 0.87 of the radius needs 251 trapezoid nodes
+        # on the circle; the Cayley map and each sign step take one inverse
         P = sd.spectral_projection(np.diag([0.0, 0.75]).astype(complex), 0.0, np.sqrt(0.75))
-        assert counts == [quadrature_nodes([0.0, 0.75], 0.0, np.sqrt(0.75))] == [251]
+        assert len(counts) <= 12
         assert P.idempotency_defect <= 1e-14
+
+    def test_step_cap_raises(self):
+        # a cluster 1e-4 wide at 0 behind a strongly non-normal triangle,
+        # ||P|| ~ 2e7: the disk of radius 0.01 lies in the pseudospectrum, the
+        # scaled steps hover at roundoff and never fall to 1e-2
+        rng = np.random.default_rng(4)
+        Q = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+        T = np.diag(np.r_[5e-5 * 1j ** np.arange(4), -0.5 + 0.1j * np.arange(4)])
+        A = Q @ (T + 4 * np.triu(np.ones((8, 8)), 1)) @ Q.conj().T
+        with pytest.raises(NumericalError, match="did not converge"):
+            sd.spectral_projection(A, 0.0, 0.01)
 
 
 class TestAuditProjections:
