@@ -37,15 +37,15 @@ def run_datum(name, data, pencil, variety_desc, reference, sampler, n, seed):
     model = sd.build_extension(K)
     print(f"    extension block: {model.F.shape[0]} x {model.F.shape[0]}, "
           f"variety {variety_desc}")
-    for j, tr in enumerate(sd.branch_traces(model)):
+    for j, tr in enumerate(sd.branch_trace(model)):
         if isinstance(tr, Exception):
             raise tr
         print(f"    node {j}: {tr.branch_count} branch(es), "
               f"sum error {tr.sum_errors[-1]:.2e}")
     rng = np.random.default_rng(seed)
     xs = [sampler(rng) for _ in range(n)]
-    res = sd.unique_values(model, K, rep.null_vector, data.targets,
-                           [x.s for x in xs], [x.p for x in xs])
+    res = sd.unique_value(model, K, rep.null_vector, data.targets,
+                          [x.s for x in xs], [x.p for x in xs])
     if not res.flags.all():
         print(f"    {n - int(res.flags.sum())} of {n} samples inconclusive")
         return 1

@@ -23,16 +23,16 @@ import numpy as np
 from . import kernels
 from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
-from .extend import branch_traces, build_extension, unique_values
+from .extend import branch_trace, build_extension, unique_value
 from .gamma import GammaPoint
 from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
                    psd_report)
 from .realization import (RealizationModel, boundary_unitarity_audit,
-                          inner_defects)
+                          inner_defect)
 from .sweeps import equivalence_sweep, pu_sweep, random_g_point
 from .variety import (PencilVariety, defining_poly, is_distinguished,
-                      region_audit, stacked_slice_points)
+                      region_audit, slice_points)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -179,7 +179,7 @@ def cmd_classify(args, cfg: Tolerances) -> int:
     if args.grid_radius:
         grid = [r * np.exp(2j * np.pi * k / args.grid_n)
                 for r in args.grid_radius for k in range(args.grid_n)]
-    audit = region_audit(V, grid, cfg)
+    audit = region_audit([V], grid, cfg)[0]
     print(f"nu(F) = {nu:.12f}")
     print("spectrum:", ", ".join(
         f"{ev:.12g}" + (f" (x{m})" if m > 1 else "") for ev, m in clusters))
@@ -275,7 +275,7 @@ def cmd_trace(args, cfg: Tolerances) -> int:
     gamma = rep.null_vector
     model = build_extension(K, cfg)
     print(f"extension block dimension: {model.F.shape[0]}")
-    for j, tr in enumerate(branch_traces(model, cfg)):
+    for j, tr in enumerate(branch_trace(model, cfg)):
         if isinstance(tr, Exception):
             raise tr
         print(f"node {j}: {tr.branch_count} branch(es), "
@@ -287,9 +287,9 @@ def cmd_trace(args, cfg: Tolerances) -> int:
     # last bit of p for grid sizes that are not powers of two
     p_grid = np.array([args.grid_radius * np.exp(2j * np.pi * i / args.grid_n)
                        for i in range(args.grid_n)], dtype=complex)
-    s = stacked_slice_points(V, p_grid, cfg).ravel()
+    s = slice_points(V, p_grid).ravel()
     p = np.repeat(p_grid, V.dim)
-    w, flags, resid = unique_values(model, K, gamma, data.targets, s, p, cfg)
+    w, flags, resid = unique_value(model, K, gamma, data.targets, s, p, cfg)
     rows = list(zip(s.real.tolist(), s.imag.tolist(), p.real.tolist(), p.imag.tolist(),
                     w.real.tolist(), w.imag.tolist(), resid.tolist(), flags.tolist()))
     text = _csv(["re_s", "im_s", "re_p", "im_p", "re_w", "im_w", "residual", "sheet_flag"],
@@ -323,7 +323,7 @@ def cmd_realize(args, cfg: Tolerances) -> int:
     print(f"boundary unitarity defect (grid {args.grid_n}x{args.grid_n}): {defect:.3e}")
     rng = np.random.default_rng(args.seed)
     points = [random_g_point(rng) for _ in range(20)]
-    direct, other = inner_defects(model, [x.s for x in points], [x.p for x in points], cfg)
+    direct, other = inner_defect(model, [x.s for x in points], [x.p for x in points], cfg)
     agreement = [np.linalg.norm(a - b) for a, b in zip(direct, other)]
     # np.max keeps a nan that the builtin max would drop
     worst = float(np.max(agreement))

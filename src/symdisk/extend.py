@@ -8,14 +8,15 @@ so they sit on the pencil variety of F, and
     K(x, y) = <u(y), u(x)> / (1 - p conj(q))
 
 extends the original kernel to the variety's intersection with the domain.
-Eigenvalue branches through a node are traced with the Riesz projections of
-the pencil F + z F*, read from one stacked eigendecomposition along the path
-(from the matrix sign function where the eigenvectors are ill-conditioned),
-and the closed-form uniqueness value
+:func:`branch_trace` traces the eigenvalue branches through every node with
+the Riesz projections of the pencil F + z F*, read from one stacked
+eigendecomposition over all paths (from the matrix sign function where the
+eigenvectors are ill-conditioned), and :func:`unique_value` evaluates the
+closed-form uniqueness value
 
     w = sum_j K(x, node_j) gamma_j / sum_j conj(w_j) K(x, node_j) gamma_j
 
-is evaluated along the variety (gamma a Pick-matrix null vector).
+at a stack of variety points in one pass (gamma a Pick-matrix null vector).
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError, SymdiskError
 from .gamma import GammaPoint, coincident
-from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector, unit_kernel_vectors
+from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector
 from .linalg import _projection_failures, cluster_indices, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
 from .variety import (PencilVariety, _with_eigenvalues, is_distinguished,
-                      membership_residuals, pencil_matrix)
+                      membership_residual, pencil_matrix)
 
 _EPS = np.finfo(float).eps
 # gamma passes as a Pick-matrix null vector when ||P gamma|| is at most this
@@ -116,15 +117,15 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
                      cfg: Tolerances = DEFAULT) -> np.ndarray:
     """u(x) in ker(F + conj(p) F* - conj(s) I); stored u_j at the nodes.
 
-    Off the nodes this is :func:`symdisk.kernels.unit_kernel_vector` on the
-    model's variety.  When the null space has dimension > 1 that is one
+    Off the nodes this is row 0 of :func:`symdisk.kernels.unit_kernel_vector`
+    on the model's variety.  When the null space has dimension > 1 that is one
     choice among many; the uniqueness-value ratio does not depend on it.
     """
     hit = np.flatnonzero(coincident(x.s, x.p, [nd.s for nd in model.nodes],
                                     [nd.p for nd in model.nodes], cfg.tol_node)[0])
     if len(hit):
         return model.u_nodes[hit[0]]
-    return unit_kernel_vector(model.variety, x, cfg)
+    return unit_kernel_vector(model.variety, complex(x.s), complex(x.p), cfg)[0][0]
 
 
 @dataclass(frozen=True)
@@ -144,62 +145,38 @@ class SheetTrace:
     contour_radius: float
 
 
-def branch_trace(model: ExtensionModel, node_index: int, radius: float | None = None,
-                 n_steps: int | None = None, cfg: Tolerances = DEFAULT) -> SheetTrace:
-    """Trace the branches alpha_l(z) -> conj(s_j) as z -> conj(p_j).
+def branch_trace(model: ExtensionModel, cfg: Tolerances = DEFAULT, *,
+                 radius: float | None = None) -> list:
+    """Trace the branches alpha_l(z) -> conj(s_j) as z -> conj(p_j) at every node j.
 
-    The path is radial with geometric step 1/2.  The base pencil
-    F + conj(p_j) F* and every path pencil F + z F* take one stacked
-    eigendecomposition V diag(lambda) V^-1.  At each z the eigenvalues inside
-    the contour disk around conj(s_j) are clustered; branch vectors are
-    v_l(z) = P_l(z) u_j, with P_l = V[:, g_l] V^-1[g_l, :] the Riesz projection
-    of the cluster g_l (Kato, Perturbation Theory, II.1).  The disk's radius
+    Entry j is node j's SheetTrace, or the exception its trace raises; a
+    LAPACK failure of the stacked eigendecomposition or residuals raises for
+    all nodes.  Each path is radial with cfg.n_steps geometric steps of 1/2,
+    from ``radius`` (by default min(0.01, (1 - |p_j|)/2)).  The base pencil
+    F + conj(p_j) F* and every path pencil F + z F* of all nodes take one
+    stacked eigendecomposition V diag(lambda) V^-1.  At each z the
+    eigenvalues inside the contour disk around conj(s_j) are clustered;
+    branch vectors are v_l(z) = P_l(z) u_j, with P_l = V[:, g_l] V^-1[g_l, :]
+    the Riesz projection of the cluster g_l (Kato, Perturbation Theory,
+    II.1), all from one batched product and one audit.  The disk's radius
     starts at half the distance from conj(s_j) to the other base eigenvalues
     and shrinks by 0.7, up to 3 times, while an eigenvalue lies within
-    dist_guard of its circle.  A point whose eigenvectors are ill-conditioned,
-    eps * cond_F(V) > tol_proj, takes its projections from
+    dist_guard of its circle.  A point whose eigenvectors are
+    ill-conditioned, eps * cond_F(V) > tol_proj, takes its projections from
     :func:`symdisk.linalg.spectral_projection` instead, which reads them off
-    the matrix sign function without eigenvectors.  The one-node call of
-    :func:`branch_traces`.
-    """
-    if n_steps is None:
-        n_steps = cfg.n_steps
-    if not (0 <= node_index < len(model.nodes)):
-        raise InputError("node index out of range")
-    trace, = _branch_traces(model, [node_index], radius, n_steps, cfg)
-    if isinstance(trace, Exception):
-        raise trace
-    return trace
-
-
-def branch_traces(model: ExtensionModel, cfg: Tolerances = DEFAULT) -> list:
-    """The branch trace of :func:`branch_trace` through every node, in one pass.
-
-    Entry j is ``branch_trace(model, j, cfg=cfg)``, or the exception that call
-    raises; a LAPACK failure of the stacked eigendecomposition or residuals
-    raises for all nodes.  The base and path pencils of all nodes take one
-    stacked eigendecomposition, their Riesz projections one batched product
-    and one audit, and their traced points one stacked membership residual.
-    Python runs per step only where the eigenvalues in the disk may form
-    more than one cluster, and at points that take spectral_projection.
-    """
-    return _branch_traces(model, range(len(model.nodes)), None, cfg.n_steps, cfg)
-
-
-def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
-                   cfg: Tolerances) -> list:
-    """The traces of :func:`branch_traces` at the given nodes, each a
-    SheetTrace or its node's exception.
-
-    Arrays run over the nodes' path points in node order, n_steps per node;
-    a node that fails keeps its first error and drops out of later stages.
+    the matrix sign function without eigenvectors.  The traced points take
+    one stacked membership residual.  Python runs per step only where the
+    eigenvalues in the disk may form more than one cluster, and at points
+    that take spectral_projection.  Arrays run over the nodes' path points
+    in node order, n_steps per node; a node that fails keeps its first error
+    and drops out of later stages.
     """
     F = model.F
     d = F.shape[0]
-    nodes = [model.nodes[j] for j in node_indices]
+    nodes = model.nodes
     if not nodes:
         return []
-    n_nodes, n = len(nodes), n_steps
+    n_nodes, n = len(nodes), cfg.n_steps
     sbar = np.array([np.conj(complex(nd.s)) for nd in nodes], dtype=complex)
     paths = []
     for nd in nodes:
@@ -271,7 +248,7 @@ def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
             errors[node_of[i]] = exc
             continue
         P[r], defects[r] = proj.matrix, proj.idempotency_defect
-    u = np.array(model.u_nodes, dtype=complex).reshape(-1, d)[list(node_indices)]
+    u = np.array(model.u_nodes, dtype=complex).reshape(-1, d)
     vs = (P @ u[node_of[owner], :, None])[:, :, 0]
     sum_errors = np.full(len(live), np.nan)
     sum_errors[live] = np.linalg.norm(vs[first] - u[node_of[live]], axis=1)
@@ -285,7 +262,7 @@ def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
     alphas = np.conj(np.array([m for v, keep in zip(values, ok[node_of]) if keep for m in v],
                               dtype=complex))
     zbar = np.repeat(np.conj(np.array(paths, dtype=complex)).ravel(), n_vals)
-    resid = membership_residuals(model.variety, alphas, zbar) if ok.any() else np.zeros(0)
+    resid = membership_residual(model.variety, alphas, zbar) if ok.any() else np.zeros(0)
     memb = np.full(len(n_vals), np.nan)
     has = n_vals > 0
     if has.any():
@@ -294,7 +271,7 @@ def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
     vectors = list(vs)
     ends = np.r_[start[1:], len(owner)].tolist()
     out = []
-    for a, j in enumerate(node_indices):
+    for a in range(n_nodes):
         if errors[a] is not None:
             out.append(errors[a])
             continue
@@ -302,7 +279,7 @@ def _branch_traces(model: ExtensionModel, node_indices, radius, n_steps: int,
         bv = values[pts]
         sb = sbar[a]
         out.append(SheetTrace(
-            node_index=j,
+            node_index=a,
             z_path=tuple(paths[a]),
             branch_values=tuple(bv),
             branch_vectors=tuple(tuple(vectors[end - len(v):end])
@@ -404,7 +381,7 @@ def _inverses(V: np.ndarray) -> np.ndarray:
 
 
 class UniqueValues(NamedTuple):
-    """Uniqueness values at a stack of variety points, from :func:`unique_values`."""
+    """Uniqueness values at a stack of variety points, from :func:`unique_value`."""
     values: np.ndarray     # w_k, nan where flags_k is 0
     flags: np.ndarray      # 1 where w_k is decided, 0 where a guard failed
     residuals: np.ndarray  # sigma_min of the pencil at (s_k, p_k): the membership residual
@@ -441,14 +418,13 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
     vanishing = (np.abs(kden) <= _KERNEL_DEN_FLOOR).any(axis=1)
     near = coincident(s, p, ms, mq, cfg.tol_node)
     at_node = near.any(axis=1)
+    # a point is checked for membership before its kernel column is formed,
+    # so an off-variety point ahead of the first vanishing denominator wins
+    m = int(np.argmax(vanishing)) + 1 if vanishing.any() else len(vanishing)
+    U, sigma = unit_kernel_vector(model.variety, s, p, cfg,
+                                  skip=at_node | (np.arange(len(vanishing)) >= m))
     if vanishing.any():
-        # a point is checked for membership before its kernel column is formed,
-        # so an off-variety point ahead of the first vanishing denominator wins
-        m = int(np.argmax(vanishing)) + 1
-        unit_kernel_vectors(model.variety, s.ravel()[:m], p.ravel()[:m], cfg,
-                            skip=at_node[:m])
         raise InputError("kernel denominator 1 - p conj(q) vanishes")
-    U, sigma = unit_kernel_vectors(model.variety, s, p, cfg, skip=at_node)
     u_nodes = np.array(model.u_nodes, dtype=complex).reshape(n, model.F.shape[0])
     U[at_node] = u_nodes[np.argmax(near[at_node], axis=1)]
     col = (U.conj() @ u_nodes.T) / kden
@@ -460,38 +436,19 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
     return ratio, den_ok, sigma
 
 
-def unique_values(model: ExtensionModel, K: KernelMatrix, gamma, targets, s, p,
-                  cfg: Tolerances = DEFAULT) -> UniqueValues:
-    """The closed-form values forced at the variety points (s_k, p_k).
+def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets, s, p,
+                 cfg: Tolerances = DEFAULT) -> UniqueValues:
+    """The closed-form values forced by an active kernel at the variety points (s_k, p_k).
 
-    The stacked form of :func:`unique_value`: a point whose denominator
-    vanishes, or whose value escapes the closed unit disk, gets the value nan
-    and the flag 0 instead of an exception.  Input errors still raise, an
-    off-variety point at the first such point in the order given.
+    gamma must annihilate the Pick matrix of (K, targets); each value is the
+    ratio of extended-kernel sums and is exactly invariant under rescaling
+    gamma.  The model must be built on the nodes of K; u(x) is paired with
+    the stored u_j.  A point whose denominator vanishes ("sheet
+    inconclusive"), or whose value escapes the closed unit disk, gets the
+    value nan and the flag 0.  Input errors raise, an off-variety point at
+    the first such point in the order given.
     """
     ratio, den_ok, sigma = _uniqueness_ratios(model, K, gamma, targets, s, p, cfg)
     flags = den_ok & ~(np.abs(ratio) > 1.0 + cfg.tol_op)
     values = np.where(flags, ratio, complex(np.nan, np.nan))
     return UniqueValues(values, flags.astype(int), sigma)
-
-
-def unique_value(model: ExtensionModel, K: KernelMatrix, gamma, targets,
-                 x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
-    """The closed-form value forced at x by an active kernel.
-
-    gamma must annihilate the Pick matrix of (K, targets); the value is the
-    ratio of extended-kernel sums and is exactly invariant under rescaling
-    gamma.  Raises when the denominator vanishes ("sheet inconclusive") and
-    when the result escapes the closed unit disk.  The model must be built on
-    the nodes of K; u(x) is paired with the stored u_j.  The one-point call of
-    :func:`unique_values`.
-    """
-    ratio, den_ok, _ = _uniqueness_ratios(model, K, gamma, targets,
-                                          complex(x.s), complex(x.p), cfg)
-    if not den_ok[0]:
-        raise NumericalError("denominator vanishes - sheet inconclusive")
-    val = complex(ratio[0])
-    if abs(val) > 1.0 + cfg.tol_op:
-        raise NumericalError(f"uniqueness value |w| = {abs(val):.6f} > 1; "
-                             "inconsistent inputs")
-    return val

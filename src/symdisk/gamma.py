@@ -66,21 +66,19 @@ def beta_of(x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
     return (s - np.conj(s) * p) / (1.0 - abs(p) ** 2)
 
 
-# the labels in the order of the codes returned by classify_regions
+# the labels in the order of the codes returned by classify_region
 REGIONS = tuple(Region)
 
 
-def classify_regions(s, p, tol: float | None = None,
-                     cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Label points by fiber moduli, with a tolerance band around modulus 1.
+def classify_region(s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Label the points (s_k, p_k) by fiber moduli, with the tol_mod band around 1.
 
     Returns one code per point, an index into ``REGIONS``.  Points whose
     fiber modulus lands inside the band count as boundary, and so do points
     that meet the characterization of bG within the band.  Membership in the
     open domain is decided by the strict inequality |s - conj(s) p| < 1 - |p|^2.
     """
-    if tol is None:
-        tol = cfg.tol_mod
+    tol = cfg.tol_mod
     s = np.asarray(s, dtype=complex)
     p = np.asarray(p, dtype=complex)
     z1, z2 = stacked_fibers(s, p)
@@ -97,12 +95,6 @@ def classify_regions(s, p, tol: float | None = None,
     return np.select([(on1 & on2) | torus, on1 | on2, inside, (m1 > 1.0) & (m2 > 1.0)],
                      [REGIONS.index(label) for label in labels],
                      default=REGIONS.index(Region.R2))
-
-
-def classify_region(x: GammaPoint, tol: float | None = None,
-                    cfg: Tolerances = DEFAULT) -> Region:
-    """Region label of one point; see :func:`classify_regions`."""
-    return REGIONS[classify_regions([x.s], [x.p], tol, cfg)[0]]
 
 
 def coincident(s, p, t, q, tol: float) -> np.ndarray:
@@ -132,8 +124,8 @@ _PENCIL_SINGULAR = 1e-13
 _PENCIL_MARGIN = 1e-6
 
 
-def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT, *,
-                  tau_norm: float | None = None) -> np.ndarray:
+def phi_operator(tau, s, p, cfg: Tolerances = DEFAULT, *,
+                 tau_norm: float | None = None) -> np.ndarray:
     """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}.
 
     ``s`` and ``p`` are equal-length sequences; the result has shape
@@ -179,11 +171,6 @@ def phi_operators(tau, s, p, cfg: Tolerances = DEFAULT, *,
             raise InputError("singular pencil 2*I - s*tau")
     rhs = 2.0 * p * tau - s * eye
     return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
-def phi_operator(tau, x: GammaPoint, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Operator version (2*tau*p - s*I)(2*I - s*tau)^{-1} for a contraction tau."""
-    return phi_operators(tau, [x.s], [x.p], cfg)[0]
 
 
 def szego_kernel(x: GammaPoint, y: GammaPoint) -> complex:

@@ -21,8 +21,8 @@ def szego() -> callable:
     return szego_kernel
 
 
-def unit_kernel_vectors(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
-                        skip=None) -> tuple[np.ndarray, np.ndarray]:
+def unit_kernel_vector(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
+                       skip=None) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors in ker(F + conj(p_k) F* - conj(s_k) I), one stacked SVD.
 
     Row k of the first array is the smallest right singular vector of that
@@ -56,17 +56,6 @@ def unit_kernel_vectors(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
     return U * (np.conj(pivot) / np.abs(pivot))[:, None], sv[:, -1]
 
 
-def unit_kernel_vector(V: PencilVariety, x: GammaPoint,
-                       cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Deterministic unit vector in ker(F + conj(p) F* - conj(s) I).
-
-    The one-point call of :func:`unit_kernel_vectors`.  Raises when x is off
-    the variety at the tol_memb scale.
-    """
-    U, _ = unit_kernel_vectors(V, complex(x.s), complex(x.p), cfg)
-    return U[0]
-
-
 # 1 - p conj(q) counts as vanishing at or below this, a few dozen ulps of 1:
 # only a pair with p conj(q) = 1 up to rounding reaches it, a pole of the
 # kernel that no two points of the open domain attain
@@ -95,7 +84,7 @@ def model(F, cfg: Tolerances = DEFAULT) -> callable:
     def u_of(x: GammaPoint) -> np.ndarray:
         key = (complex(x.s), complex(x.p))
         if key not in cache:
-            cache[key] = unit_kernel_vector(V, x, cfg)
+            cache[key] = unit_kernel_vector(V, *key, cfg)[0][0]
         return cache[key]
 
     def evaluate(x: GammaPoint, y: GammaPoint) -> complex:

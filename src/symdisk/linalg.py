@@ -32,7 +32,7 @@ def as_complex_matrix(A, square: bool = False) -> np.ndarray:
     return M
 
 
-def spectrum(A, cfg: Tolerances = DEFAULT) -> np.ndarray:
+def spectrum(A) -> np.ndarray:
     """All eigenvalues of a square complex matrix, with multiplicity.
 
     LAPACK ``zgeev`` through ``np.linalg.eigvals``.  The order of the returned
@@ -137,7 +137,7 @@ def spectral_projection(A, center: complex, radius: float, cfg: Tolerances = DEF
     if radius <= 0:
         raise InputError("contour radius must be positive")
     if eigenvalues is None:
-        eigs = spectrum(A, cfg)
+        eigs = spectrum(A)
     else:
         eigs = np.asarray(eigenvalues, dtype=complex)
         if eigs.shape != (A.shape[0],):

@@ -197,7 +197,7 @@ def is_cnu(F, cfg: Tolerances = DEFAULT) -> CnuVerdict:
     """
     F = as_complex_matrix(F, square=True)
     check_numerical_contraction(numerical_radius(F, cfg), cfg)
-    return cnu_verdict(spectrum(F, cfg), cfg)
+    return cnu_verdict(spectrum(F), cfg)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
     descending (real, imag) order, and the c.n.u. block is the rest.
     """
     n = F.shape[0]
-    eigs = spectrum(F, cfg)
+    eigs = spectrum(F)
     parts = _unimodular_eigenspaces(F, eigs, cfg)
     if not parts:
         return CnuDecomposition(np.eye(n, dtype=complex), (), F.copy(), eigs)
@@ -296,7 +296,7 @@ def _peel_unitary(F: np.ndarray, cfg: Tolerances) -> CnuDecomposition:
     if err > _REDUCED * scale:
         raise NumericalError(f"c.n.u. decomposition reassembly residual {err:.3e}")
     return CnuDecomposition(transform, tuple((beta, len(basis)) for beta, basis in parts),
-                            cnu_block, spectrum(cnu_block, cfg))
+                            cnu_block, spectrum(cnu_block))
 
 
 def _pu_matrix(P, U, cfg: Tolerances) -> np.ndarray:
@@ -385,7 +385,7 @@ def pu_witness_search(P, U, cfg: Tolerances = DEFAULT):
     numerical-radius audit of :func:`pu_compress`.
     """
     T = _pu_matrix(P, U, cfg)
-    return _pu_witness(P, U, T, spectrum(T, cfg), cfg)
+    return _pu_witness(P, U, T, spectrum(T), cfg)
 
 
 def _pu_witness(P, U, T: np.ndarray, eigs, cfg: Tolerances):

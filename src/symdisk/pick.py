@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import REGIONS, GammaPoint, Region, classify_regions, coincident
+from .gamma import REGIONS, GammaPoint, Region, classify_region, coincident
 from .linalg import as_complex_matrix, hermitian_part, psd_eigh
 from .numrange import numerical_radius
 
@@ -45,7 +45,7 @@ class PickData:
         if len(pairs):
             i, j = pairs[0]
             raise InputError(f"nodes {i} and {j} coincide")
-        outside = np.flatnonzero(classify_regions(s, p, cfg=cfg) != REGIONS.index(Region.OPEN_G))
+        outside = np.flatnonzero(classify_region(s, p, cfg) != REGIONS.index(Region.OPEN_G))
         if len(outside):
             x = nodes[outside[0]]
             raise InputError(f"node {outside[0]} = ({x.s}, {x.p}) is not in the open domain")
@@ -338,7 +338,7 @@ def nonextremal_perturbation(data: PickData, f, eta: complex, delta: float,
     return PerturbedInterpolant(f, data, complex(eta), float(delta), float(worst))
 
 
-def agreement_locus(f_list, grid, tol: float, cfg: Tolerances = DEFAULT) -> list:
+def agreement_locus(f_list, grid, tol: float) -> list:
     """Grid points where all evaluators pairwise agree within tol."""
     if len(f_list) < 2:
         raise InputError("agreement needs at least two evaluators")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import GammaPoint, phi_operators
+from .gamma import GammaPoint, phi_operator
 from .linalg import as_complex_matrix, complete_to_unitary
 from .pick import PickData
 
@@ -71,7 +71,7 @@ class RealizationModel:
 
     @functools.cached_property
     def tau_norm(self) -> float:
-        """||tau||_2, taken once per model for every phi_operators call."""
+        """||tau||_2, taken once per model for every phi_operator call."""
         return float(np.linalg.norm(self.tau, 2))
 
     def validate(self, cfg: Tolerances = DEFAULT) -> None:
@@ -94,7 +94,7 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     the SVD runs only on the points where that bound does not clear the
     threshold by a wide margin.
     """
-    phi = phi_operators(m.tau, s, p, cfg, tau_norm=m.tau_norm)
+    phi = phi_operator(m.tau, s, p, cfg, tau_norm=m.tau_norm)
     h, d = m.C.shape
     M = np.eye(h) - m.D @ phi
     # one factorization per point gives both (I - D phi)^{-1} C and the inverse;
@@ -119,15 +119,17 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     return phi, inv, m.A + m.B @ phi @ inv
 
 
-def eval_model(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT,
-               validate: bool = True) -> np.ndarray:
-    """Psi(x) = A + B phi (I - D phi)^{-1} C."""
-    if validate:
-        m.validate(cfg)
-    return _transfer(m, [x.s], [x.p], cfg)[2][0]
+def eval_model(m: RealizationModel, s, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Psi(s_k, p_k) = A + B phi (I - D phi)^{-1} C at each point, stacked.
+
+    ``s`` and ``p`` are equal-length sequences of point coordinates.  The
+    model is validated first.
+    """
+    m.validate(cfg)
+    return _transfer(m, s, p, cfg)[2]
 
 
-def inner_defects(m: RealizationModel, s, p, cfg: Tolerances = DEFAULT):
+def inner_defect(m: RealizationModel, s, p, cfg: Tolerances = DEFAULT):
     """Both computations of I - Psi* Psi at each point, stacked; they must agree to tol_id.
 
     ``s`` and ``p`` are equal-length sequences of point coordinates.  The
@@ -144,12 +146,6 @@ def inner_defects(m: RealizationModel, s, p, cfg: Tolerances = DEFAULT):
         if not mismatch <= cfg.tol_id:
             raise NumericalError(f"inner-defect mismatch {mismatch:.3e}: model is inconsistent")
     return direct, identity_form
-
-
-def inner_defect(m: RealizationModel, x: GammaPoint, cfg: Tolerances = DEFAULT):
-    """Both computations of I - Psi(x)* Psi(x); see :func:`inner_defects`."""
-    direct, identity_form = inner_defects(m, [x.s], [x.p], cfg)
-    return direct[0], identity_form[0]
 
 
 def _screened_max(m: RealizationModel, rows, worst: float, cfg: Tolerances) -> float:
@@ -256,7 +252,9 @@ def lurking_isometry_interpolant(tau, f_values, data, targets=None,
     if len(fvals) != len(nodes):
         raise InputError("one F-value per node is required")
 
-    phis = phi_operators(tau, [x.s for x in nodes], [x.p for x in nodes], cfg)
+    s = [x.s for x in nodes]
+    p = [x.p for x in nodes]
+    phis = phi_operator(tau, s, p, cfg)
     doms, rans = [], []
     for j, x in enumerate(nodes):
         X = np.vstack([np.eye(d, dtype=complex), phis[j] @ fvals[j]])
@@ -272,9 +270,8 @@ def lurking_isometry_interpolant(tau, f_values, data, targets=None,
                          "the lurking-isometry Gram identity fails")
     U = complete_to_unitary(doms, rans, dim=d + h, cfg=cfg)
     model = RealizationModel(tau, U[:d, :d], U[:d, d:], U[d:, :d], U[d:, d:])
-    model.validate(cfg)
-    for j, x in enumerate(nodes):
-        err = np.linalg.norm(eval_model(model, x, cfg, validate=False) - mats[j])
+    for j, psi in enumerate(eval_model(model, s, p, cfg)):
+        err = np.linalg.norm(psi - mats[j])
         if err > cfg.tol_interp:
             raise NumericalError(f"model misses node {j} by {err:.3e}")
     return model

@@ -14,7 +14,7 @@ Both sweeps run in blocks of _BLOCK cases, each block in phases: draw every
 case, certify the nu of every drawn matrix in one
 :func:`symdisk.numrange.numerical_radii` call, build the matrices, build
 their varieties with :func:`symdisk.variety.pencil_varieties`, and audit them
-with :func:`symdisk.variety.region_audits`.  nu never feeds a draw, so the
+with :func:`symdisk.variety.region_audit`.  nu never feeds a draw, so the
 random stream is consumed in exactly the order of a case-by-case loop over
 :func:`haar_unitary`, :func:`random_projection` and :func:`ginibre_contraction`,
 and every case's verdicts equal those of that loop.
@@ -31,7 +31,7 @@ from .gamma import GammaPoint, Region
 from .errors import InputError
 from .numrange import _pu_matrix, _pu_witness, numerical_radii
 from .variety import (distinguished_property_check, is_distinguished, pencil_varieties,
-                      region_audits)
+                      region_audit)
 
 # cases per block: each stacked call still carries a dozen or more matrices,
 # while a block's stacked slices and region labels stay near 1 MB, so peak
@@ -144,7 +144,7 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
         for V in Vs:
             if isinstance(V, InputError):
                 raise V
-        for case, V, audit in zip(cases, Vs, region_audits(Vs, cfg=cfg)):
+        for case, V, audit in zip(cases, Vs, region_audit(Vs, cfg=cfg)):
             verdict = bool(is_distinguished(V, cfg))
             prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
             if audit.counts[Region.R2.value] != 0:

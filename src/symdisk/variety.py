@@ -4,9 +4,10 @@ The variety of a d x d numerical contraction F is an algebraic curve that
 always meets the closed symmetrized bidisk; it is a distinguished variety
 exactly when F is completely non-unitary.  This module provides the defining
 polynomial, slicing, membership residuals, the distinguished classification,
-region audits, and containment of boundary sheets.  Varieties and region
-audits also come in lists: :func:`pencil_varieties` certifies every nu(F) in
-one :func:`symdisk.numrange.numerical_radii` call, and :func:`region_audits`
+region audits, and containment of boundary sheets.  Slices and residuals
+take arrays of points, and region audits a list of varieties:
+:func:`pencil_varieties` certifies every nu(F) in one
+:func:`symdisk.numrange.numerical_radii` call, and :func:`region_audit`
 slices every variety of one order in one stacked ``eigvals``.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import REGIONS, GammaPoint, Region, classify_regions, stacked_fibers
+from .gamma import REGIONS, Region, classify_region, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
 from .numrange import (CnuVerdict, _peel_unitary, check_numerical_contraction,
                        cnu_verdict, numerical_radii, numerical_radius)
@@ -114,7 +115,7 @@ class PencilVariety:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of F, sorted by (real, imag)."""
-        return _sorted_eigenvalues(spectrum(self.F, self.cfg))
+        return _sorted_eigenvalues(spectrum(self.F))
 
     @property
     def dim(self) -> int:
@@ -170,7 +171,7 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
     return BivarPoly.from_coeffs(hatc / (2.0 ** np.arange(n))[:, None])
 
 
-def stacked_slice_points(V: PencilVariety, p, cfg: Tolerances = DEFAULT) -> np.ndarray:
+def slice_points(V: PencilVariety, p) -> np.ndarray:
     """Row k holds every s with (s, p_k) on the variety, sorted by (real, imag).
 
     The rows are the spectra of the pencils F* + p_k F, from one stacked
@@ -199,11 +200,6 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sort(eigs.reshape(m, p.size, d), axis=2, kind="stable")
 
 
-def slice_points(V: PencilVariety, p: complex, cfg: Tolerances = DEFAULT) -> list[complex]:
-    """All s with (s, p) on the variety: the spectrum of F* + p F, sorted."""
-    return stacked_slice_points(V, complex(p), cfg)[0].tolist()
-
-
 def _pencil_singular_values(F: np.ndarray, s, p) -> np.ndarray:
     """Singular values of every pencil F* + p_k F - s_k I, one stacked SVD.
 
@@ -214,7 +210,7 @@ def _pencil_singular_values(F: np.ndarray, s, p) -> np.ndarray:
     return sv.reshape(s.size, F.shape[0])
 
 
-def membership_residuals(V: PencilVariety, s, p) -> np.ndarray:
+def membership_residual(V: PencilVariety, s, p) -> np.ndarray:
     """sigma_min(F* + p_k F - s_k I) at every (s_k, p_k); zero exactly on the variety."""
     s = np.asarray(s, dtype=complex)
     p = np.asarray(p, dtype=complex)
@@ -223,11 +219,6 @@ def membership_residuals(V: PencilVariety, s, p) -> np.ndarray:
     if V.dim == 0:
         return np.full(s.size, np.inf)  # det of the empty pencil is 1: the variety is empty
     return _pencil_singular_values(V.F, s, p)[:, -1]
-
-
-def membership_residual(V: PencilVariety, x: GammaPoint) -> float:
-    """sigma_min(F* + p F - s I); zero exactly on the variety."""
-    return float(membership_residuals(V, complex(x.s), complex(x.p))[0])
 
 
 def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) -> np.ndarray:
@@ -274,13 +265,15 @@ def default_p_grid(radii=(0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35),
 _DEFAULT_P_GRID = default_p_grid()
 
 
-def region_audits(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAuditReport]:
-    """The region audit of every variety of a list, in one stacked pass.
+def region_audit(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAuditReport]:
+    """Classify the sampled points of every variety of a list and count region hits.
 
-    The slices of all varieties of one order come from one stacked
-    ``eigvals`` over varieties x ``p_grid``, and all sampled points are
-    labelled in one :func:`symdisk.gamma.classify_regions` call.  Report k
-    equals ``region_audit(Vs[k], p_grid, cfg)``: the points, codes and counts
+    A c.n.u. pencil avoids both R1 and R2 (strict PASS); a general numerical
+    contraction still never meets R2.  The slices of all varieties of one
+    order come from one stacked ``eigvals`` over varieties x ``p_grid``, and
+    all sampled points are labelled in one
+    :func:`symdisk.gamma.classify_region` call.  Report k equals
+    ``region_audit([Vs[k]], p_grid, cfg)[0]``: the points, codes and counts
     of one variety do not depend on the others.
     """
     if not Vs:
@@ -296,7 +289,7 @@ def region_audits(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAudi
             s_of[k] = row.ravel()
     p_of = [np.repeat(p_arr, V.dim) for V in Vs]
     sizes = [len(s) for s in s_of]
-    codes = classify_regions(np.concatenate(s_of), np.concatenate(p_of), cfg=cfg)
+    codes = classify_region(np.concatenate(s_of), np.concatenate(p_of), cfg)
     owner = np.repeat(np.arange(len(Vs)), sizes)
     counts = np.bincount(owner * len(REGIONS) + codes,
                          minlength=len(Vs) * len(REGIONS)).reshape(len(Vs), len(REGIONS))
@@ -309,16 +302,6 @@ def region_audits(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAudi
         strict_pass=bool(row[code_r1] == 0 and row[code_r2] == 0),
         r2_free=bool(row[code_r2] == 0),
     ) for s, p, c, row in zip(s_of, p_of, np.split(codes, np.cumsum(sizes)[:-1]), counts)]
-
-
-def region_audit(V: PencilVariety, p_grid=None, cfg: Tolerances = DEFAULT) -> RegionAuditReport:
-    """Classify every sampled variety point and count region hits.
-
-    A c.n.u. pencil avoids both R1 and R2 (strict PASS); a general numerical
-    contraction still never meets R2.  The one-variety call of
-    :func:`region_audits`.
-    """
-    return region_audits([V], p_grid, cfg)[0]
 
 
 def royal_containment(V: PencilVariety, beta: complex, cfg: Tolerances = DEFAULT) -> bool:

@@ -48,7 +48,7 @@ def test_criterion_2_distinguished_verdicts():
     assert bool(sd.is_distinguished(sd.PencilVariety(F1)))
     assert bool(sd.is_distinguished(sd.PencilVariety(F2)))
     assert not bool(sd.is_distinguished(sd.PencilVariety(np.eye(2))))
-    resid = sd.membership_residual(sd.PencilVariety(F1), sd.GammaPoint(0, 0))
+    resid = sd.membership_residual(sd.PencilVariety(F1), 0, 0)[0]
     assert resid > 0.1
     _report(2, f"distinguished verdicts correct; (0,0) residual {resid:.3f} > 0.1")
 
@@ -81,11 +81,11 @@ def test_criterion_5_sheet_datum_end_to_end():
     model = sd.build_extension(K)
     assert model.F.shape == (2, 2) and np.linalg.norm(model.F) <= 1e-12
     rng = np.random.default_rng(410)
-    worst = 0.0
-    for _ in range(50):
-        p = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        w = sd.unique_value(model, K, g, data.targets, sd.GammaPoint(0, p))
-        worst = max(worst, abs(w - p))
+    p = np.array([0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(50)])
+    got = sd.unique_value(model, K, g, data.targets, np.zeros(50), p)
+    assert got.flags.all()
+    worst = float(np.abs(got.values - p).max())
     elapsed = time.monotonic() - t0
     assert worst <= 1e-8
     assert elapsed < 5.0
@@ -103,14 +103,13 @@ def test_criterion_6_royal_datum_end_to_end():
     assert rep.null_vector is not None
     model = sd.build_extension(K)
     rng = np.random.default_rng(49)
-    worst_formula = 0.0
-    worst_mobius = 0.0
-    for _ in range(50):
-        z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        x = sd.GammaPoint(2 * z, z * z)
-        w = sd.unique_value(model, K, rep.null_vector, data.targets, x)
-        worst_formula = max(worst_formula, abs(w - (-x.s / 2)))
-        worst_mobius = max(worst_mobius, abs(w - (2 * x.p - x.s) / (2 - x.s)))
+    z = np.array([0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(50)])
+    s, p = 2 * z, z * z
+    got = sd.unique_value(model, K, rep.null_vector, data.targets, s, p)
+    assert got.flags.all()
+    worst_formula = float(np.abs(got.values - (-s / 2)).max())
+    worst_mobius = float(np.abs(got.values - (2 * p - s) / (2 - s)).max())
     assert worst_formula <= 1e-8 and worst_mobius <= 1e-8
     # agreement locus of the two known interpolants is exactly the royal points
     grid = random_g_points(np.random.default_rng(6), 400) + \
@@ -139,7 +138,7 @@ def test_criterion_8_realization_audits():
     one = np.array([[1.0]], dtype=complex)
     zero = np.array([[0.0]], dtype=complex)
     m = sd.RealizationModel(one, zero, one, one, zero)
-    val = sd.eval_model(m, sd.GammaPoint(1, 0.25))[0, 0]
+    val = sd.eval_model(m, [1], [0.25])[0, 0, 0]
     assert abs(val + 0.5) <= 1e-12
     defect = sd.boundary_unitarity_audit(m, 64)
     assert defect <= 1e-10
@@ -152,8 +151,8 @@ def test_criterion_8_realization_audits():
         U = haar_unitary(rng, d + h)
         model = sd.RealizationModel(tau, U[:d, :d], U[:d, d:], U[d:, :d], U[d:, d:])
         x = random_g_points(rng, 1)[0]
-        direct, other = sd.inner_defect(model, x)
-        worst = max(worst, float(np.linalg.norm(direct - other)))
+        direct, other = sd.inner_defect(model, [x.s], [x.p])
+        worst = max(worst, float(np.linalg.norm(direct[0] - other[0])))
     assert worst <= 1e-9
     _report(8, f"eval (1,1/4) = -1/2, boundary defect {defect:.2e} on 64^2 grid, "
                f"50 random models agree to {worst:.2e}")
@@ -164,7 +163,9 @@ def test_criterion_9_branch_tracing():
     K = gram_on_nodes(data, kernels.model(np.array([[0, 2], [0, 0]], dtype=complex)))
     model = sd.build_extension(K)
     n_steps = 20
-    tr = sd.branch_trace(model, 0, radius=1e-8 * 2 ** (n_steps - 1), n_steps=n_steps)
+    tr = sd.branch_trace(model, sd.with_overrides(sd.DEFAULT, n_steps=n_steps),
+                         radius=1e-8 * 2 ** (n_steps - 1))[0]
+    assert isinstance(tr, sd.SheetTrace), tr
     assert abs(abs(tr.z_path[-1]) - 1e-8) <= 1e-22
     assert tr.branch_count == 2
     vals = sorted(tr.branch_values[-1], key=lambda v: v.real)

@@ -221,13 +221,13 @@ class TestTrace:
             assert abs(w + s / 2) < 1e-8
 
     def test_one_stacked_eig_per_trace(self, monkeypatch, capsys):
-        # branch_traces decomposes the base and path pencils of every node in
+        # branch_trace decomposes the base and path pencils of every node in
         # one stacked eig and reads every projection from it: no per-pencil
         # spectrum, no contour
         import symdisk.cli as cli
         import symdisk.extend as extend
         import symdisk.linalg as linalg
-        eig, branch_traces = np.linalg.eig, cli.branch_traces
+        eig, branch_trace = np.linalg.eig, cli.branch_trace
         counts = {"eig": 0, "spectrum": 0, "spectral_projection": 0}
         traces = []
 
@@ -238,10 +238,10 @@ class TestTrace:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def flagged_branch_traces(*args, **kwargs):
+        def flagged_branch_trace(*args, **kwargs):
             traces.append(True)
             try:
-                return branch_traces(*args, **kwargs)
+                return branch_trace(*args, **kwargs)
             finally:
                 traces.pop()
 
@@ -250,7 +250,7 @@ class TestTrace:
             for name in ("spectrum", "spectral_projection"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        monkeypatch.setattr(cli, "branch_traces", flagged_branch_traces)
+        monkeypatch.setattr(cli, "branch_trace", flagged_branch_trace)
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0
@@ -281,15 +281,15 @@ class TestTrace:
         # SVD; the other calls are the model kernel's, one at each of the 2 nodes
         import symdisk.extend as extend
         import symdisk.kernels as kernels
-        stacked = kernels.unit_kernel_vectors
+        stacked = kernels.unit_kernel_vector
         sizes = []
 
         def counting(V, s, p, *args, **kwargs):
             sizes.append(np.size(s))
             return stacked(V, s, p, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "unit_kernel_vectors", counting)
-        monkeypatch.setattr(extend, "unit_kernel_vectors", counting)
+        monkeypatch.setattr(kernels, "unit_kernel_vector", counting)
+        monkeypatch.setattr(extend, "unit_kernel_vector", counting)
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0

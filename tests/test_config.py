@@ -54,6 +54,22 @@ def test_every_private_helper_is_referenced():
     assert orphans == []
 
 
+def test_every_cfg_parameter_is_read():
+    # a function that takes cfg and never reads it ignores a user's override
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            if "cfg" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                continue
+            if not any(isinstance(n, ast.Name) and n.id == "cfg"
+                       for stmt in node.body for n in ast.walk(stmt)):
+                unread.append(f"{path.name}:{node.name}")
+    assert unread == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_theta", 0), ("n_steps", 0),
     ("tol_nu", float("nan")), ("tol_nu", float("inf")), ("tol_mod", -1.0),

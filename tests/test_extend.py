@@ -8,8 +8,8 @@ import pytest
 import symdisk as sd
 from symdisk import kernels, numrange, variety
 from symdisk.cli import load_matrix
-from symdisk.errors import InputError, NumericalError
-from symdisk.gamma import Region
+from symdisk.errors import InputError
+from symdisk.gamma import REGIONS, Region
 from symdisk.pick import gram_on_nodes
 
 from conftest import random_g_points
@@ -21,6 +21,16 @@ def extended_kernel(model, x, y):
     """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the model's variety."""
     return kernels.kernel_entry(sd.kernel_vector_at(model, x), sd.kernel_vector_at(model, y),
                                 x, y)
+
+
+def node_trace(model, j, cfg=sd.DEFAULT, radius=None):
+    """The branch trace of node j on its own: branch_trace on a model that holds
+    node j alone, numbered j, with that node's error raised."""
+    alone = sd.ExtensionModel(model.F, (model.nodes[j],), (model.u_nodes[j],), model.cfg)
+    tr, = sd.branch_trace(alone, cfg, radius=radius)
+    if isinstance(tr, Exception):
+        raise tr
+    return dataclasses.replace(tr, node_index=j)
 
 
 @pytest.fixture
@@ -65,8 +75,8 @@ class TestBuildExtension:
 
     def test_royal_membership(self, model_royal):
         V = model_royal.variety
-        assert sd.membership_residual(V, sd.GammaPoint(1, 0.25)) <= 1e-10
-        assert sd.membership_residual(V, sd.GammaPoint(0, 0)) <= 1e-10
+        assert sd.membership_residual(V, 1, 0.25)[0] <= 1e-10
+        assert sd.membership_residual(V, 0, 0)[0] <= 1e-10
 
     def test_single_node(self, rng):
         x = random_g_points(rng, 1)[0]
@@ -99,10 +109,10 @@ class TestBuildExtension:
         matrices = []
         spectrum = linalg.spectrum
 
-        def recorded(A, cfg=sd.DEFAULT):
+        def recorded(A):
             a = np.asarray(A, dtype=complex)
             matrices.append((a.shape, a.tobytes()))
-            return spectrum(A, cfg)
+            return spectrum(A)
 
         for module in (linalg, numrange, variety):
             monkeypatch.setattr(module, "spectrum", recorded)
@@ -115,7 +125,7 @@ class TestBuildExtension:
 class TestComplexNodePipeline:
     def test_extension_reproduces_complex_gram(self, rng):
         # complex p-coordinates exercise every conjugation in the pipeline
-        from symdisk.gamma import Region
+        from symdisk.gamma import REGIONS, Region
         from symdisk.sweeps import ginibre_contraction
         built = 0
         for _ in range(8):
@@ -125,9 +135,9 @@ class TestComplexNodePipeline:
             V0 = sd.PencilVariety(F0)
             nodes = []
             for p in (0.17 + 0.23j, -0.31j, 0.4 * np.exp(1.1j)):
-                for s in sd.slice_points(V0, p):
+                for s in sd.slice_points(V0, p)[0]:
                     x = sd.GammaPoint(s, p)
-                    if sd.classify_region(x) is Region.OPEN_G:
+                    if REGIONS[sd.classify_region([x.s], [x.p])[0]] is Region.OPEN_G:
                         nodes.append(x)
             if len(nodes) < 3:
                 continue
@@ -143,7 +153,7 @@ class TestComplexNodePipeline:
                 for j, y in enumerate(nodes):
                     got = extended_kernel(model, x, y)
                     assert abs(got - K.gram[i, j]) <= 1e-9 * scale
-                resid = sd.membership_residual(model.variety, x)
+                resid = sd.membership_residual(model.variety, x.s, x.p)[0]
                 assert resid <= 1e-8 * max(1.0, np.linalg.norm(model.F))
             built += 1
         assert built >= 3
@@ -174,10 +184,10 @@ class TestKernelVectorAt:
     def test_off_node_is_unit_kernel_vector(self, model_royal):
         V = model_royal.variety
         for p in (0.3, -0.2 + 0.5j, 0.7j):
-            for s in sd.slice_points(V, p):
+            for s in sd.slice_points(V, p)[0]:
                 x = sd.GammaPoint(s, p)
                 u = sd.kernel_vector_at(model_royal, x)
-                assert np.array_equal(u, kernels.unit_kernel_vector(V, x))
+                assert np.array_equal(u, kernels.unit_kernel_vector(V, x.s, x.p)[0][0])
 
     def test_off_variety_rejected(self, model_sheet):
         with pytest.raises(InputError):
@@ -219,15 +229,15 @@ class TestExtendedKernel:
 
 class TestBranchTrace:
     def test_sheet_model_trivial_branch(self, model_sheet):
-        tr = sd.branch_trace(model_sheet, 0)
+        tr = node_trace(model_sheet, 0)
         assert tr.branch_count == 1
         assert max(tr.alpha_errors) <= 1e-12
         assert max(tr.sum_errors) <= 1e-12
 
     def test_royal_node0_two_branches(self, model_royal):
         n_steps = 20
-        tr = sd.branch_trace(model_royal, 0, radius=1e-8 * 2 ** (n_steps - 1),
-                             n_steps=n_steps)
+        tr = node_trace(model_royal, 0, sd.with_overrides(sd.DEFAULT, n_steps=n_steps),
+                        radius=1e-8 * 2 ** (n_steps - 1))
         assert tr.branch_count == 2
         assert abs(abs(tr.z_path[-1]) - 1e-8) < 1e-20
         # branches behave like +-2 sqrt(z)
@@ -238,22 +248,22 @@ class TestBranchTrace:
         assert max(tr.projection_defects) <= 1e-10
 
     def test_royal_node1_single_branch(self, model_royal):
-        tr = sd.branch_trace(model_royal, 1)
+        tr = node_trace(model_royal, 1)
         assert tr.branch_count == 1
         assert tr.alpha_errors[-1] <= 1e-6
         assert tr.sum_errors[-1] <= 1e-6
 
     def test_traced_points_in_domain(self, model_royal):
-        tr = sd.branch_trace(model_royal, 1)
+        tr = node_trace(model_royal, 1)
         for z, means in zip(tr.z_path, tr.branch_values):
             for a in means:
                 x = sd.GammaPoint(np.conj(a), np.conj(z))
-                assert sd.classify_region(x) is Region.OPEN_G
+                assert REGIONS[sd.classify_region([x.s], [x.p])[0]] is Region.OPEN_G
         assert max(m for m in tr.membership_residuals if not np.isnan(m)) <= 1e-8
 
     def test_convergence_rate_sqrt(self, model_royal):
         # two-branch node: observed error O(|z|^(1/2))
-        tr = sd.branch_trace(model_royal, 0)
+        tr = node_trace(model_royal, 0)
         errs = np.array(tr.alpha_errors)
         zs = np.abs(np.array(tr.z_path))
         ratio = errs[2:] / np.sqrt(zs[2:])
@@ -274,8 +284,8 @@ class TestBranchTrace:
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
         for tol_proj in (1e-8, 1e-13):
             cfg = sd.with_overrides(sd.DEFAULT, tol_proj=tol_proj)
-            for j in range(len(zs)):
-                tr = sd.branch_trace(model, j, cfg=cfg)
+            for tr in sd.branch_trace(model, cfg):
+                assert isinstance(tr, sd.SheetTrace), tr
                 assert max(tr.projection_defects) <= tol_proj
 
     def test_contour_fallback_takes_nodes_from_the_spectrum(self, contour_calls):
@@ -286,7 +296,7 @@ class TestBranchTrace:
         z = np.sqrt(0.6)
         data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(2 * z, 0.6)), (0, -z))
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
-        tr = sd.branch_trace(model, 1, radius=0.6, n_steps=4)
+        tr = node_trace(model, 1, sd.with_overrides(sd.DEFAULT, n_steps=4), radius=0.6)
         assert len(contour_calls) == 1
         assert max(tr.projection_defects) <= 1e-12
 
@@ -296,13 +306,13 @@ class TestBranchTrace:
         data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
         F = np.array([[0, 2], [0, 0]], dtype=complex)
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
-        tr = sd.branch_trace(model, 0, radius=1e-24, n_steps=3)
+        tr = node_trace(model, 0, sd.with_overrides(sd.DEFAULT, n_steps=3), radius=1e-24)
         assert len(contour_calls) == 3
         assert min(tr.eigvec_conditions) * np.finfo(float).eps > sd.DEFAULT.tol_proj
         assert tr.sum_errors[-1] <= 1e-12
         assert max(tr.projection_defects) <= sd.DEFAULT.tol_proj
         contour_calls.clear()
-        tr = sd.branch_trace(model, 0)
+        tr = node_trace(model, 0)
         assert contour_calls == []
         assert max(tr.eigvec_conditions) * np.finfo(float).eps <= sd.DEFAULT.tol_proj
 
@@ -310,10 +320,10 @@ class TestBranchTrace:
         # eps cond(V) grows like |z|^(-1/2) along the path into the origin node;
         # a tolerance of 1e-13 sends the points above it to the contour: one
         # projection for the disk and one for each of the two branches
-        by_eig = sd.branch_trace(model_royal, 0)
+        by_eig = node_trace(model_royal, 0)
         assert contour_calls == []
         cfg = sd.with_overrides(sd.DEFAULT, tol_proj=1e-13)
-        mixed = sd.branch_trace(model_royal, 0, cfg=cfg)
+        mixed = node_trace(model_royal, 0, cfg)
         routed = int(np.sum(np.finfo(float).eps * np.array(mixed.eigvec_conditions) > 1e-13))
         assert 0 < routed < len(mixed.z_path)
         assert len(contour_calls) == 3 * routed
@@ -327,7 +337,7 @@ class TestBranchTrace:
         # onto its eigenvector (the trapezoid contour was off by 1.0e-11)
         mpmath = pytest.importorskip("mpmath")
         cfg = sd.with_overrides(sd.DEFAULT, tol_proj=1e-13)
-        tr = sd.branch_trace(model_royal, 0, cfg=cfg)
+        tr = node_trace(model_royal, 0, cfg)
         routed = np.flatnonzero(np.finfo(float).eps * np.array(tr.eigvec_conditions) > 1e-13)
         assert len(routed) == 9
         F, u = model_royal.F, model_royal.u_nodes[0]
@@ -347,7 +357,8 @@ class TestBranchTrace:
         # = +-1, +-0.71, +-0.5, ... land within dist_guard of the disk's circle
         # at every point, so each point shrinks the radius 1 once by 0.7
         for n_steps in (1, 3, 5):
-            tr = sd.branch_trace(royal_direct, 0, radius=0.25, n_steps=n_steps)
+            tr = node_trace(royal_direct, 0, sd.with_overrides(sd.DEFAULT, n_steps=n_steps),
+                            radius=0.25)
             assert tr.contour_radius == 0.7 ** n_steps
             assert tr.branch_count == 0
 
@@ -359,7 +370,7 @@ class TestBranchTrace:
         vals, vecs = np.linalg.eig(F + 0.6 * F.conj().T)
         top = np.argmax(vals.real)
         model = sd.ExtensionModel(F, (sd.GammaPoint(np.conj(vals[top]), 0.6),), (vecs[:, top],))
-        tr = sd.branch_trace(model, 0, radius=0.6, n_steps=4)
+        tr = node_trace(model, 0, sd.with_overrides(sd.DEFAULT, n_steps=4), radius=0.6)
         assert tr.z_path[0] == 0
         assert np.isnan(tr.eigvec_conditions[0]) and np.isfinite(tr.eigvec_conditions[1:]).all()
         assert len(contour_calls) == 1
@@ -396,10 +407,10 @@ class TestBranchTraces:
             ps = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j, -0.05 + 0.82j)
             data = sd.PickData(tuple(sd.GammaPoint(0, p) for p in ps), ps)
             model = sd.build_extension(gram_on_nodes(data, kernels.model(np.zeros((2, 2)))))
-        traces = sd.branch_traces(model)
+        traces = sd.branch_trace(model)
         assert len(traces) == len(model.nodes)
         for j, tr in enumerate(traces):
-            _same_trace(tr, sd.branch_trace(model, j))
+            _same_trace(tr, node_trace(model, j))
 
     def test_each_node_keeps_its_own_error(self):
         # the royal datum at dist_guard = 0.9: the node at the branch point
@@ -408,11 +419,18 @@ class TestBranchTraces:
         cfg = sd.with_overrides(sd.DEFAULT, dist_guard=0.9)
         F = load_matrix(str(DATA / "royal_pencil.json"))
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F, cfg), cfg), cfg)
-        first, second = sd.branch_traces(model, cfg)
-        _same_trace(first, sd.branch_trace(model, 0, cfg=cfg))
+        first, second = sd.branch_trace(model, cfg)
+        _same_trace(first, node_trace(model, 0, cfg))
         assert isinstance(second, sd.IllPlacedContour)
         with pytest.raises(sd.IllPlacedContour, match=re.escape(str(second))):
-            sd.branch_trace(model, 1, cfg=cfg)
+            node_trace(model, 1, cfg)
+
+
+def unique_value_at(model, K, gamma, targets, x):
+    """The uniqueness value at one point: unique_value on a one-element stack,
+    with the point's flag."""
+    got = sd.unique_value(model, K, gamma, targets, [x.s], [x.p])
+    return complex(got.values[0]), int(got.flags[0])
 
 
 class TestUniqueValue:
@@ -424,23 +442,24 @@ class TestUniqueValue:
     def test_sheet_pipeline(self, model_sheet, kernel_sheet, data_sheet):
         gamma = self._gamma(data_sheet, kernel_sheet)
         for p in (0.3, -0.2 + 0.4j, 0.85j, 0.9):
-            w = sd.unique_value(model_sheet, kernel_sheet, gamma, data_sheet.targets,
-                                sd.GammaPoint(0, p))
-            assert abs(w - p) <= 1e-8
+            w, flag = unique_value_at(model_sheet, kernel_sheet, gamma, data_sheet.targets,
+                                      sd.GammaPoint(0, p))
+            assert flag == 1 and abs(w - p) <= 1e-8
 
     def test_royal_pipeline(self, model_royal, kernel_royal, data_royal):
         gamma = self._gamma(data_royal, kernel_royal)
         for z in (0.3, -0.2 + 0.4j, 0.7j, 0.85):
             x = sd.GammaPoint(2 * z, z * z)
-            w = sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets, x)
-            assert abs(w - (-x.s / 2)) <= 1e-8
+            w, flag = unique_value_at(model_royal, kernel_royal, gamma, data_royal.targets, x)
+            assert flag == 1 and abs(w - (-x.s / 2)) <= 1e-8
             assert abs(w - (2 * x.p - x.s) / (2 - x.s)) <= 1e-8
 
     def test_gamma_scaling_invariance(self, model_royal, kernel_royal, data_royal):
         gamma = self._gamma(data_royal, kernel_royal)
         x = sd.GammaPoint(2 * 0.4, 0.16)
-        w1 = sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets, x)
-        w2 = sd.unique_value(model_royal, kernel_royal, (2 - 3j) * gamma, data_royal.targets, x)
+        w1, _ = unique_value_at(model_royal, kernel_royal, gamma, data_royal.targets, x)
+        w2, _ = unique_value_at(model_royal, kernel_royal, (2 - 3j) * gamma,
+                                data_royal.targets, x)
         # the ratio structure is scale-free; only division roundoff remains
         assert abs(w1 - w2) <= 1e-13
 
@@ -449,12 +468,12 @@ class TestUniqueValue:
         # all-zero targets make the Pick matrix the gram itself; use a gram
         # null vector so the precondition holds, then the denominator is 0
         K = sd.KernelMatrix(kernel_sheet.nodes, np.ones((2, 2)))
-        with pytest.raises((NumericalError, InputError)):
-            sd.unique_value(model_sheet, K, gamma, (0, 0), sd.GammaPoint(0, 0.3))
+        w, flag = unique_value_at(model_sheet, K, gamma, (0, 0), sd.GammaPoint(0, 0.3))
+        assert flag == 0 and np.isnan(w)
 
     def test_rejects_non_null_gamma(self, model_royal, kernel_royal, data_royal):
         with pytest.raises(InputError):
-            sd.unique_value(model_royal, kernel_royal, np.array([1.0, 0.0]),
+            unique_value_at(model_royal, kernel_royal, np.array([1.0, 0.0]),
                             data_royal.targets, sd.GammaPoint(0.6, 0.09))
 
     def test_sandwich_against_interpolants(self, model_royal, kernel_royal, data_royal):
@@ -463,30 +482,25 @@ class TestUniqueValue:
         interpolants = [lambda x: -x.s / 2, lambda x: (2 * x.p - x.s) / (2 - x.s)]
         for z in (0.25, -0.3j, 0.5 + 0.2j):
             x = sd.GammaPoint(2 * z, z * z)
-            w = sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets, x)
+            w, flag = unique_value_at(model_royal, kernel_royal, gamma, data_royal.targets, x)
+            assert flag == 1
             for f in interpolants:
                 assert abs(w - f(x)) <= 1e-8
 
 
 class TestUniqueValues:
-    """The stacked uniqueness values against the one-point calls."""
+    """The uniqueness values of a stack against its one-element stacks."""
 
     @staticmethod
     def _per_point(model, K, gamma, targets, s, p):
-        values, flags = [], []
-        for a, b in zip(s, p):
-            try:
-                values.append(sd.unique_value(model, K, gamma, targets, sd.GammaPoint(a, b)))
-                flags.append(1)
-            except NumericalError:
-                values.append(complex(np.nan, np.nan))
-                flags.append(0)
+        values, flags = zip(*(unique_value_at(model, K, gamma, targets, sd.GammaPoint(a, b))
+                              for a, b in zip(s, p)))
         return np.array(values), np.array(flags)
 
     @staticmethod
     def _grid(model, extra=()):
         ps = [0.3, -0.2 + 0.4j, 0.7j, 0.85, -0.6]
-        pts = [(s, p) for p in ps for s in sd.slice_points(model.variety, p)]
+        pts = [(s, p) for p in ps for s in sd.slice_points(model.variety, p)[0]]
         pts += [(complex(x.s), complex(x.p)) for x in model.nodes] + list(extra)
         return np.array([a for a, _ in pts]), np.array([b for _, b in pts])
 
@@ -498,7 +512,7 @@ class TestUniqueValues:
         gamma = sd.psd_report(sd.pick_matrix(data, K)).null_vector
         # a point within tol_node of a node takes the stored u_j as well
         s, p = self._grid(model, [(1e-12, 0.5)] if which == "sheet" else [(1e-12, 0)])
-        got = sd.unique_values(model, K, gamma, data.targets, s, p)
+        got = sd.unique_value(model, K, gamma, data.targets, s, p)
         ref, flags = self._per_point(model, K, gamma, data.targets, s, p)
         assert np.array_equal(got.flags, flags) and flags.all()
         assert np.abs(got.values - ref).max() <= 1e-13
@@ -506,14 +520,14 @@ class TestUniqueValues:
             # the stored u_j reproduce the target at its node
             at = np.flatnonzero((s == x.s) & (p == x.p))
             assert abs(got.values[at[0]] - data.targets[j]) <= 1e-12
-        resid = [sd.membership_residual(model.variety, sd.GammaPoint(a, b)) for a, b in zip(s, p)]
+        resid = [sd.membership_residual(model.variety, a, b)[0] for a, b in zip(s, p)]
         assert np.abs(got.residuals - resid).max() <= 1e-15
 
     def test_vanishing_denominator_nan_flag_zero(self, model_sheet, kernel_sheet):
         K = sd.KernelMatrix(kernel_sheet.nodes, np.ones((2, 2)))
         gamma = np.array([1, -1]) / np.sqrt(2)
         s, p = np.zeros(3), np.array([0.3, -0.4j, 0.5])
-        got = sd.unique_values(model_sheet, K, gamma, (0, 0), s, p)
+        got = sd.unique_value(model_sheet, K, gamma, (0, 0), s, p)
         ref, flags = self._per_point(model_sheet, K, gamma, (0, 0), s, p)
         assert got.flags.tolist() == flags.tolist() == [0, 0, 0]
         assert np.isnan(got.values).all() and np.isnan(ref).all()
@@ -523,10 +537,24 @@ class TestUniqueValues:
         s = np.array([0.8, 0.5, 0.7])     # (0.8, 0.16) is on s^2 = 4p, the others are not
         p = np.array([0.16, 0.3, 0.3])
         with pytest.raises(InputError, match=r"point \(\(0\.5\+0j\), \(0\.3\+0j\)\)"):
-            sd.unique_values(model_royal, kernel_royal, gamma, data_royal.targets, s, p)
+            sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets, s, p)
         with pytest.raises(InputError, match="off the variety"):
-            sd.unique_value(model_royal, kernel_royal, gamma, data_royal.targets,
+            unique_value_at(model_royal, kernel_royal, gamma, data_royal.targets,
                             sd.GammaPoint(0.7, 0.3))
+
+    def test_membership_checked_up_to_the_first_vanishing_denominator(
+            self, model_royal, kernel_royal, data_royal):
+        # (0.5, 0.3) is off s^2 = 4p; (4, 4) is on it, and 1 - p conj(q) is
+        # exactly 0 against the node (1, 0.25): the first of the two in the
+        # order given decides the error
+        gamma = sd.psd_report(sd.pick_matrix(data_royal, kernel_royal)).null_vector
+        args = (model_royal, kernel_royal, gamma, data_royal.targets)
+        with pytest.raises(InputError, match=re.escape("point ((0.5+0j), (0.3+0j)) is off "
+                                                       "the variety")):
+            sd.unique_value(*args, [0.5, 4], [0.3, 4])
+        with pytest.raises(InputError,
+                           match=re.escape("kernel denominator 1 - p conj(q) vanishes")):
+            sd.unique_value(*args, [4, 0.5], [4, 0.3])
 
 
 class TestUnitKernelVectors:
@@ -534,18 +562,17 @@ class TestUnitKernelVectors:
     def test_bit_identical_to_one_point(self, which, request):
         V = request.getfixturevalue(f"model_{which}").variety
         ps = [0.3, -0.2 + 0.4j, 0.7j, 0.0, 0.85]
-        s = np.array([a for p in ps for a in sd.slice_points(V, p)])
+        s = np.array([a for p in ps for a in sd.slice_points(V, p)[0]])
         p = np.repeat(ps, V.dim)
-        U, sigma = kernels.unit_kernel_vectors(V, s, p)
+        U, sigma = kernels.unit_kernel_vector(V, s, p)
         for k in range(len(s)):
-            x = sd.GammaPoint(s[k], p[k])
-            assert np.array_equal(U[k], kernels.unit_kernel_vector(V, x))
-            assert abs(sigma[k] - sd.membership_residual(V, x)) <= 1e-15
+            assert np.array_equal(U[k], kernels.unit_kernel_vector(V, s[k], p[k])[0][0])
+            assert abs(sigma[k] - sd.membership_residual(V, s[k], p[k])[0]) <= 1e-15
 
     def test_skip_exempts_from_membership_check(self, model_royal):
         V = model_royal.variety
         s, p = np.array([0.8, 0.5]), np.array([0.16, 0.3])
         with pytest.raises(InputError, match="off the variety"):
-            kernels.unit_kernel_vectors(V, s, p)
-        U, sigma = kernels.unit_kernel_vectors(V, s, p, skip=[False, True])
+            kernels.unit_kernel_vector(V, s, p)
+        U, sigma = kernels.unit_kernel_vector(V, s, p, skip=[False, True])
         assert sigma[1] > 0.1 and np.allclose(np.linalg.norm(U, axis=1), 1.0)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import InputError
-from symdisk.gamma import REGIONS, Region, classify_regions, phi_operators
+from symdisk.gamma import REGIONS, Region, classify_region, phi_operator
 
 from conftest import random_g_points
 
@@ -72,22 +72,27 @@ class TestBeta:
             sd.beta_of(sd.GammaPoint(2, 1))
 
 
+def _label(x) -> Region:
+    """The region of one point: classify_region on a one-element stack."""
+    return REGIONS[classify_region([x.s], [x.p])[0]]
+
+
 class TestClassify:
     def test_origin_open(self):
-        assert sd.classify_region(sd.GammaPoint(0, 0)) is Region.OPEN_G
+        assert _label(sd.GammaPoint(0, 0)) is Region.OPEN_G
 
     def test_torus_point(self):
-        assert sd.classify_region(sd.GammaPoint(2, 1)) is Region.DIST_BOUNDARY
+        assert _label(sd.GammaPoint(2, 1)) is Region.DIST_BOUNDARY
 
     def test_r1_lemma_point(self):
         # fibers 1 and 1/2; beta = 1 on the circle
         x = sd.GammaPoint(1.5, 0.5)
-        assert sd.classify_region(x) is Region.R1
+        assert _label(x) is Region.R1
         assert abs(sd.beta_of(x) - 1) < 1e-14
 
     def test_r2_and_exterior(self):
-        assert sd.classify_region(sd.symmetrize(0.5, 2.0)) is Region.R2
-        assert sd.classify_region(sd.symmetrize(1.5, 2.0)) is Region.SYM_EXTERIOR
+        assert _label(sd.symmetrize(0.5, 2.0)) is Region.R2
+        assert _label(sd.symmetrize(1.5, 2.0)) is Region.SYM_EXTERIOR
 
     @settings(max_examples=200, deadline=None)
     @given(st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False),
@@ -97,8 +102,8 @@ class TestClassify:
         inside = abs(z1) < 1 - 1e-7 and abs(z2) < 1 - 1e-7
         outside = abs(abs(z1) - 1) > 1e-7 and abs(abs(z2) - 1) > 1e-7
         if inside:
-            assert sd.classify_region(x) is Region.OPEN_G
-        elif outside and sd.classify_region(x) is Region.OPEN_G:
+            assert _label(x) is Region.OPEN_G
+        elif outside and _label(x) is Region.OPEN_G:
             assert abs(z1) < 1 and abs(z2) < 1
 
 
@@ -166,14 +171,14 @@ class TestClassifyRegions:
     def test_stacked_labels_equal_reference(self, pairs):
         points = [sd.symmetrize(r1 * np.exp(2j * np.pi * t1), r2 * np.exp(2j * np.pi * t2))
                   for r1, t1, r2, t2 in pairs]
-        codes = classify_regions([x.s for x in points], [x.p for x in points])
+        codes = classify_region([x.s for x in points], [x.p for x in points])
         assert [REGIONS[c] for c in codes] == [_reference_label(x) for x in points]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(classified_points(), min_size=1, max_size=40))
     def test_stacked_labels_equal_pointwise(self, points):
-        codes = classify_regions([x.s for x in points], [x.p for x in points])
-        assert [REGIONS[c] for c in codes] == [sd.classify_region(x) for x in points]
+        codes = classify_region([x.s for x in points], [x.p for x in points])
+        assert [REGIONS[c] for c in codes] == [_label(x) for x in points]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(classified_points(), min_size=1, max_size=40))
@@ -188,13 +193,12 @@ class TestClassifyRegions:
         # s^2 - 4p is roundoff at (2w, w^2), so the fiber moduli move by about
         # sqrt(eps); |p| = 1, s = conj(s) p and |s| <= 2 still hold to eps
         x = sd.symmetrize(np.exp(2j * np.pi * q), np.exp(2j * np.pi * q))
-        assert REGIONS[classify_regions([x.s], [x.p])[0]] is Region.DIST_BOUNDARY
-        assert sd.classify_region(x) is Region.DIST_BOUNDARY
+        assert _label(x) is Region.DIST_BOUNDARY
         assert _reference_label(x) is Region.DIST_BOUNDARY
 
     def test_band_edges(self):
         inside, outside = 1.0 - 0.5 * TOL_MOD, 1.0 + 2 * TOL_MOD
-        labels = [REGIONS[c] for c in classify_regions(
+        labels = [REGIONS[c] for c in classify_region(
             [inside + 0.5, outside + 0.5, 2 * inside, 0.0],
             [0.5 * inside, 0.5 * outside, inside ** 2, 0.0])]
         assert labels == [Region.R1, Region.R2, Region.DIST_BOUNDARY, Region.OPEN_G]
@@ -204,12 +208,12 @@ class TestClassifyRegions:
         assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
 
     def test_empty(self):
-        assert classify_regions([], []).shape == (0,)
+        assert classify_region([], []).shape == (0,)
 
 
 def phi_scalar(alpha, s, p):
-    """(2 alpha p - s) / (2 - alpha s): phi_operators on the 1 x 1 tau = [alpha]."""
-    return complex(phi_operators(np.array([[alpha]]), [s], [p])[0, 0, 0])
+    """(2 alpha p - s) / (2 - alpha s): phi_operator on the 1 x 1 tau = [alpha]."""
+    return complex(phi_operator(np.array([[alpha]]), [s], [p])[0, 0, 0])
 
 
 class TestPhiScalar:
@@ -235,18 +239,18 @@ class TestPhiScalar:
 
 class TestPhiOperator:
     def test_matches_scalar(self):
-        val = sd.phi_operator(np.array([[1.0]]), sd.GammaPoint(0, 0.5))
+        val = sd.phi_operator(np.array([[1.0]]), [0], [0.5])[0]
         assert np.allclose(val, [[0.5]])
 
     def test_unitary_on_boundary_point(self):
         tau = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = sd.phi_operator(tau, sd.GammaPoint(0, 1))
+        out = sd.phi_operator(tau, [0], [1])[0]
         assert np.allclose(out, tau)
         assert np.linalg.norm(out.conj().T @ out - np.eye(2)) < 1e-12
 
     def test_singular_pencil(self):
         with pytest.raises(InputError):
-            sd.phi_operator(np.array([[1.0]]), sd.GammaPoint(2, 1))
+            sd.phi_operator(np.array([[1.0]]), [2], [1])
 
     def test_unitary_on_bG_samples(self, rng):
         from symdisk.sweeps import haar_unitary
@@ -254,12 +258,12 @@ class TestPhiOperator:
             tau = haar_unitary(rng, int(rng.integers(1, 4)))
             t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
             x = sd.symmetrize(np.exp(1j * t1), np.exp(1j * t2))
-            out = sd.phi_operator(tau, x)
+            out = sd.phi_operator(tau, [x.s], [x.p])[0]
             assert np.linalg.norm(out.conj().T @ out - np.eye(tau.shape[0])) < 1e-10
 
 
 def _phi_svd_at_every_point(tau, s, p, cfg=sd.DEFAULT):
-    """phi_operators with the singular-pencil SVD run at every point of the stack."""
+    """phi_operator with the singular-pencil SVD run at every point of the stack."""
     tau = np.asarray(tau, dtype=complex)
     if np.linalg.norm(tau, 2) > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
@@ -306,7 +310,7 @@ def _assert_same_outcome(new, old):
 
 
 class TestPencilCheck:
-    """phi_operators decides the singular pencil by a Weyl bound, then an SVD;
+    """phi_operator decides the singular pencil by a Weyl bound, then an SVD;
     it must raise exactly when an SVD at every point raises, and return the
     same bits otherwise."""
 
@@ -344,17 +348,17 @@ class TestPencilCheck:
         s, p = self._points(rng, tau)
         raised = 0
         for k in range(len(s)):
-            new = _outcome(phi_operators, tau, s[k:k + 1], p[k:k + 1])
+            new = _outcome(phi_operator, tau, s[k:k + 1], p[k:k + 1])
             _assert_same_outcome(new, _outcome(_phi_svd_at_every_point, tau, s[k:k + 1],
                                                p[k:k + 1]))
             raised += new is InputError
         # the whole stack raises when any point does, else gives the same bits
-        new = _outcome(phi_operators, tau, s, p)
+        new = _outcome(phi_operator, tau, s, p)
         _assert_same_outcome(new, _outcome(_phi_svd_at_every_point, tau, s, p))
         assert (new is InputError) == (raised > 0)
         # a caller that passes ||tau||_2 gets the same outcome
         _assert_same_outcome(_outcome(functools.partial(
-            phi_operators, tau_norm=np.linalg.norm(tau, 2)), tau, s, p), new)
+            phi_operator, tau_norm=np.linalg.norm(tau, 2)), tau, s, p), new)
         if kind.startswith("unitary"):
             # a normal tau has a singular pencil at |s| t = 2 along its eigenvalue
             assert raised > 0
@@ -366,7 +370,7 @@ class TestPencilCheck:
         # the point |s| = 2 goes to the inverse screen with it
         tau = np.array([[1.0]])
         s, p = [s, 0.5, 2.0 * np.exp(0.3j)], [0.0, 0.0, np.exp(0.6j)]
-        _assert_same_outcome(_outcome(phi_operators, tau, s, p),
+        _assert_same_outcome(_outcome(phi_operator, tau, s, p),
                              _outcome(_phi_svd_at_every_point, tau, s, p))
 
     @pytest.mark.parametrize("h", [1, 2, 4, 8])
@@ -385,7 +389,7 @@ class TestPencilCheck:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        phi = phi_operators(tau, s, p, tau_norm=np.linalg.norm(tau, 2))
+        phi = phi_operator(tau, s, p, tau_norm=np.linalg.norm(tau, 2))
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert calls == []
         _assert_same_outcome(phi, _phi_svd_at_every_point(tau, s, p))
@@ -395,7 +399,7 @@ def test_passed_tau_norm_still_rejects_a_non_contraction():
     tau = np.array([[0.5, 0.0], [0.0, 1.0 + 1e-6]], dtype=complex)
     for t in (np.linalg.norm(tau, 2), None):
         with pytest.raises(InputError, match="tau must be a contraction"):
-            phi_operators(tau, [0.1], [0.0], tau_norm=t)
+            phi_operator(tau, [0.1], [0.0], tau_norm=t)
 
 
 class TestSzegoKernel:

@@ -243,9 +243,9 @@ class TestCnuDecompose:
         import symdisk.numrange as numrange
         calls = []
 
-        def counted(A, cfg=sd.DEFAULT):
+        def counted(A):
             calls.append(np.shape(A))
-            return sd.spectrum(A, cfg)
+            return sd.spectrum(A)
 
         monkeypatch.setattr(numrange, "spectrum", counted)
         betas = np.exp(1j * np.array([2.0, -0.4]))

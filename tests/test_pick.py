@@ -227,12 +227,12 @@ class TestFundamentalOperator:
         F = sd.fundamental_operator(kernel_royal)
         V = sd.PencilVariety(F)
         for z in (0.3, -0.2 + 0.4j, 0.6j):
-            assert sd.membership_residual(V, sd.GammaPoint(2 * z, z * z)) <= 1e-8
+            assert sd.membership_residual(V, 2 * z, z * z)[0] <= 1e-8
 
     def test_model_restrictions_are_numerical_contractions(self, rng):
         # restrict a model kernel to variety nodes inside the domain; the
         # fundamental operator must come back a numerical contraction
-        from symdisk.gamma import Region
+        from symdisk.gamma import REGIONS, Region
         from symdisk.sweeps import ginibre_contraction
         for _ in range(5):
             F0 = ginibre_contraction(rng, 3)
@@ -241,9 +241,9 @@ class TestFundamentalOperator:
             V0 = sd.PencilVariety(F0)
             nodes = []
             for p in (0.2, -0.3j, 0.4):
-                for s in sd.slice_points(V0, p):
+                for s in sd.slice_points(V0, p)[0]:
                     x = sd.GammaPoint(s, p)
-                    if sd.classify_region(x) is Region.OPEN_G:
+                    if REGIONS[sd.classify_region([x.s], [x.p])[0]] is Region.OPEN_G:
                         nodes.append(x)
             nodes = nodes[:4]
             if len(nodes) < 2:

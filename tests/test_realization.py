@@ -4,7 +4,7 @@ import pytest
 import symdisk as sd
 from symdisk import kernels, realization
 from symdisk.errors import InputError, NumericalError
-from symdisk.gamma import phi_operators
+from symdisk.gamma import phi_operator
 from symdisk.pick import gram_on_nodes
 from symdisk.realization import _transfer, lurking_isometry_interpolant
 from symdisk.sweeps import haar_unitary
@@ -27,6 +27,11 @@ def overflow_model():
     return sd.RealizationModel(one, (1e200 + 1e200j) * one, 0 * one, 0 * one, 0 * one)
 
 
+def _psi(m, x):
+    """Psi(x) of a model that is not validated: _transfer on a one-element stack."""
+    return _transfer(m, [x.s], [x.p], sd.DEFAULT)[2][0]
+
+
 def random_model(rng, d=None, h=None):
     d = d or int(rng.integers(1, 3))
     h = h or int(rng.integers(1, 4))
@@ -37,11 +42,11 @@ def random_model(rng, d=None, h=None):
 
 class TestEvalModel:
     def test_mobius_value_at_interior_point(self, mobius_model):
-        val = sd.eval_model(mobius_model, sd.GammaPoint(1, 0.25))
+        val = sd.eval_model(mobius_model, [1], [0.25])[0]
         assert abs(val[0, 0] + 0.5) < 1e-14
 
     def test_origin(self, mobius_model):
-        assert abs(sd.eval_model(mobius_model, sd.GammaPoint(0, 0))[0, 0]) < 1e-15
+        assert abs(sd.eval_model(mobius_model, [0], [0])[0, 0, 0]) < 1e-15
 
     def test_nan_unitarity_defect_rejected(self, overflow_model):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -52,42 +57,43 @@ class TestEvalModel:
         one = np.array([[1.0]], dtype=complex)
         m = sd.RealizationModel(one, one, one, one, one)
         with pytest.raises(InputError):
-            sd.eval_model(m, sd.GammaPoint(0, 0))
+            sd.eval_model(m, [0], [0])
 
     def test_contractive_on_domain(self, rng):
         for _ in range(10):
             m = random_model(rng)
-            for x in random_g_points(rng, 5):
-                psi = sd.eval_model(m, x)
+            pts = random_g_points(rng, 5)
+            for psi in sd.eval_model(m, [x.s for x in pts], [x.p for x in pts]):
                 assert np.linalg.norm(psi, 2) <= 1.0 + 1e-9
 
 
 class TestInnerDefect:
     def test_interior_value(self, mobius_model):
-        direct, other = sd.inner_defect(mobius_model, sd.GammaPoint(0, 0.5))
+        (direct,), (other,) = sd.inner_defect(mobius_model, [0], [0.5])
         assert abs(direct[0, 0] - 0.75) < 1e-14
         assert abs(other[0, 0] - 0.75) < 1e-14
 
     def test_boundary_vanishes(self, mobius_model):
-        direct, other = sd.inner_defect(mobius_model, sd.GammaPoint(0, 1))
+        (direct,), (other,) = sd.inner_defect(mobius_model, [0], [1])
         assert abs(direct[0, 0]) < 1e-12 and abs(other[0, 0]) < 1e-12
 
     def test_nan_mismatch_raises(self, overflow_model):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="mismatch nan"):
-                sd.inner_defect(overflow_model, sd.GammaPoint(0, 0.5))
+                sd.inner_defect(overflow_model, [0], [0.5])
 
     def test_perturbed_model_flags_mismatch(self, rng):
         m = random_model(rng, d=1, h=2)
         bad = sd.RealizationModel(m.tau, m.A, m.B, m.C, m.D + 0.05)
         with pytest.raises(NumericalError):
-            sd.inner_defect(bad, sd.GammaPoint(0.3, 0.05))
+            sd.inner_defect(bad, [0.3], [0.05])
 
     def test_agreement_random_models(self, rng):
         for _ in range(15):
             m = random_model(rng)
-            for x in random_g_points(rng, 4):
-                direct, other = sd.inner_defect(m, x)
+            pts = random_g_points(rng, 4)
+            for direct, other in zip(*sd.inner_defect(m, [x.s for x in pts],
+                                                       [x.p for x in pts])):
                 assert np.linalg.norm(direct - other) <= 1e-9
 
 
@@ -108,30 +114,30 @@ class TestInnerDefectStack:
         for _ in range(20):
             m = random_model(rng, d=int(rng.integers(1, 5)), h=int(rng.integers(1, 5)))
             pts = random_g_points(rng, 20)
-            direct, other = sd.inner_defects(m, [x.s for x in pts], [x.p for x in pts])
+            direct, other = sd.inner_defect(m, [x.s for x in pts], [x.p for x in pts])
             for k, x in enumerate(pts):
                 ref = self._per_point(m, x)
                 assert np.array_equal(direct[k], ref[0])
                 assert np.array_equal(other[k], ref[1])
-                single = sd.inner_defect(m, x)
-                assert np.array_equal(single[0], ref[0]) and np.array_equal(single[1], ref[1])
+                (one,), (one_other,) = sd.inner_defect(m, [x.s], [x.p])
+                assert np.array_equal(one, ref[0]) and np.array_equal(one_other, ref[1])
 
     def test_stack_reports_first_mismatch(self, rng):
         # phi = 0 at the origin, where a perturbed D leaves the two forms equal
         m = random_model(rng, d=1, h=2)
         bad = sd.RealizationModel(m.tau, m.A, m.B, m.C, m.D + 0.05)
         pts = [sd.GammaPoint(0, 0)] + random_g_points(rng, 6)
-        sd.inner_defect(bad, pts[0])
+        sd.inner_defect(bad, [pts[0].s], [pts[0].p])
         with pytest.raises(NumericalError) as first:
-            sd.inner_defect(bad, pts[1])
+            sd.inner_defect(bad, [pts[1].s], [pts[1].p])
         with pytest.raises(NumericalError) as stacked:
-            sd.inner_defects(bad, [x.s for x in pts], [x.p for x in pts])
+            sd.inner_defect(bad, [x.s for x in pts], [x.p for x in pts])
         assert str(stacked.value) == str(first.value)
 
 
 def _transfer_svd_at_every_point(m, s, p, cfg=sd.DEFAULT):
     """_transfer with the singular check of I - D phi run as an SVD at every point."""
-    phi = phi_operators(m.tau, s, p, cfg)
+    phi = phi_operator(m.tau, s, p, cfg)
     M = np.eye(m.tau.shape[0]) - m.D @ phi
     sv = np.linalg.svd(M, compute_uv=False)
     if np.any(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)):
@@ -179,7 +185,7 @@ class TestTransferCheck:
         """A model whose I - D phi at (s, p) has the singular values smax, ...,
         rel * max(smax, 1), or only rel * max(smax, 1) when h = 1."""
         h = tau.shape[0]
-        phi = phi_operators(tau, [s], [p])[0]
+        phi = phi_operator(tau, [s], [p])[0]
         smin = rel * max(smax, 1.0)
         sig = np.sort(np.concatenate([[smax], rng.uniform(smin, smax, h - 2), [smin]])
                       )[::-1] if h > 1 else np.array([smin])
@@ -292,7 +298,7 @@ class TestBoundaryAudit:
 
     @staticmethod
     def _per_point_maximum(m, n):
-        """Max defect over the n x n grid, one point at a time, through eval_model
+        """Max defect over the n x n grid, one point at a time, through _transfer
         and through the formula written out; also counts the points whose
         Frobenius norm stays below the maximum of the earlier rows."""
         d, h = m.A.shape[0], m.tau.shape[0]
@@ -307,7 +313,7 @@ class TestBoundaryAudit:
                 phi = np.linalg.solve((2.0 * np.eye(h) - s * m.tau).T,
                                       (2.0 * p * m.tau - s * np.eye(h)).T).T
                 ref = m.A + m.B @ phi @ np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
-                psi = sd.eval_model(m, x, validate=False)
+                psi = _psi(m, x)
                 assert np.array_equal(psi, ref)
                 defect = np.eye(d) - psi.conj().T @ psi
                 worst = max(worst, float(np.linalg.norm(defect, 2)))
@@ -380,7 +386,7 @@ class TestBoundaryAudit:
         one = np.array([[1.0]], dtype=complex)
         m = sd.RealizationModel(np.conj(z) * one, 0 * one, one, one, 0 * one)
         with pytest.raises(InputError, match="singular pencil") as single:
-            sd.eval_model(m, x, validate=False)
+            _psi(m, x)
         with pytest.raises(InputError, match="singular pencil") as stacked:
             sd.boundary_unitarity_audit(m, 8)
         assert type(single.value) is type(stacked.value)
@@ -389,10 +395,10 @@ class TestBoundaryAudit:
         # D = 1 / phi(x) makes I - D phi vanish at the grid point x = (z, z)
         z, x = self._corner(8)
         one = np.array([[1.0]], dtype=complex)
-        phi = sd.phi_operator(one, x)[0, 0]
+        phi = sd.phi_operator(one, [x.s], [x.p])[0, 0, 0]
         m = sd.RealizationModel(one, 0 * one, one, one, one / phi)
         with pytest.raises(NumericalError, match="I - D phi is singular") as single:
-            sd.eval_model(m, x, validate=False)
+            _psi(m, x)
         with pytest.raises(NumericalError, match="I - D phi is singular") as stacked:
             sd.boundary_unitarity_audit(m, 8)
         assert type(single.value) is type(stacked.value)
@@ -417,8 +423,8 @@ class TestAuditFailureOrder:
         x0, x1 = self._point(*overflow_at), self._point(*singular_at)
         t = np.conj(x1.s / 2) if kind == "pencil" else 1.0
         tau = np.diag([1.0, t]).astype(complex)
-        d1 = (1 - 1e-10) / sd.phi_operator(tau, x0)[0, 0]
-        d2 = 0.0 if kind == "pencil" else 1 / sd.phi_operator(tau, x1)[1, 1]
+        d1 = (1 - 1e-10) / sd.phi_operator(tau, [x0.s], [x0.p])[0, 0, 0]
+        d2 = 0.0 if kind == "pencil" else 1 / sd.phi_operator(tau, [x1.s], [x1.p])[0, 1, 1]
         m = sd.RealizationModel(tau, np.zeros((1, 1)), np.ones((1, 2)),
                                 np.array([[1e70], [1.0]]), np.diag([d1, d2]))
         assert realization._AUDIT_BLOCK_ENTRIES // 3 ** 2 >= self.N * (self.N + 1) // 2
@@ -428,10 +434,10 @@ class TestAuditFailureOrder:
     def test_non_finite_row_before_singular_row_fails_as_nan(self, kind, singular_at):
         m, x0, x1 = self._model((0, 3), singular_at, kind)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = sd.eval_model(m, x0, validate=False)
+            psi = _psi(m, x0)
             assert not np.isfinite(np.linalg.norm(np.eye(1) - psi.conj().T @ psi))
             with pytest.raises((InputError, NumericalError)):
-                sd.eval_model(m, x1, validate=False)
+                _psi(m, x1)
             assert np.isnan(sd.boundary_unitarity_audit(m, self.N))
 
     @pytest.mark.parametrize("kind,singular_at", [("transfer", (0, 3)), ("pencil", (0, 0))])
@@ -440,7 +446,7 @@ class TestAuditFailureOrder:
         m, x0, x1 = self._model((2, 4), singular_at, kind)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises((InputError, NumericalError)) as single:
-                sd.eval_model(m, x1, validate=False)
+                _psi(m, x1)
             with pytest.raises((InputError, NumericalError)) as stacked:
                 sd.boundary_unitarity_audit(m, self.N)
         assert type(stacked.value) is type(single.value)
@@ -452,15 +458,14 @@ class TestLurkingIsometry:
         data = sd.PickData((sd.GammaPoint(0, 0),), (0,))
         model = lurking_isometry_interpolant(
             np.array([[1.0]]), [np.array([1.0])], data)
-        assert abs(sd.eval_model(model, sd.GammaPoint(0, 0))[0, 0]) <= 1e-10
+        assert abs(sd.eval_model(model, [0], [0])[0, 0, 0]) <= 1e-10
 
     def test_sheet_pipeline_fixture(self, data_sheet, kernel_sheet):
         # scalar tau certified by the extension's u-vector norms
         ext = sd.build_extension(kernel_sheet)
         fvals = [np.array([np.linalg.norm(u)]) for u in ext.u_nodes]
         model = lurking_isometry_interpolant(np.array([[1.0]]), fvals, data_sheet)
-        got0 = sd.eval_model(model, sd.GammaPoint(0, 0))[0, 0]
-        got1 = sd.eval_model(model, sd.GammaPoint(0, 0.5))[0, 0]
+        got0, got1 = sd.eval_model(model, [0, 0], [0, 0.5])[:, 0, 0]
         assert abs(got0 - 0) <= 1e-8 and abs(got1 - 0.5) <= 1e-8
         # the model is inner: boundary defect at tolerance
         assert sd.boundary_unitarity_audit(model, 16) <= 1e-9
@@ -469,8 +474,10 @@ class TestLurkingIsometry:
         ext = sd.build_extension(kernel_royal)
         fvals = [np.array([np.linalg.norm(u)]) for u in ext.u_nodes]
         model = lurking_isometry_interpolant(np.array([[1.0]]), fvals, data_royal)
-        for nd, w in zip(data_royal.nodes, data_royal.targets):
-            assert abs(sd.eval_model(model, nd)[0, 0] - w) <= 1e-8
+        psi = sd.eval_model(model, [x.s for x in data_royal.nodes],
+                            [x.p for x in data_royal.nodes])
+        for got, w in zip(psi[:, 0, 0], data_royal.targets):
+            assert abs(got - w) <= 1e-8
 
     def test_perturbed_targets_rejected(self, data_sheet, kernel_sheet):
         ext = sd.build_extension(kernel_sheet)
@@ -483,21 +490,23 @@ class TestLurkingIsometry:
         # build a random model, sample it at nodes, reconstruct from its own data
         m = random_model(rng, d=2, h=2)
         nodes = random_g_points(rng, 2)
-        phis = [sd.phi_operator(m.tau, x) for x in nodes]
-        targets = [sd.eval_model(m, x) for x in nodes]
+        s, p = [x.s for x in nodes], [x.p for x in nodes]
+        phis = sd.phi_operator(m.tau, s, p)
+        targets = sd.eval_model(m, s, p)
         inv = [np.linalg.solve(np.eye(2) - m.D @ ph, m.C) for ph in phis]
         model = lurking_isometry_interpolant(m.tau, inv, nodes, targets)
-        for x, M in zip(nodes, targets):
-            assert np.linalg.norm(sd.eval_model(model, x) - M) <= 1e-8
+        for got, M in zip(sd.eval_model(model, s, p), targets):
+            assert np.linalg.norm(got - M) <= 1e-8
 
     def test_node_reproduction_contract(self, rng):
         # random certified data always reproduces its nodes
         for _ in range(5):
             m = random_model(rng, d=1, h=2)
             nodes = random_g_points(rng, 3)
-            phis = [sd.phi_operator(m.tau, x) for x in nodes]
-            targets = [sd.eval_model(m, x) for x in nodes]
+            s, p = [x.s for x in nodes], [x.p for x in nodes]
+            phis = sd.phi_operator(m.tau, s, p)
+            targets = sd.eval_model(m, s, p)
             fvals = [np.linalg.solve(np.eye(2) - m.D @ ph, m.C) for ph in phis]
             model = lurking_isometry_interpolant(m.tau, fvals, nodes, targets)
-            for x, M in zip(nodes, targets):
-                assert np.linalg.norm(sd.eval_model(model, x) - M) <= 1e-8
+            for got, M in zip(sd.eval_model(model, s, p), targets):
+                assert np.linalg.norm(got - M) <= 1e-8

@@ -130,10 +130,10 @@ class TestPuSweep:
         spectrum = linalg.spectrum
         seen = []
 
-        def recorded(A, cfg=sd.DEFAULT):
+        def recorded(A):
             a = np.asarray(A, dtype=complex)
             seen.append((a.shape, a.tobytes()))
-            return spectrum(A, cfg)
+            return spectrum(A)
 
         for module in (linalg, numrange, variety):
             monkeypatch.setattr(module, "spectrum", recorded)
@@ -163,7 +163,7 @@ class TestPuSweep:
 
 def test_g_closure_check_reuses_the_stored_radius(monkeypatch):
     V = sd.PencilVariety(np.diag([1.0, 0.5, 0.0]).astype(complex))
-    audit = sd.region_audit(V)
+    audit, = sd.region_audit([V])
     calls = _count_numerical_radii(monkeypatch)
     assert sd.distinguished_property_check(V, audit.s, audit.p, g_closure_only=True)
     assert not sd.distinguished_property_check(V, audit.s, audit.p)

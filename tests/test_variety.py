@@ -16,7 +16,7 @@ def poly_from_string_coeffs(coeffs):
 
 def slice_samples(V, grid):
     """Every variety point over the slice grid, as arrays s and p."""
-    s, p = zip(*[(s, p) for p in grid for s in sd.slice_points(V, p)])
+    s, p = zip(*[(s, p) for p in grid for s in sd.slice_points(V, p)[0]])
     return np.array(s, dtype=complex), np.array(p, dtype=complex)
 
 
@@ -68,43 +68,43 @@ class TestDefiningPoly:
 class TestSlicePoints:
     def test_derived_slice(self, royal_F):
         V = sd.PencilVariety(royal_F)
-        assert np.allclose(sd.slice_points(V, 0.25), [-1, 1], atol=1e-12)
+        assert np.allclose(sd.slice_points(V, 0.25)[0], [-1, 1], atol=1e-12)
 
     def test_p_zero_gives_adjoint_spectrum(self, rng):
         F = ginibre_contraction(rng, 4)
         V = sd.PencilVariety(F)
-        got = sd.slice_points(V, 0)
+        got = sd.slice_points(V, 0)[0]
         ref = sorted(np.linalg.eigvals(F.conj().T), key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-9
 
     def test_triangular(self, jordan_halves):
         V = sd.PencilVariety(jordan_halves)
-        assert np.allclose(sd.slice_points(V, 0), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(sd.slice_points(V, 0)[0], [0.5, 0.5], atol=1e-12)
 
     def test_membership_of_slices(self, rng):
         F = ginibre_contraction(rng, 3)
         V = sd.PencilVariety(F)
         for p in (0.3, -0.5j, 0.8):
-            for s in sd.slice_points(V, p):
-                assert sd.membership_residual(V, sd.GammaPoint(s, p)) <= 1e-8
+            for s in sd.slice_points(V, p)[0]:
+                assert sd.membership_residual(V, s, p)[0] <= 1e-8
 
 
 class TestMembership:
     def test_royal_point_on(self, royal_F):
         V = sd.PencilVariety(royal_F)
-        assert sd.membership_residual(V, sd.GammaPoint(1, 0.25)) <= 1e-12
+        assert sd.membership_residual(V, 1, 0.25)[0] <= 1e-12
 
     def test_origin_off_jordan_variety(self, jordan_halves):
         # (0,0) lies on the royal variety but not on this one
         V = sd.PencilVariety(jordan_halves)
-        assert sd.membership_residual(V, sd.GammaPoint(0, 0)) > 0.1
+        assert sd.membership_residual(V, 0, 0)[0] > 0.1
 
     def test_one_by_one_sheet(self):
         beta = np.exp(0.3j)
         V = sd.PencilVariety(np.array([[np.conj(beta)]]))
         for p in (0.2, -0.7j):
             x = sd.GammaPoint(beta + np.conj(beta) * p, p)
-            assert sd.membership_residual(V, x) <= 1e-12
+            assert sd.membership_residual(V, x.s, x.p)[0] <= 1e-12
 
 
 class TestIsDistinguished:
@@ -121,18 +121,18 @@ class TestIsDistinguished:
 class TestRegionAudit:
     def test_royal_all_open(self, royal_F):
         grid = [0.9 * np.exp(2j * np.pi * k / 12) for k in range(12)] + [0.3, 0.6]
-        audit = sd.region_audit(sd.PencilVariety(royal_F), grid)
+        audit, = sd.region_audit([sd.PencilVariety(royal_F)], grid)
         assert audit.strict_pass
         assert audit.counts[Region.OPEN_G.value] == len(audit.s) == len(audit.p)
 
     def test_unimodular_scalar_hits_r1(self):
-        audit = sd.region_audit(sd.PencilVariety(np.array([[1.0]])),
-                                [0.3, 0.6, 0.5j])
+        audit, = sd.region_audit([sd.PencilVariety(np.array([[1.0]]))],
+                                 [0.3, 0.6, 0.5j])
         assert not audit.strict_pass
         assert audit.counts[Region.R1.value] == 3
 
     def test_zero_matrix_passes(self):
-        audit = sd.region_audit(sd.PencilVariety(np.array([[0.0]])))
+        audit, = sd.region_audit([sd.PencilVariety(np.array([[0.0]]))])
         assert audit.strict_pass
 
     @pytest.mark.parametrize("planted", [False, True])
@@ -146,9 +146,9 @@ class TestRegionAudit:
                 F[0, 0] = np.exp(2j * np.pi * rng.uniform())
                 F = W @ F @ W.conj().T
             V = sd.PencilVariety(F)
-            audit = sd.region_audit(V, grid)
-            samples = [sd.GammaPoint(s, p) for p in grid for s in sd.slice_points(V, p)]
-            labels = [sd.classify_region(x) for x in samples]
+            audit, = sd.region_audit([V], grid)
+            samples = [sd.GammaPoint(s, p) for p in grid for s in sd.slice_points(V, p)[0]]
+            labels = [REGIONS[sd.classify_region([x.s], [x.p])[0]] for x in samples]
             assert np.array_equal(audit.s, [x.s for x in samples])
             assert np.array_equal(audit.p, [x.p for x in samples])
             assert [REGIONS[c] for c in audit.codes] == labels
@@ -175,8 +175,8 @@ class TestRegionAudits:
     @pytest.mark.parametrize("grid", [None, [0.3], [0.0, 0.3, 0.5j, 1.2]])
     def test_reports_equal_one_variety_calls(self, rng, grid):
         Vs = _mixed_varieties(rng)
-        for batched, V in zip(variety.region_audits(Vs, grid), Vs):
-            one = sd.region_audit(V, grid)
+        for batched, V in zip(sd.region_audit(Vs, grid), Vs):
+            one, = sd.region_audit([V], grid)
             assert np.array_equal(batched.s, one.s)
             assert np.array_equal(batched.p, one.p)
             assert np.array_equal(batched.codes, one.codes)
@@ -193,11 +193,11 @@ class TestRegionAudits:
 
         Vs = _mixed_varieties(rng)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        variety.region_audits(Vs)
+        sd.region_audit(Vs)
         assert sorted(calls) == sorted({V.dim for V in Vs} - {0})
 
     def test_empty_list(self):
-        assert variety.region_audits([]) == []
+        assert sd.region_audit([]) == []
 
     def test_default_grid_is_the_circle_by_circle_grid(self):
         radii, n = (0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35), 16
@@ -292,14 +292,14 @@ class TestTheoremLevelProperties:
             d = int(rng.integers(2, 5))
             T = sd.pu_compress(random_projection(rng, d), haar_unitary(rng, d))
             V = sd.PencilVariety(T)
-            audit = sd.region_audit(V)
+            audit, = sd.region_audit([V])
             assert audit.r2_free
             assert bool(sd.is_cnu(T)) == audit.strict_pass
 
     def test_never_r2(self, rng):
         for _ in range(10):
             F = ginibre_contraction(rng, int(rng.integers(1, 6)))
-            audit = sd.region_audit(sd.PencilVariety(F))
+            audit, = sd.region_audit([sd.PencilVariety(F)])
             assert audit.r2_free
 
 
