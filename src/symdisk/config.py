@@ -40,7 +40,6 @@ class Tolerances:
     # realization formula
     tol_id: float = 1e-9          # agreement of the two inner-defect computations
     tol_inner: float = 1e-9       # max boundary unitarity defect for PASS
-    tol_interp: float = 1e-8      # node reproduction of interpolants
     # discretization knobs
     dist_guard: float = 0.1       # min eigenvalue-to-circle distance, relative to radius:
                                   # sets the branch trace's disk radius and guards the disks

@@ -58,14 +58,6 @@ def stacked_fibers(s, p) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
-def beta_of(x: GammaPoint, cfg: Tolerances = DEFAULT) -> complex:
-    """The disk coordinate beta = (s - conj(s)p) / (1 - |p|^2); needs |p| != 1."""
-    s, p = complex(x.s), complex(x.p)
-    if abs(abs(p) - 1.0) <= cfg.tol_mod:
-        raise InputError("beta is undefined when |p| = 1")
-    return (s - np.conj(s) * p) / (1.0 - abs(p) ** 2)
-
-
 # the labels in the order of the codes returned by classify_region
 REGIONS = tuple(Region)
 

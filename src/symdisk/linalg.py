@@ -2,9 +2,8 @@
 
 General eigenvalues, Hermitian and PSD eigensolves, null spaces and PSD
 square roots are numpy/LAPACK calls behind validated contracts; Riesz
-projections onto the eigenvalues in a disk (from the matrix sign function),
-the audit every spectral projection passes, and unitary completions are built
-on top of them.
+projections onto the eigenvalues in a disk (from the matrix sign function)
+and the audit every spectral projection passes are built on top of them.
 """
 
 from __future__ import annotations
@@ -220,46 +219,3 @@ def _projection_failures(P, enclosed, cfg: Tolerances):
             f"projection not idempotent: ||P^2-P|| = {defects[k]:.3e}" if not idempotent[k]
             else f"projection rank {tr[k]:.6f} disagrees with enclosed count {enclosed[k]}")
     return defects, failures
-
-
-def complete_to_unitary(dom_basis, ran_basis, dim: int | None = None,
-                        cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Extend the isometry dom_basis[i] -> ran_basis[i] to a full unitary.
-
-    The prescribed map must be isometric on spans: the two Gram matrices have
-    to agree to tol_gram (relative).  Rank deficiency in the spans is fine.
-    """
-    dom = [np.asarray(v, dtype=complex).ravel() for v in dom_basis]
-    ran = [np.asarray(v, dtype=complex).ravel() for v in ran_basis]
-    if len(dom) != len(ran):
-        raise InputError("domain and range lists must have equal length")
-    if not dom:
-        if dim is None:
-            raise InputError("empty input needs an explicit ambient dimension")
-        return np.eye(dim, dtype=complex)
-    n = len(dom[0])
-    if any(len(v) != n for v in dom + ran):
-        raise InputError("all vectors must share one ambient dimension")
-    X = np.column_stack(dom)
-    Y = np.column_stack(ran)
-    gx = X.conj().T @ X
-    gy = Y.conj().T @ Y
-    scale = max(np.linalg.norm(gx), 1.0)
-    if np.linalg.norm(gx - gy) > cfg.tol_gram * scale:
-        raise InputError("prescribed map is not isometric: Gram matrices differ")
-    U_, sv, Vh = np.linalg.svd(X)
-    r = int(np.sum(sv > cfg.rank_tol * max(sv[0], _EPS)))
-    Qd = U_[:, :r]
-    Qr = (Y @ Vh[:r].conj().T) / sv[:r]
-    # polar correction: orthonormalizes near-isometric columns without
-    # re-phasing them (QR would), so the prescribed images are preserved
-    gw, gv = np.linalg.eigh(Qr.conj().T @ Qr)
-    Qr = Qr @ (gv * (1.0 / np.sqrt(np.clip(gw, _EPS, None)))) @ gv.conj().T
-    # the complements: the trailing left singular vectors of X, and a complete QR of Qr
-    Qr_full = np.hstack([Qr, np.linalg.qr(Qr, mode="complete")[0][:, r:]])
-    U = Qr_full @ np.hstack([Qd, U_[:, r:]]).conj().T
-    err = max(np.linalg.norm(U @ X[:, j] - Y[:, j]) for j in range(X.shape[1]))
-    if err > np.sqrt(cfg.tol_gram) * max(1.0, np.linalg.norm(Y)):
-        raise NumericalError(f"unitary completion maps with residual {err:.3e}")
-    return U
-

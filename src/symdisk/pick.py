@@ -226,16 +226,6 @@ def _fundamental_model(K: KernelMatrix, cfg: Tolerances) -> _FundamentalModel:
     return _FundamentalModel(ops, F, D, residual, mp_norm, ms_norm)
 
 
-def fundamental_operator(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """The operator F' with M_s* - M_s M_p* = D F' D, D = (I - M_p M_p*)^{1/2}.
-
-    Solved through the pseudo-inverse: F' is unique on the range of D and is
-    extended by zero on its kernel (harmless: the extension only contributes
-    zero eigenvalues, which are never unimodular).
-    """
-    return _fundamental_model(K, cfg).F
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the admissibility audit of a kernel."""
@@ -297,55 +287,3 @@ def _audit_model(model: _FundamentalModel, cfg: Tolerances) -> AdmissibilityRepo
         intertwine_s=inter,
         commutator=comm,
     )
-
-
-@dataclass(frozen=True)
-class PerturbedInterpolant:
-    """h_delta = f + delta * prod_r [(s - s_r) + eta (p - p_r)]."""
-    base: callable
-    data: PickData
-    eta: complex
-    delta: float
-    sup_norm_estimate: float
-
-    def __call__(self, x: GammaPoint) -> complex:
-        prod = 1.0 + 0.0j
-        for nd in self.data.nodes:
-            prod *= (complex(x.s) - nd.s) + self.eta * (complex(x.p) - nd.p)
-        return complex(self.base(x) + self.delta * prod)
-
-
-def nonextremal_perturbation(data: PickData, f, eta: complex, delta: float,
-                             n_grid: int = 400, seed: int = 0,
-                             cfg: Tolerances = DEFAULT) -> PerturbedInterpolant:
-    """Interpolant family showing non-extremal data have no uniqueness beyond nodes.
-
-    ``f`` must interpolate the datum (checked).  The perturbation vanishes at
-    every node, so h_delta still interpolates; the sup norm is estimated on a
-    seeded random sample of the open domain.
-    """
-    for nd, w in zip(data.nodes, data.targets):
-        if abs(f(nd) - w) > cfg.tol_interp:
-            raise InputError("f does not interpolate the datum")
-    probe = PerturbedInterpolant(f, data, complex(eta), float(delta), float("nan"))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_grid):
-        z1 = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        z2 = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        x = GammaPoint(z1 + z2, z1 * z2)
-        worst = max(worst, abs(probe(x)))
-    return PerturbedInterpolant(f, data, complex(eta), float(delta), float(worst))
-
-
-def agreement_locus(f_list, grid, tol: float) -> list:
-    """Grid points where all evaluators pairwise agree within tol."""
-    if len(f_list) < 2:
-        raise InputError("agreement needs at least two evaluators")
-    out = []
-    for x in grid:
-        vals = [f(x) for f in f_list]
-        worst = max(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
-        if worst <= tol:
-            out.append(x)
-    return out

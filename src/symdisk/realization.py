@@ -10,8 +10,7 @@ blocks forces Psi inner: the defect I - Psi* Psi equals
 
     C* (I - phi* D*)^{-1} (I - phi* phi) (I - D phi)^{-1} C,
 
-which vanishes on the distinguished boundary.  Interpolants are produced from
-certified node data by a lurking-isometry completion.
+which vanishes on the distinguished boundary.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import GammaPoint, phi_operator
-from .linalg import as_complex_matrix, complete_to_unitary
-from .pick import PickData
+from .gamma import phi_operator
+from .linalg import as_complex_matrix
 
 # slack of the Frobenius screen in boundary_unitarity_audit: the computed
 # ||X||_F and SVD ||X||_2 carry relative errors of a few d*eps, far below 1e-10
@@ -213,65 +211,3 @@ def boundary_unitarity_audit(m: RealizationModel, n_per_axis: int = 64,
         if np.isnan(worst):
             break
     return worst
-
-
-def lurking_isometry_interpolant(tau, f_values, data, targets=None,
-                                 cfg: Tolerances = DEFAULT) -> RealizationModel:
-    """Build an interpolating model from certified (tau, F-value) data.
-
-    ``data`` is a PickData (scalar targets), or a node list when matrix
-    ``targets`` are passed separately.  The solvability certificate
-
-        I + F_i* phi_i* phi_j F_j = M_i* M_j + F_i* F_j
-
-    is checked on all node pairs; the isometry [I; phi_j F_j] xi -> [M_j; F_j] xi
-    is completed to the unitary block, and the resulting model is verified to
-    reproduce the targets.
-    """
-    tau = as_complex_matrix(tau, square=True)
-    if isinstance(data, PickData):
-        nodes = list(data.nodes)
-        mats = [np.array([[w]], dtype=complex) for w in data.targets]
-    else:
-        if targets is None:
-            raise InputError("matrix targets required when data is a node list")
-        nodes = [GammaPoint(complex(x.s), complex(x.p)) for x in data]
-        mats = [as_complex_matrix(M, square=True) for M in targets]
-    if len(nodes) != len(mats) or not nodes:
-        raise InputError("node and target counts differ or are empty")
-    d = mats[0].shape[0]
-    h = tau.shape[0]
-    fvals = []
-    for F in f_values:
-        F = np.asarray(F, dtype=complex)
-        if F.ndim == 1:
-            F = F.reshape(h, -1)
-        if F.shape != (h, d):
-            raise InputError(f"F-value shape {F.shape} does not match ({h}, {d})")
-        fvals.append(F)
-    if len(fvals) != len(nodes):
-        raise InputError("one F-value per node is required")
-
-    s = [x.s for x in nodes]
-    p = [x.p for x in nodes]
-    phis = phi_operator(tau, s, p, cfg)
-    doms, rans = [], []
-    for j, x in enumerate(nodes):
-        X = np.vstack([np.eye(d, dtype=complex), phis[j] @ fvals[j]])
-        Y = np.vstack([mats[j], fvals[j]])
-        doms.extend(X[:, c] for c in range(d))
-        rans.extend(Y[:, c] for c in range(d))
-    Xm = np.column_stack(doms)
-    Ym = np.column_stack(rans)
-    gx = Xm.conj().T @ Xm
-    gy = Ym.conj().T @ Ym
-    if np.linalg.norm(gx - gy) > cfg.tol_gram * max(1.0, np.linalg.norm(gx)):
-        raise InputError("solvability certificate violated: "
-                         "the lurking-isometry Gram identity fails")
-    U = complete_to_unitary(doms, rans, dim=d + h, cfg=cfg)
-    model = RealizationModel(tau, U[:d, :d], U[:d, d:], U[d:, :d], U[d:, d:])
-    for j, psi in enumerate(eval_model(model, s, p, cfg)):
-        err = np.linalg.norm(psi - mats[j])
-        if err > cfg.tol_interp:
-            raise NumericalError(f"model misses node {j} by {err:.3e}")
-    return model

@@ -304,32 +304,6 @@ def region_audit(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAudit
     ) for s, p, c, row in zip(s_of, p_of, np.split(codes, np.cumsum(sizes)[:-1]), counts)]
 
 
-def royal_containment(V: PencilVariety, beta: complex, cfg: Tolerances = DEFAULT) -> bool:
-    """Does the sheet {(beta + conj(beta) p, p)} lie inside the variety?
-
-    For |beta| = 1 the verdict is certified by the block form: the sheet is
-    contained iff ker(F - conj(beta) I) \\cap ker(F* - beta I) is non-zero.
-    For |beta| != 1 only the sampled pencil check is reported (the block form
-    is not claimed in that regime).
-    """
-    from .numrange import _joint_eigenspace  # shared kernel helper
-
-    beta = complex(beta)
-    d = V.dim
-    # sampled check: the degree-<=d polynomial p -> det((F*-beta) + p(F-conj(beta)))
-    # vanishes identically iff it vanishes at d+1 points
-    p_samples = 0.6 * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    sampled = bool(_on_variety(V.F, beta + np.conj(beta) * p_samples, p_samples, cfg).all())
-    if abs(abs(beta) - 1.0) > cfg.tol_mod:
-        return sampled
-    joint = len(_joint_eigenspace(V.F, np.conj(beta), cfg)) > 0
-    if joint != sampled:
-        raise InputError(
-            f"inconsistent royal-containment verdicts for beta={beta}: "
-            f"block form {joint}, sampled pencil {sampled}")
-    return joint
-
-
 def distinguished_property_check(V: PencilVariety, s, p, g_closure_only: bool = False,
                                  cfg: Tolerances = DEFAULT) -> bool:
     """Sampled boundary constraint: Gamma-boundary hits must be bG hits.

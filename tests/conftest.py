@@ -60,3 +60,9 @@ def random_g_points(rng, n, rmax=0.95):
         z2 = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         pts.append(sd.symmetrize(z1, z2))
     return pts
+
+
+def disk_beta(x):
+    """The closed form beta = (s - conj(s) p) / (1 - |p|^2) of a point with |p| < 1:
+    the fundamental operator of a one-node kernel is conj(beta)."""
+    return (x.s - np.conj(x.s) * x.p) / (1.0 - abs(x.p) ** 2)

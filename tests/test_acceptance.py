@@ -7,15 +7,11 @@ them); tolerances and runtime budgets are pinned here and nowhere else.
 import time
 
 import numpy as np
-import pytest
 
 import symdisk as sd
 from symdisk import kernels
-from symdisk.gamma import Region
-from symdisk.numrange import pu_witness_search
 from symdisk.pick import gram_on_nodes
-from symdisk.realization import lurking_isometry_interpolant
-from symdisk.sweeps import equivalence_sweep, haar_unitary, pu_sweep, random_projection
+from symdisk.sweeps import equivalence_sweep, haar_unitary, pu_sweep
 
 from conftest import random_g_points
 
@@ -111,15 +107,17 @@ def test_criterion_6_royal_datum_end_to_end():
     worst_formula = float(np.abs(got.values - (-s / 2)).max())
     worst_mobius = float(np.abs(got.values - (2 * p - s) / (2 - s)).max())
     assert worst_formula <= 1e-8 and worst_mobius <= 1e-8
-    # agreement locus of the two known interpolants is exactly the royal points
+    # the two known interpolants agree on the grid exactly at the royal points
     grid = random_g_points(np.random.default_rng(6), 400) + \
         [sd.GammaPoint(2 * z, z * z) for z in (0.3, -0.4j, 0.2 + 0.5j)]
-    locus = sd.agreement_locus(
-        [lambda x: -x.s / 2, lambda x: (2 * x.p - x.s) / (2 - x.s)], grid, 1e-8)
-    assert len(locus) >= 3
-    assert all(abs(x.s ** 2 - 4 * x.p) <= 1e-6 for x in locus)
+    gs = np.array([x.s for x in grid])
+    gp = np.array([x.p for x in grid])
+    agree = np.abs(-gs / 2 - (2 * gp - gs) / (2 - gs)) <= 1e-8
+    locus_s, locus_p = gs[agree], gp[agree]
+    assert len(locus_s) >= 3
+    assert np.all(np.abs(locus_s ** 2 - 4 * locus_p) <= 1e-6)
     _report(6, f"singular pick matrix, unique value -s/2 to {worst_formula:.2e}, "
-               f"locus recovers s^2 = 4p on {len(locus)} points")
+               f"locus recovers s^2 = 4p on {len(locus_s)} points")
 
 
 def test_criterion_7_szego_not_active_on_unique_datum():

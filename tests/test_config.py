@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from symdisk.config import DEFAULT, Tolerances, with_overrides
 from symdisk.errors import InputError
 
 SRC = Path(symdisk.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_tolerance_field_is_read():
@@ -28,11 +30,9 @@ def _defined_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def test_every_private_helper_is_referenced():
-    # a module-level _name that nothing in the package uses outside its own
-    # definition is dead code that a simplification left behind
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = []   # (module, line, name) of every name read or imported
+def _uses(trees):
+    """(module, line, name) of every name read or imported in the parsed modules."""
+    uses = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -41,16 +41,55 @@ def test_every_private_helper_is_referenced():
                 uses.append((module, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
                 uses.append((module, node.lineno, node.name))
+    return uses
+
+
+def _unreferenced(trees, uses, wanted):
+    """module:name of each module-level name that ``wanted`` selects and that no
+    use outside its own definition reads."""
     orphans = []
     for module, tree in trees.items():
         for node in tree.body:
             for name in _defined_names(node):
-                if not name.startswith("_") or name.startswith("__"):
+                if not wanted(node, name):
                     continue
                 if not any(n == name and not (m == module and
                                               node.lineno <= line <= node.end_lineno)
                            for m, line, n in uses):
                     orphans.append(f"{module}:{name}")
+    return orphans
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _name that nothing in the package uses outside its own
+    # definition is dead code that a simplification left behind
+    trees = _package_trees()
+    orphans = _unreferenced(trees, _uses(trees), lambda node, name:
+                            name.startswith("_") and not name.startswith("__"))
+    assert orphans == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that neither the package nor a script reaches
+    # is surface that only its own tests keep alive; the re-export in
+    # __init__ does not count as a caller
+    trees = _package_trees()
+    callers = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    callers.update({f"scripts/{path.name}": ast.parse(path.read_text())
+                    for path in sorted((ROOT / "scripts").glob("*.py"))})
+    # the benchmark's tracer wraps its layers by name, and the tests build
+    # their points and matrices with these two
+    exempt = {name for names in runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+              ["LAYERS"].values() for name in names}
+    exempt |= {"symmetrize", "ginibre_contraction"}
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    orphans = _unreferenced(trees, _uses(callers), lambda node, name:
+                            isinstance(node, definitions) and not name.startswith("_")
+                            and name not in exempt)
     assert orphans == []
 
 

@@ -12,7 +12,7 @@ from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region
 from symdisk.pick import gram_on_nodes
 
-from conftest import random_g_points
+from conftest import disk_beta, random_g_points
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -82,7 +82,7 @@ class TestBuildExtension:
         x = random_g_points(rng, 1)[0]
         K = sd.KernelMatrix((x,), np.array([[2.0]]))
         model = sd.build_extension(K)
-        beta = sd.beta_of(x)
+        beta = disk_beta(x)
         assert model.F.shape == (1, 1)
         assert abs(model.F[0, 0] - np.conj(beta)) < 1e-10
         # u = D k in orthonormal coordinates: sqrt(1 - |p|^2 |Mp|...) scale

@@ -8,7 +8,7 @@ import symdisk as sd
 from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region, classify_region, phi_operator
 
-from conftest import random_g_points
+from conftest import disk_beta, random_g_points
 
 SQ2 = np.sqrt(2.0)
 
@@ -58,20 +58,6 @@ class TestFibers:
         assert abs(back.s - x.s) + abs(back.p - x.p) < 1e-12
 
 
-class TestBeta:
-    def test_closed_form_value(self):
-        b = sd.beta_of(sd.GammaPoint(1, 0.25))
-        assert abs(b - 0.8) < 1e-14
-        assert abs(b + np.conj(b) * 0.25 - 1) < 1e-14  # s = beta + conj(beta) p
-
-    def test_zero_s(self):
-        assert sd.beta_of(sd.GammaPoint(0, 0.3j)) == 0
-
-    def test_unimodular_p_rejected(self):
-        with pytest.raises(InputError):
-            sd.beta_of(sd.GammaPoint(2, 1))
-
-
 def _label(x) -> Region:
     """The region of one point: classify_region on a one-element stack."""
     return REGIONS[classify_region([x.s], [x.p])[0]]
@@ -88,7 +74,7 @@ class TestClassify:
         # fibers 1 and 1/2; beta = 1 on the circle
         x = sd.GammaPoint(1.5, 0.5)
         assert _label(x) is Region.R1
-        assert abs(sd.beta_of(x) - 1) < 1e-14
+        assert abs(disk_beta(x) - 1) < 1e-14
 
     def test_r2_and_exterior(self):
         assert _label(sd.symmetrize(0.5, 2.0)) is Region.R2

@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -218,47 +217,6 @@ class TestAuditProjections:
         stack = np.array([np.eye(2), P], dtype=complex)
         with pytest.raises(NumericalError, match=why.replace("+", r"\+")):
             audit_projections(stack, [2, enclosed])
-
-
-class TestCompleteToUnitary:
-    def test_identity_action(self):
-        e1 = np.array([1, 0], dtype=complex)
-        U = sd.complete_to_unitary([e1], [e1])
-        assert np.linalg.norm(U @ e1 - e1) < 1e-12
-        assert np.linalg.norm(U.conj().T @ U - np.eye(2)) <= 1e-12
-
-    def test_empty_inputs(self):
-        U = sd.complete_to_unitary([], [], dim=2)
-        assert np.allclose(U, np.eye(2))
-
-    def test_gram_mismatch_rejected(self):
-        e1 = np.array([1, 0], dtype=complex)
-        with pytest.raises(InputError):
-            sd.complete_to_unitary([e1], [2 * e1])
-
-    def test_swap_completion(self):
-        dom = [np.array([1, 0], dtype=complex), np.array([1, 0.5], dtype=complex)]
-        ran = [np.array([0, 1], dtype=complex), np.array([0.5, 1], dtype=complex)]
-        U = sd.complete_to_unitary(dom, ran)
-        for d, r in zip(dom, ran):
-            assert np.linalg.norm(U @ d - r) < 1e-10
-        assert np.linalg.norm(U.conj().T @ U - np.eye(2)) <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31))
-def test_unitarity_of_completion_random(d, seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, d + 1))
-    from symdisk.sweeps import haar_unitary
-    W = haar_unitary(rng, d)
-    X = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-    dom = [X[:, j] for j in range(k)]
-    ran = [W @ X[:, j] for j in range(k)]
-    U = sd.complete_to_unitary(dom, ran)
-    assert np.linalg.norm(U.conj().T @ U - np.eye(d)) <= 1e-12
-    for a, b in zip(dom, ran):
-        assert np.linalg.norm(U @ a - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,7 +8,7 @@ from symdisk import kernels
 from symdisk.errors import InputError
 from symdisk.pick import _audit_model, _fundamental_model, gram_on_nodes, kernel_basis_operators
 
-from conftest import random_g_points
+from conftest import disk_beta, random_g_points
 
 # eight sheet nodes, two of them 0.02 apart: the Gram matrix has condition
 # number about 2e7, and I - Mp Mp* formed as a difference is indefinite
@@ -215,16 +215,16 @@ class TestFundamentalOperator:
         for _ in range(5):
             x = random_g_points(rng, 1)[0]
             K = sd.KernelMatrix((x,), np.array([[1.0 + rng.uniform()]]))
-            F = sd.fundamental_operator(K)
-            assert abs(F[0, 0] - np.conj(sd.beta_of(x))) < 1e-10
+            F = _fundamental_model(K, sd.DEFAULT).F
+            assert abs(F[0, 0] - np.conj(disk_beta(x))) < 1e-10
 
     def test_sheet_model_zero(self, kernel_sheet):
-        F = sd.fundamental_operator(kernel_sheet)
+        F = _fundamental_model(kernel_sheet, sd.DEFAULT).F
         assert F.shape == (2, 2)
         assert np.linalg.norm(F) <= 1e-12
 
     def test_royal_model_vanishes_on_royal_points(self, kernel_royal):
-        F = sd.fundamental_operator(kernel_royal)
+        F = _fundamental_model(kernel_royal, sd.DEFAULT).F
         V = sd.PencilVariety(F)
         for z in (0.3, -0.2 + 0.4j, 0.6j):
             assert sd.membership_residual(V, 2 * z, z * z)[0] <= 1e-8
@@ -250,7 +250,7 @@ class TestFundamentalOperator:
                 continue
             data = sd.PickData(tuple(nodes), tuple(0.0 for _ in nodes))
             K = gram_on_nodes(data, kernels.model(F0))
-            Fp = sd.fundamental_operator(K)
+            Fp = _fundamental_model(K, sd.DEFAULT).F
             assert sd.numerical_radius(Fp) <= 1.0 + 1e-10
             assert sd.admissibility_audit(K).passed
 
@@ -306,64 +306,3 @@ class TestAdmissibilityAudit:
         names = {f.name for f in dataclasses.fields(sd.AdmissibilityReport)}
         assert {"isometry_defect", "intertwine_s", "commutator"} <= names
         assert not names & {"trunc", "tail_bound", "intertwine_p"}
-
-
-class TestNonextremalPerturbation:
-    def test_delta_zero_is_f(self, data_unique):
-        h = sd.nonextremal_perturbation(data_unique, lambda x: x.s / 2, 1.0, 0.0)
-        for x in (sd.GammaPoint(0.3, 0.02), sd.GammaPoint(-0.4, 0.1j)):
-            assert abs(h(x) - x.s / 2) < 1e-15
-
-    def test_single_node_formula(self):
-        data = sd.PickData((sd.GammaPoint(0, 0),), (0,))
-        h = sd.nonextremal_perturbation(data, lambda x: 0.0, 1.0, 0.1)
-        x = sd.GammaPoint(0.2, 0.3j)
-        assert abs(h(x) - 0.1 * (0.2 + 0.3j)) < 1e-15
-        assert abs(h(sd.GammaPoint(0, 0))) < 1e-15
-
-    def test_nodes_unchanged(self, data_unique):
-        h = sd.nonextremal_perturbation(data_unique, lambda x: x.s / 2, 0.7j, 1e-3)
-        for nd, w in zip(data_unique.nodes, data_unique.targets):
-            assert abs(h(nd) - w) < 1e-12
-
-    def test_rejects_non_interpolant(self, data_unique):
-        with pytest.raises(InputError):
-            sd.nonextremal_perturbation(data_unique, lambda x: 0.0, 1.0, 0.1)
-
-
-class TestAgreementLocus:
-    def _grid(self, rng, n=300):
-        return random_g_points(rng, n)
-
-    def test_royal_pair(self, rng):
-        # -s/2 and (2p-s)/(2-s) agree exactly on s^2 = 4p
-        grid = self._grid(rng) + [sd.GammaPoint(2 * z, z * z)
-                                  for z in (0.3, -0.5j, 0.1 + 0.2j)]
-        locus = sd.agreement_locus(
-            [lambda x: -x.s / 2, lambda x: (2 * x.p - x.s) / (2 - x.s)],
-            grid, 1e-8)
-        assert len(locus) >= 3
-        for x in locus:
-            assert abs(x.s ** 2 - 4 * x.p) <= 1e-6
-
-    def test_sheet_pair(self, rng):
-        # p and (2p-s)/(2-s) agree exactly on s = 0
-        grid = self._grid(rng) + [sd.GammaPoint(0, p) for p in (0.2, -0.5j, 0.7)]
-        locus = sd.agreement_locus(
-            [lambda x: x.p, lambda x: (2 * x.p - x.s) / (2 - x.s)],
-            grid, 1e-8)
-        assert len(locus) >= 3
-        for x in locus:
-            assert abs(x.s) <= 1e-6
-
-    def test_identical_evaluators(self, rng):
-        grid = self._grid(rng, 50)
-        f = lambda x: x.s * x.p
-        assert sd.agreement_locus([f, f], grid, 1e-12) == grid
-
-    def test_monotone_in_tolerance(self, rng):
-        grid = self._grid(rng, 100)
-        fs = [lambda x: -x.s / 2, lambda x: (2 * x.p - x.s) / (2 - x.s)]
-        tight = set(id(x) for x in sd.agreement_locus(fs, grid, 1e-10))
-        loose = set(id(x) for x in sd.agreement_locus(fs, grid, 1e-4))
-        assert tight <= loose

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import symdisk as sd
-from symdisk import kernels, realization
+from symdisk import realization
 from symdisk.errors import InputError, NumericalError
 from symdisk.gamma import phi_operator
-from symdisk.pick import gram_on_nodes
-from symdisk.realization import _transfer, lurking_isometry_interpolant
+from symdisk.realization import _transfer
 from symdisk.sweeps import haar_unitary
 
 from conftest import random_g_points
@@ -451,62 +450,3 @@ class TestAuditFailureOrder:
                 sd.boundary_unitarity_audit(m, self.N)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
-
-
-class TestLurkingIsometry:
-    def test_single_node(self):
-        data = sd.PickData((sd.GammaPoint(0, 0),), (0,))
-        model = lurking_isometry_interpolant(
-            np.array([[1.0]]), [np.array([1.0])], data)
-        assert abs(sd.eval_model(model, [0], [0])[0, 0, 0]) <= 1e-10
-
-    def test_sheet_pipeline_fixture(self, data_sheet, kernel_sheet):
-        # scalar tau certified by the extension's u-vector norms
-        ext = sd.build_extension(kernel_sheet)
-        fvals = [np.array([np.linalg.norm(u)]) for u in ext.u_nodes]
-        model = lurking_isometry_interpolant(np.array([[1.0]]), fvals, data_sheet)
-        got0, got1 = sd.eval_model(model, [0, 0], [0, 0.5])[:, 0, 0]
-        assert abs(got0 - 0) <= 1e-8 and abs(got1 - 0.5) <= 1e-8
-        # the model is inner: boundary defect at tolerance
-        assert sd.boundary_unitarity_audit(model, 16) <= 1e-9
-
-    def test_royal_fixture(self, data_royal, kernel_royal):
-        ext = sd.build_extension(kernel_royal)
-        fvals = [np.array([np.linalg.norm(u)]) for u in ext.u_nodes]
-        model = lurking_isometry_interpolant(np.array([[1.0]]), fvals, data_royal)
-        psi = sd.eval_model(model, [x.s for x in data_royal.nodes],
-                            [x.p for x in data_royal.nodes])
-        for got, w in zip(psi[:, 0, 0], data_royal.targets):
-            assert abs(got - w) <= 1e-8
-
-    def test_perturbed_targets_rejected(self, data_sheet, kernel_sheet):
-        ext = sd.build_extension(kernel_sheet)
-        fvals = [np.array([np.linalg.norm(u)]) for u in ext.u_nodes]
-        bad = sd.PickData(data_sheet.nodes, (0, 0.55))
-        with pytest.raises(InputError):
-            lurking_isometry_interpolant(np.array([[1.0]]), fvals, bad)
-
-    def test_matrix_targets(self, rng):
-        # build a random model, sample it at nodes, reconstruct from its own data
-        m = random_model(rng, d=2, h=2)
-        nodes = random_g_points(rng, 2)
-        s, p = [x.s for x in nodes], [x.p for x in nodes]
-        phis = sd.phi_operator(m.tau, s, p)
-        targets = sd.eval_model(m, s, p)
-        inv = [np.linalg.solve(np.eye(2) - m.D @ ph, m.C) for ph in phis]
-        model = lurking_isometry_interpolant(m.tau, inv, nodes, targets)
-        for got, M in zip(sd.eval_model(model, s, p), targets):
-            assert np.linalg.norm(got - M) <= 1e-8
-
-    def test_node_reproduction_contract(self, rng):
-        # random certified data always reproduces its nodes
-        for _ in range(5):
-            m = random_model(rng, d=1, h=2)
-            nodes = random_g_points(rng, 3)
-            s, p = [x.s for x in nodes], [x.p for x in nodes]
-            phis = sd.phi_operator(m.tau, s, p)
-            targets = sd.eval_model(m, s, p)
-            fvals = [np.linalg.solve(np.eye(2) - m.D @ ph, m.C) for ph in phis]
-            model = lurking_isometry_interpolant(m.tau, fvals, nodes, targets)
-            for got, M in zip(sd.eval_model(model, s, p), targets):
-                assert np.linalg.norm(got - M) <= 1e-8

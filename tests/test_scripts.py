@@ -1,0 +1,21 @@
+"""The scripts under scripts/ run end to end on small inputs."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_uniqueness_traces.py", ["--samples", "5"]),
+    ("run_equivalence_sweep.py", ["--cases", "5", "--seed", "0"]),
+])
+def test_script_exits_zero(script, args, monkeypatch, capsys):
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path)] + args)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 0, capsys.readouterr().out

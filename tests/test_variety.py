@@ -236,28 +236,6 @@ class TestPencilVarieties:
         assert calls == [4]
 
 
-class TestRoyalContainment:
-    def test_scalar_sheet(self):
-        beta = np.exp(0.4j)
-        V = sd.PencilVariety(np.array([[np.conj(beta)]]))
-        assert sd.royal_containment(V, beta)
-
-    def test_royal_variety_has_no_unimodular_sheet(self, royal_F):
-        assert not sd.royal_containment(sd.PencilVariety(royal_F), 1.0)
-
-    def test_diag_mixture(self):
-        V = sd.PencilVariety(np.diag([1.0, 0.5]).astype(complex))
-        assert sd.royal_containment(V, 1.0)
-        assert not sd.royal_containment(V, -1.0)
-
-    def test_non_unimodular_beta_sampled_only(self):
-        # for |beta| != 1 only the sampled pencil check is reported
-        beta = 0.5
-        V = sd.PencilVariety(np.diag([np.conj(beta), 0.1]).astype(complex))
-        assert sd.royal_containment(V, beta)
-        assert not sd.royal_containment(V, 0.3)
-
-
 class TestDistinguishedProperty:
     def test_royal_full_check(self, royal_F):
         V = sd.PencilVariety(royal_F)
