@@ -23,6 +23,11 @@ def main() -> int:
     ap.add_argument("--dim", type=int, default=5, help="max matrix dimension")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    # the PU sweep draws orders 2..min(dim, 4)
+    if args.dim < 2:
+        ap.error(f"--dim must be at least 2, got {args.dim}")
+    if args.cases < 0 or args.pu_cases < 0:
+        ap.error("--cases and --pu-cases must be non-negative")
 
     t0 = time.monotonic()
     eq = equivalence_sweep(n_cases=args.cases, d_max=args.dim, seed=args.seed)

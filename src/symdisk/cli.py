@@ -388,6 +388,14 @@ def _grid_n(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: numpy's generators take non-negative seeds only."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and kept for the process:
@@ -403,7 +411,7 @@ def _parser() -> argparse.ArgumentParser:
         if kernel:
             p.add_argument("--kernel", required=True,
                            help="szego | model:<matrix file> | table:<gram file>")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="machine-readable output path")
 
     p = sub.add_parser("classify", help="classify a pencil variety")
@@ -424,7 +432,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=_grid_n, default=64)
 
     p = sub.add_parser("verify", help="run the randomized theorem sweeps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     return ap
 

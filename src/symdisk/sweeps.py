@@ -10,14 +10,18 @@ CLI ``verify`` command:
 * PU sweep: PU + U*(I-P) is always a numerical contraction and its c.n.u.
   verdict matches the eigen-subspace witness search.
 
-Both sweeps run in blocks of _BLOCK cases, each block in phases: draw every
-case, certify the nu of every drawn matrix in one
-:func:`symdisk.numrange.numerical_radii` call, build the matrices, build
-their varieties with :func:`symdisk.variety.pencil_varieties`, and audit them
-with :func:`symdisk.variety.region_audit`.  nu never feeds a draw, so the
-random stream is consumed in exactly the order of a case-by-case loop over
-:func:`haar_unitary`, :func:`random_projection` and :func:`ginibre_contraction`,
-and every case's verdicts equal those of that loop.
+Both sweeps draw and certify in blocks of _CERTIFY_BLOCK cases.  A block
+draws every case, then certifies nu of every matrix it needs in one
+:func:`symdisk.numrange.numerical_radii` call: the unit Ginibre draws of the
+equivalence sweep, whose certificates also fix nu of each scaled or planted
+F, so no F is certified twice; and every PU + U*(I-P) of the PU sweep, in
+one :func:`symdisk.variety.pencil_varieties` call, since nu <= 1 is what
+that sweep tests.  The equivalence sweep then audits its varieties with
+:func:`symdisk.variety.region_audit` in sub-blocks of _BLOCK cases.  nu never
+feeds a draw, so the random stream is consumed in exactly the order of a
+case-by-case loop over :func:`haar_unitary`, :func:`random_projection` and
+:func:`ginibre_contraction`, and every case's verdicts equal those of that
+loop.
 """
 
 from __future__ import annotations
@@ -30,13 +34,19 @@ from .config import DEFAULT, Tolerances
 from .gamma import GammaPoint, Region
 from .errors import InputError
 from .numrange import _pu_matrix, _pu_witness, numerical_radii
-from .variety import (distinguished_property_check, is_distinguished, pencil_varieties,
-                      region_audit)
+from .variety import (PencilVariety, distinguished_property_check, is_distinguished,
+                      pencil_varieties, region_audit)
 
-# cases per block: each stacked call still carries a dozen or more matrices,
-# while a block's stacked slices and region labels stay near 1 MB, so peak
+# cases per certify block: at d = 5 a block's nu stacks stay at a few MB, and
+# verify's 200 and 100 cases are one block each; a block bounds the stacks of a
+# sweep of any length
+_CERTIFY_BLOCK = 256
+# cases per audit sub-block: each stacked call still carries a dozen or more matrices,
+# while a sub-block's stacked slices and region labels stay near 1 MB, so peak
 # memory stays at the case-by-case level (a single block of 200 cases grew it by a fifth)
 _BLOCK = 16
+# scale below 1 / nu(Z), so that roundoff keeps nu(F) <= 1
+_PULLBACK = 1.0 - 1e-12
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -63,18 +73,30 @@ def _unit_ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
 def _scaled_contractions(Zs: list, cfg: Tolerances) -> list:
     """Every unit draw of a list scaled to numerical radius <= 1, from one nu call.
 
-    nu is certified to tol_nu/2 absolute; on Z / ||Z||_2 it is at least 1/2,
-    so dividing by it leaves an error of at most tol_nu relative, and a slight
-    pullback keeps roundoff from pushing nu above 1.
+    Returns ``(F, nu_F)`` pairs, F = c Z with c = (1 / nu_hat) * _PULLBACK and
+    nu_F = nu_hat c, where nu_hat is the certified nu(Z).  nu_hat lies within
+    tol_nu/2 of nu(Z), and nu(Z) >= ||Z||_2 / 2 = 1/2, so c <= 2 (to 1e-10) and
+    |nu_F - nu(F)| = c |nu_hat - nu(Z)| <= tol_nu: the contract of
+    :func:`symdisk.numrange.numerical_radius`, with no second certificate.
+    The pullback keeps roundoff from pushing nu above 1.  A zero draw stays
+    zero, with nu 0.
     """
     nus = iter(numerical_radii([Z for Z in Zs if Z.any()], cfg))
-    return [Z * (1.0 / float(next(nus))) * (1.0 - 1e-12) if Z.any() else Z for Z in Zs]
+    out = []
+    for Z in Zs:
+        if not Z.any():
+            out.append((Z, 0.0))
+            continue
+        nu = float(next(nus))
+        # the factors in the order of F, so both see the same scalars
+        out.append((Z * (1.0 / nu) * _PULLBACK, nu * (1.0 / nu) * _PULLBACK))
+    return out
 
 
 def ginibre_contraction(rng: np.random.Generator, d: int,
                         cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Ginibre matrix scaled to numerical radius <= 1 (often exactly 1)."""
-    return _scaled_contractions([_unit_ginibre(rng, d)], cfg)[0]
+    return _scaled_contractions([_unit_ginibre(rng, d)], cfg)[0][0]
 
 
 def random_g_point(rng: np.random.Generator, rmax: float = 0.95) -> GammaPoint:
@@ -96,8 +118,16 @@ class SweepResult:
         return self.n_failures == 0
 
 
-def _blocks(n_cases: int):
-    return (range(start, min(start + _BLOCK, n_cases)) for start in range(0, n_cases, _BLOCK))
+def _blocks(items, size: int):
+    """Consecutive slices of ``size`` items of a range or list, the last one shorter."""
+    return (items[start:start + size] for start in range(0, len(items), size))
+
+
+def _check_sweep_args(n_cases: int, d_max: int, d_min: int) -> None:
+    if n_cases < 0:
+        raise InputError(f"n_cases must be non-negative, got {n_cases}")
+    if d_max < d_min:
+        raise InputError(f"d_max must be at least {d_min}, got {d_max}")
 
 
 def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
@@ -105,16 +135,19 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
     """Random numerical contractions: the three distinguished verdicts agree.
 
     Non-c.n.u. cases are produced by planting a unitary block in a random
-    basis, since scaled Ginibre matrices are almost surely c.n.u.  A matrix
-    that is not a numerical contraction raises its InputError, the first one
-    in case order.
+    basis, since scaled Ginibre matrices are almost surely c.n.u.  nu of a
+    planted F = W (beta I (+) G) W* is max(1, nu(G)), since nu is unitarily
+    invariant and takes the larger of two direct summands.  A matrix that is
+    not a numerical contraction raises its InputError, the first one in case
+    order.
     """
+    _check_sweep_args(n_cases, d_max, 1)
     rng = np.random.default_rng(seed)
     failures = []
-    for cases in _blocks(n_cases):
+    for block in _blocks(range(n_cases), _CERTIFY_BLOCK):
         # draw: the Ginibre draws, and for every fourth case its planted block
         draws = []
-        for case in cases:
+        for case in block:
             d = int(rng.integers(1, d_max + 1))
             Zs = [_unit_ginibre(rng, d)]
             plant = None
@@ -126,33 +159,32 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
                     Zs.append(_unit_ginibre(rng, d - k))
                 plant = (k, beta, haar_unitary(rng, d))
             draws.append((d, Zs, plant))
-        # certify nu and build F
+        # certify every draw, scale it, and build F and its variety
         scaled = iter(_scaled_contractions([Z for _, Zs, _ in draws for Z in Zs], cfg))
-        Fs = []
+        Vs = []
         for d, Zs, plant in draws:
-            F = next(scaled)
+            F, nu = next(scaled)
             if plant is not None:
                 k, beta, W = plant
                 blocks = np.zeros((d, d), dtype=complex)
                 blocks[:k, :k] = beta * np.eye(k)
+                nu = 1.0
                 if d > k:
-                    blocks[k:, k:] = next(scaled)
+                    blocks[k:, k:], nu_G = next(scaled)
+                    nu = max(1.0, nu_G)
                 F = W @ blocks @ W.conj().T
-            Fs.append(F)
-        # build the varieties and audit them
-        Vs = pencil_varieties(Fs, cfg)
-        for V in Vs:
-            if isinstance(V, InputError):
-                raise V
-        for case, V, audit in zip(cases, Vs, region_audit(Vs, cfg=cfg)):
-            verdict = bool(is_distinguished(V, cfg))
-            prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
-            if audit.counts[Region.R2.value] != 0:
-                failures.append((case, "R2 hit"))
-            if not (verdict == audit.strict_pass == prop):
-                failures.append(
-                    (case, f"verdicts differ: cnu={verdict} audit={audit.strict_pass} "
-                           f"property={prop}"))
+            Vs.append(PencilVariety._of_certified(F, nu, cfg))
+        # audit the varieties
+        for cases, sub in zip(_blocks(block, _BLOCK), _blocks(Vs, _BLOCK)):
+            for case, V, audit in zip(cases, sub, region_audit(sub, cfg=cfg)):
+                verdict = bool(is_distinguished(V, cfg))
+                prop = distinguished_property_check(V, audit.s, audit.p, cfg=cfg)
+                if audit.counts[Region.R2.value] != 0:
+                    failures.append((case, "R2 hit"))
+                if not (verdict == audit.strict_pass == prop):
+                    failures.append(
+                        (case, f"verdicts differ: cnu={verdict} audit={audit.strict_pass} "
+                               f"property={prop}"))
     return SweepResult("equivalence", n_cases, len(failures), tuple(failures))
 
 
@@ -162,9 +194,10 @@ def pu_sweep(n_cases: int = 100, d_max: int = 4, seed: int = 0,
 
     A pair whose matrix is not a numerical contraction is a case failure.
     """
+    _check_sweep_args(n_cases, d_max, 2)
     rng = np.random.default_rng(seed)
     failures = []
-    for cases in _blocks(n_cases):
+    for cases in _blocks(range(n_cases), _CERTIFY_BLOCK):
         pairs = []
         for _ in cases:
             d = int(rng.integers(2, d_max + 1))

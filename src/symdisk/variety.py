@@ -4,7 +4,7 @@ The variety of a d x d numerical contraction F is an algebraic curve that
 always meets the closed symmetrized bidisk; it is a distinguished variety
 exactly when F is completely non-unitary.  This module provides the defining
 polynomial, slicing, membership residuals, the distinguished classification,
-region audits, and containment of boundary sheets.  Slices and residuals
+region audits, and the sampled boundary-property check.  Slices and residuals
 take arrays of points, and region audits a list of varieties:
 :func:`pencil_varieties` certifies every nu(F) in one
 :func:`symdisk.numrange.numerical_radii` call, and :func:`region_audit`

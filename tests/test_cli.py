@@ -535,6 +535,15 @@ def test_verify_runs_sweeps(tmp_path, capsys):
     assert report["pu_family"]["failures"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-1"],
+    ["realize", "--input", str(DATA / "mobius_model.json"), "--seed", "-3"],
+])
+def test_negative_seed_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     f = tmp_path / "F.json"
     f.write_text(json.dumps({"rows": [[cnum(0.5), cnum(1)], [cnum(0), cnum(0.5)]]}))

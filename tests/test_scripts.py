@@ -19,3 +19,17 @@ def test_script_exits_zero(script, args, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(path), run_name="__main__")
     assert exit_.value.code == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--dim", "1"],
+    ["--cases", "-5"],
+    ["--pu-cases", "-2"],
+])
+def test_equivalence_sweep_script_rejects_bad_arguments(args, monkeypatch, capsys):
+    path = SCRIPTS / "run_equivalence_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--cases", "5"] + args)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 2
+    assert "sweep:" not in capsys.readouterr().out

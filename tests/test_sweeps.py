@@ -72,6 +72,35 @@ def _equivalence_cases(seed: int, n_cases: int, d_max: int = 5) -> list:
     return out
 
 
+def _unit_draws(seed: int, n_cases: int, d_max: int = 5) -> list:
+    """The unit Ginibre draws of a plain case-by-case equivalence_sweep loop, in draw order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for case in range(n_cases):
+        d = int(rng.integers(1, d_max + 1))
+        out.append(sweeps._unit_ginibre(rng, d))
+        if case % 4 == 3:
+            k = int(rng.integers(1, d + 1))
+            rng.uniform()
+            if d > k:
+                out.append(sweeps._unit_ginibre(rng, d - k))
+            haar_unitary(rng, d)
+    return out
+
+
+def _record_audited(monkeypatch) -> list:
+    """Every variety the sweeps hand to region_audit, in order."""
+    seen = []
+    original = sweeps.region_audit
+
+    def recorded(Vs, p_grid=None, cfg=sd.DEFAULT):
+        seen.extend(Vs)
+        return original(Vs, p_grid, cfg)
+
+    monkeypatch.setattr(sweeps, "region_audit", recorded)
+    return seen
+
+
 def _record_varieties(monkeypatch) -> list:
     """Every matrix the sweeps hand to pencil_varieties, in order."""
     seen = []
@@ -182,11 +211,35 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equivalence_cases(self, monkeypatch, seed):
-        seen = _record_varieties(monkeypatch)
+        seen = _record_audited(monkeypatch)
         assert sweeps.equivalence_sweep(n_cases=self.N_CASES, seed=seed).passed
         expected = _equivalence_cases(seed, self.N_CASES)
         assert len(seen) == len(expected)
-        assert all(np.array_equal(F, G) for F, G in zip(seen, expected))
+        assert all(np.array_equal(V.F, G) for V, G in zip(seen, expected))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equivalence_nu_from_the_draw_certificates(self, monkeypatch, seed):
+        # nu of each scaled or planted F comes from its draws' certificates,
+        # and keeps the tol_nu contract of a certificate of F itself
+        seen = _record_audited(monkeypatch)
+        assert sweeps.equivalence_sweep(n_cases=self.N_CASES, seed=seed).passed
+        tol = sd.DEFAULT.tol_nu
+        for V in seen:
+            assert abs(V.nu - sd.numerical_radius(V.F)) <= tol
+            assert V.nu <= 1.0 + tol
+
+    def test_certify_blocks_cross_audit_blocks(self, monkeypatch):
+        # certify blocks that end inside an audit block change no matrix
+        monkeypatch.setattr(sweeps, "_CERTIFY_BLOCK", sweeps._BLOCK + 5)
+        audited = _record_audited(monkeypatch)
+        certified = _record_varieties(monkeypatch)
+        assert sweeps.equivalence_sweep(n_cases=self.N_CASES, seed=2).passed
+        assert pu_sweep(n_cases=self.N_CASES, seed=2).passed
+        for seen, expected in ((audited, _equivalence_cases(2, self.N_CASES)),
+                               (certified, _pu_cases(2, self.N_CASES))):
+            seen = [getattr(V, "F", V) for V in seen]
+            assert len(seen) == len(expected)
+            assert all(np.array_equal(F, G) for F, G in zip(seen, expected))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pu_cases(self, monkeypatch, seed):
@@ -205,17 +258,53 @@ class TestDrawOrder:
 
 class TestNonContraction:
     def test_equivalence_raises_the_first_in_case_order(self, monkeypatch):
-        seen = []
-        original = sweeps.pencil_varieties
+        # a pullback above 1 makes every scaled draw a non-contraction
+        monkeypatch.setattr(sweeps, "_PULLBACK", 1.5)
+        built = []
 
-        def doubled(Fs, cfg=sd.DEFAULT):
-            Fs = [2.0 * F for F in Fs]
-            seen.extend(Fs)
-            return original(Fs, cfg)
+        class Recorded:
+            @staticmethod
+            def _of_certified(F, nu, cfg):
+                built.append(F)
+                return variety.PencilVariety._of_certified(F, nu, cfg)
 
-        monkeypatch.setattr(sweeps, "pencil_varieties", doubled)
+        monkeypatch.setattr(sweeps, "PencilVariety", Recorded)
         with pytest.raises(InputError) as raised:
             sweeps.equivalence_sweep(n_cases=5, seed=1)
+        Z = _unit_draws(1, 1)[0]
+        nu = sd.numerical_radius(Z)
+        assert len(built) == 1 and np.array_equal(built[0], Z * (1.0 / nu) * 1.5)
         with pytest.raises(InputError) as first:
-            sd.PencilVariety(seen[0])
+            numrange.check_numerical_contraction(nu * (1.0 / nu) * 1.5)
         assert str(raised.value) == str(first.value)
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("sweep, d_min", [(sweeps.equivalence_sweep, 1), (pu_sweep, 2)])
+    def test_d_max_below_the_smallest_order(self, sweep, d_min):
+        with pytest.raises(InputError, match=f"d_max must be at least {d_min}"):
+            sweep(n_cases=3, d_max=d_min - 1)
+        assert sweep(n_cases=3, d_max=d_min).passed
+
+    @pytest.mark.parametrize("sweep", [sweeps.equivalence_sweep, pu_sweep])
+    def test_negative_case_count(self, sweep):
+        with pytest.raises(InputError, match="n_cases must be non-negative"):
+            sweep(n_cases=-5)
+        assert sweep(n_cases=0).n_cases == 0
+
+
+def test_verify_certifies_each_draw_once(monkeypatch, capsys):
+    # one numerical_radii call per sweep and certify block: the equivalence
+    # sweep certifies its unit draws and no scaled F, the PU sweep every T
+    draws = _unit_draws(7, 200)
+    scaled = _equivalence_cases(7, 200)
+    pu_cases = _pu_cases(7, 100)
+    calls = _count_numerical_radii(monkeypatch)
+    assert main(["verify", "--seed", "7"]) == 0
+    assert len(calls) == 2
+    for call, expected in zip(calls, (draws, pu_cases)):
+        assert len(call) == len(expected)
+        assert all(np.array_equal(F, G) for F, G in zip(call, expected))
+    certified = [F for call in calls for F in call]
+    assert not any(F.shape == G.shape and np.array_equal(F, G)
+                   for F in certified for G in scaled)
