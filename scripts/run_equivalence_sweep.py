@@ -28,6 +28,8 @@ def main() -> int:
         ap.error(f"--dim must be at least 2, got {args.dim}")
     if args.cases < 0 or args.pu_cases < 0:
         ap.error("--cases and --pu-cases must be non-negative")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
 
     t0 = time.monotonic()
     eq = equivalence_sweep(n_cases=args.cases, d_max=args.dim, seed=args.seed)

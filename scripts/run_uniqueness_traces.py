@@ -59,6 +59,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
 
     def royal_sample(rng):
         z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())

@@ -13,8 +13,7 @@ from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,
                        pu_witness_search, verify_pu_reducing)
 from .variety import (BivarPoly, PencilVariety, defining_poly,
                       distinguished_property_check, is_distinguished,
-                      membership_residual, pencil_varieties, region_audit,
-                      slice_points)
+                      membership_residual, region_audit, slice_points)
 from .pick import (AdmissibilityReport, KernelMatrix, PickData, PsdReport,
                    admissibility_audit, gram_on_nodes, kernel_basis_operators,
                    pick_matrix, psd_report)

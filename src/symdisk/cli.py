@@ -411,7 +411,6 @@ def _parser() -> argparse.ArgumentParser:
         if kernel:
             p.add_argument("--kernel", required=True,
                            help="szego | model:<matrix file> | table:<gram file>")
-        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="machine-readable output path")
 
     p = sub.add_parser("classify", help="classify a pencil variety")
@@ -430,6 +429,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="audit a realization model")
     common(p)
     p.add_argument("--grid-n", type=_grid_n, default=64)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("verify", help="run the randomized theorem sweeps")
     p.add_argument("--seed", type=_seed, default=0)

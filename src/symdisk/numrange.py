@@ -12,7 +12,8 @@ For a numerical contraction the unitary part is spanned by joint eigenvectors
 of F and F* at unimodular eigenvalues, which are orthogonal across distinct
 eigenvalues; splitting them off in one pass leaves a block with no spectrum
 on the circle.  The family PU + U*(I-P) (P a projection, U a
-unitary) consists of numerical contractions and is handled by the same tools.
+unitary) consists of numerical contractions; :func:`pu_witness_search` finds
+its unitary reducing piece by a subspace closure, without the spectrum.
 """
 
 from __future__ import annotations
@@ -376,29 +377,34 @@ def _col_basis(X: np.ndarray, cfg: Tolerances) -> np.ndarray:
 
 
 def pu_witness_search(P, U, cfg: Tolerances = DEFAULT):
-    """Search sums of unimodular joint eigenspaces of PU + U*(I-P) for a witness.
+    """The largest subspace H that reduces P and U and on which PU = UP, or None.
 
-    Enumerates subspaces spanned by subsets of the computed joint eigenvectors
-    only; this suffices at desk scale but is not a complete reducing-subspace
-    search.  Returns an orthonormal witness basis, or None.  The search reads
-    only the unimodular eigenstructure of T, so it does not repeat the
-    numerical-radius audit of :func:`pu_compress`.
+    Such an H is a unitary reducing piece of PU + U*(I-P), so a witness exists
+    exactly when that matrix is not completely non-unitary.  The search is
+    complete and reads neither the spectrum nor the eigenvectors of the
+    matrix: see :func:`_pu_witness`.  Returns an orthonormal basis of H as a
+    list of vectors, once :func:`verify_pu_reducing` has passed it.
     """
-    T = _pu_matrix(P, U, cfg)
-    return _pu_witness(P, U, T, spectrum(T), cfg)
+    _pu_matrix(P, U, cfg)
+    return _pu_witness(np.asarray(P, dtype=complex), np.asarray(U, dtype=complex), cfg)
 
 
-def _pu_witness(P, U, T: np.ndarray, eigs, cfg: Tolerances):
-    """The search of :func:`pu_witness_search` on T = PU + U*(I-P), which the
-    caller built with :func:`_pu_matrix`, and its spectrum ``eigs``."""
-    from itertools import combinations
+def _pu_witness(P: np.ndarray, U: np.ndarray, cfg: Tolerances):
+    """The search of :func:`pu_witness_search` on a pair that :func:`_pu_matrix` validated.
 
-    basis = [v for _, vs in _unimodular_eigenspaces(T, eigs, cfg) for v in vs]
-    for r in range(1, len(basis) + 1):
-        for comb in combinations(range(len(basis)), r):
-            cand = [basis[i] for i in comb]
-            Q = _col_basis(np.column_stack(cand), cfg)
-            cand_on = [Q[:, j] for j in range(Q.shape[1])]
-            if cand_on and verify_pu_reducing(P, U, cand_on, cfg):
-                return cand_on
-    return None
+    K starts as the range of [C, C*], C = PU - UP, and grows to the span of
+    [K, PK, UK, U*K] until its dimension stops rising, at most d rounds.  K is
+    then the smallest subspace that holds the ranges of C and C* and is
+    invariant under P, U and U*, so H = K-perp is the largest subspace that
+    reduces P and U and on which they commute.
+    """
+    Uh = U.conj().T
+    C = P @ U - U @ P
+    K = _col_basis(np.hstack([C, C.conj().T]), cfg)
+    while True:
+        grown = _col_basis(np.hstack([K, P @ K, U @ K, Uh @ K]), cfg)
+        if grown.shape[1] == K.shape[1]:
+            break
+        K = grown
+    H = list(np.linalg.svd(K)[0][:, K.shape[1]:].T)   # the left singular vectors past K
+    return H if H and verify_pu_reducing(P, U, H, cfg) else None

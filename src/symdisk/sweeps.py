@@ -8,20 +8,23 @@ CLI ``verify`` command:
   the strict region audit, and the sampled distinguished-property check must
   agree, and no sample may ever classify R2;
 * PU sweep: PU + U*(I-P) is always a numerical contraction and its c.n.u.
-  verdict matches the eigen-subspace witness search.
+  verdict matches the closure search for a subspace that reduces P and U
+  and on which they commute (:func:`symdisk.numrange.pu_witness_search`).
 
+Each sweep plants its non-generic case in every fourth draw: a unimodular
+reducing block of F, or a commuting reducing piece of (P, U).
 Both sweeps draw and certify in blocks of _CERTIFY_BLOCK cases.  A block
 draws every case, then certifies nu of every matrix it needs in one
 :func:`symdisk.numrange.numerical_radii` call: the unit Ginibre draws of the
 equivalence sweep, whose certificates also fix nu of each scaled or planted
-F, so no F is certified twice; and every PU + U*(I-P) of the PU sweep, in
-one :func:`symdisk.variety.pencil_varieties` call, since nu <= 1 is what
-that sweep tests.  The equivalence sweep then audits its varieties with
-:func:`symdisk.variety.region_audit` in sub-blocks of _BLOCK cases.  nu never
-feeds a draw, so the random stream is consumed in exactly the order of a
-case-by-case loop over :func:`haar_unitary`, :func:`random_projection` and
-:func:`ginibre_contraction`, and every case's verdicts equal those of that
-loop.
+F, so no F is certified twice; and every PU + U*(I-P) of the PU sweep, since
+nu <= 1 is what that sweep tests.  Both build each variety from its
+certificate with ``PencilVariety._of_certified``.  The equivalence sweep
+then audits its varieties with :func:`symdisk.variety.region_audit` in
+sub-blocks of _BLOCK cases.  nu never feeds a draw, so the random stream is
+consumed in exactly the order of a case-by-case loop over
+:func:`haar_unitary`, :func:`random_projection`, :func:`ginibre_contraction`
+and the planting draws, and every case's verdicts equal those of that loop.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .gamma import GammaPoint, Region
 from .errors import InputError
 from .numrange import _pu_matrix, _pu_witness, numerical_radii
 from .variety import (PencilVariety, distinguished_property_check, is_distinguished,
-                      pencil_varieties, region_audit)
+                      region_audit)
 
 # cases per certify block: at d = 5 a block's nu stacks stay at a few MB, and
 # verify's 200 and 100 cases are one block each; a block bounds the stacks of a
@@ -123,7 +126,9 @@ def _blocks(items, size: int):
     return (items[start:start + size] for start in range(0, len(items), size))
 
 
-def _check_sweep_args(n_cases: int, d_max: int, d_min: int) -> None:
+def _check_sweep_args(n_cases: int, d_max: int, d_min: int, seed: int) -> None:
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if n_cases < 0:
         raise InputError(f"n_cases must be non-negative, got {n_cases}")
     if d_max < d_min:
@@ -141,7 +146,7 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
     not a numerical contraction raises its InputError, the first one in case
     order.
     """
-    _check_sweep_args(n_cases, d_max, 1)
+    _check_sweep_args(n_cases, d_max, 1, seed)
     rng = np.random.default_rng(seed)
     failures = []
     for block in _blocks(range(n_cases), _CERTIFY_BLOCK):
@@ -188,36 +193,63 @@ def equivalence_sweep(n_cases: int = 200, d_max: int = 5, seed: int = 0,
     return SweepResult("equivalence", n_cases, len(failures), tuple(failures))
 
 
+def _planted_pair(rng: np.random.Generator, d: int):
+    """(P, U) = W (P1 (+) P2, U1 (+) U2) W* with P1, U1 diagonal of order k.
+
+    With 0 < rank P2 < d - k the Haar pair (P2, U2) almost surely has no
+    commuting reducing piece, so the largest one of (P, U) has dimension k.
+    """
+    k = int(rng.integers(1, d))
+    P = np.zeros((d, d), dtype=complex)
+    U = np.zeros((d, d), dtype=complex)
+    P[:k, :k] = np.diag(rng.integers(0, 2, k))
+    U[:k, :k] = np.diag(np.exp(2j * np.pi * rng.uniform(size=k)))
+    U[k:, k:] = haar_unitary(rng, d - k)
+    r = int(rng.integers(1, d - k)) if d - k >= 2 else int(rng.integers(0, 2))
+    V = haar_unitary(rng, d - k)
+    P[k:, k:] = V[:, :r] @ V[:, :r].conj().T
+    W = haar_unitary(rng, d)
+    return W @ P @ W.conj().T, W @ U @ W.conj().T
+
+
 def pu_sweep(n_cases: int = 100, d_max: int = 4, seed: int = 0,
              cfg: Tolerances = DEFAULT) -> SweepResult:
-    """Random (P, U): nu(PU + U*(I-P)) <= 1 and witness search matches c.n.u.
+    """Random (P, U): nu(PU + U*(I-P)) <= 1 and the witness search matches c.n.u.
 
-    A pair whose matrix is not a numerical contraction is a case failure.
+    Every fourth pair is planted (:func:`_planted_pair`), since a Haar pair
+    with 0 < rank P < d almost surely has no commuting reducing piece.  An
+    invalid pair, or one whose matrix is not a numerical contraction, is a
+    case failure.
     """
-    _check_sweep_args(n_cases, d_max, 2)
+    _check_sweep_args(n_cases, d_max, 2, seed)
     rng = np.random.default_rng(seed)
     failures = []
     for cases in _blocks(range(n_cases), _CERTIFY_BLOCK):
         pairs = []
-        for _ in cases:
+        for case in cases:
             d = int(rng.integers(2, d_max + 1))
-            U = haar_unitary(rng, d)
-            pairs.append((random_projection(rng, d), U))
+            if case % 4 == 3:
+                pairs.append(_planted_pair(rng, d))
+            else:
+                U = haar_unitary(rng, d)
+                pairs.append((random_projection(rng, d), U))
         Ts = []
         for P, U in pairs:
             try:
                 Ts.append(_pu_matrix(P, U, cfg))
             except InputError as exc:
                 Ts.append(exc)
-        Vs = iter(pencil_varieties([T for T in Ts if not isinstance(T, InputError)], cfg))
+        nus = iter(numerical_radii([T for T in Ts if not isinstance(T, InputError)], cfg))
         for case, (P, U), T in zip(cases, pairs, Ts):
-            V = T if isinstance(T, InputError) else next(Vs)
-            if isinstance(V, InputError):  # not a numerical contraction
-                failures.append((case, str(V)))
+            try:
+                if isinstance(T, InputError):
+                    raise T
+                V = PencilVariety._of_certified(T, next(nus), cfg)
+            except InputError as exc:
+                failures.append((case, str(exc)))
                 continue
             verdict = bool(is_distinguished(V, cfg))
-            # T and its spectrum, read for the verdict, serve the search too
-            witness = _pu_witness(P, U, T, V.eigenvalues, cfg)
+            witness = _pu_witness(P, U, cfg)
             if verdict != (witness is None):
                 failures.append(
                     (case, f"cnu={verdict} but witness {'found' if witness else 'absent'}"))

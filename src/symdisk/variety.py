@@ -6,9 +6,10 @@ exactly when F is completely non-unitary.  This module provides the defining
 polynomial, slicing, membership residuals, the distinguished classification,
 region audits, and the sampled boundary-property check.  Slices and residuals
 take arrays of points, and region audits a list of varieties:
-:func:`pencil_varieties` certifies every nu(F) in one
-:func:`symdisk.numrange.numerical_radii` call, and :func:`region_audit`
-slices every variety of one order in one stacked ``eigvals``.
+:func:`region_audit` slices every variety of one order in one stacked
+``eigvals``.  A caller that certified nu(F) itself, such as the sweeps with
+one :func:`symdisk.numrange.numerical_radii` call per block, builds the
+variety with ``PencilVariety._of_certified``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
 from .gamma import REGIONS, Region, classify_region, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
-from .numrange import (CnuVerdict, _peel_unitary, check_numerical_contraction,
-                       cnu_verdict, numerical_radii, numerical_radius)
+from .numrange import (CnuVerdict, check_numerical_contraction, cnu_verdict,
+                       numerical_radius)
 
 
 @dataclass(frozen=True)
@@ -132,29 +133,6 @@ def _with_eigenvalues(V: PencilVariety, eigs) -> None:
     V.__dict__["eigenvalues"] = _sorted_eigenvalues(eigs)
 
 
-def pencil_varieties(Fs, cfg: Tolerances = DEFAULT) -> list:
-    """The pencil variety of every matrix of a list, from one nu certificate.
-
-    Entry k is ``PencilVariety(Fs[k], cfg)``, or the InputError that
-    construction raises (an invalid matrix, or one that is not a numerical
-    contraction).  All nu(F_k) come from one :func:`numerical_radii` call,
-    which keeps the certificate of each matrix its own.
-    """
-    out = []
-    for F in Fs:
-        try:
-            out.append(as_complex_matrix(F, square=True))
-        except InputError as exc:
-            out.append(exc)
-    valid = [k for k, F in enumerate(out) if not isinstance(F, InputError)]
-    for k, nu in zip(valid, numerical_radii([out[k] for k in valid], cfg)):
-        try:
-            out[k] = PencilVariety._of_certified(out[k], nu, cfg)
-        except InputError as exc:
-            out[k] = exc
-    return out
-
-
 def defining_poly(V: PencilVariety) -> BivarPoly:
     """Coefficients of det(F* + p F - s I) via 2-D DFT interpolation.
 
@@ -200,34 +178,20 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sort(eigs.reshape(m, p.size, d), axis=2, kind="stable")
 
 
-def _pencil_singular_values(F: np.ndarray, s, p) -> np.ndarray:
-    """Singular values of every pencil F* + p_k F - s_k I, one stacked SVD.
-
-    ``s`` and ``p`` are arrays of one shape; 0-d arrays give one row.
-    """
-    sv = np.linalg.svd(pencil_matrix(F, s[..., None, None], p[..., None, None]),
-                       compute_uv=False)
-    return sv.reshape(s.size, F.shape[0])
-
-
 def membership_residual(V: PencilVariety, s, p) -> np.ndarray:
-    """sigma_min(F* + p_k F - s_k I) at every (s_k, p_k); zero exactly on the variety."""
+    """sigma_min(F* + p_k F - s_k I) at every (s_k, p_k); zero exactly on the variety.
+
+    All pencils go to one stacked SVD; 0-d ``s`` and ``p`` give one entry.
+    """
     s = np.asarray(s, dtype=complex)
     p = np.asarray(p, dtype=complex)
     if s.shape != p.shape:
         raise InputError("s and p must have the same shape")
     if V.dim == 0:
         return np.full(s.size, np.inf)  # det of the empty pencil is 1: the variety is empty
-    return _pencil_singular_values(V.F, s, p)[:, -1]
-
-
-def _on_variety(F: np.ndarray, s: np.ndarray, p: np.ndarray, cfg: Tolerances) -> np.ndarray:
-    """Membership of every (s_k, p_k) at the tol_memb scale, one stacked SVD:
-    sigma_min <= tol_memb * max(1, sigma_max) of the pencil."""
-    if F.shape[0] == 0:
-        return np.zeros(len(s), dtype=bool)  # the empty pencil's variety is empty
-    sv = _pencil_singular_values(F, s, p)
-    return sv[:, -1] <= cfg.tol_memb * np.maximum(sv[:, 0], 1.0)
+    sv = np.linalg.svd(pencil_matrix(V.F, s[..., None, None], p[..., None, None]),
+                       compute_uv=False)
+    return sv.reshape(s.size, V.dim)[:, -1]
 
 
 def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
@@ -304,24 +268,16 @@ def region_audit(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAudit
     ) for s, p, c, row in zip(s_of, p_of, np.split(codes, np.cumsum(sizes)[:-1]), counts)]
 
 
-def distinguished_property_check(V: PencilVariety, s, p, g_closure_only: bool = False,
-                                 cfg: Tolerances = DEFAULT) -> bool:
+def distinguished_property_check(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT) -> bool:
     """Sampled boundary constraint: Gamma-boundary hits must be bG hits.
 
     The samples are the points (s_k, p_k) of two equal-length arrays, such as
     the ``s`` and ``p`` of a :class:`RegionAuditReport`.  Among samples whose
     larger fiber modulus sits in the tol_mod band around 1 (with the other not
-    outside the closed disk), both moduli must be in the band.  With
-    ``g_closure_only`` the check is restricted to the closure of the
-    intersection with the open domain, which equals the c.n.u. part's variety;
-    samples off that part are skipped.
+    outside the closed disk), both moduli must be in the band.
     """
     s = np.asarray(s, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if g_closure_only:
-        # V certified nu already, so peel the unitary part without a second nu
-        on = _on_variety(_peel_unitary(V.F, cfg).cnu_block, s, p, cfg)
-        s, p = s[on], p[on]
     z1, z2 = stacked_fibers(s, p)
     m_lo = np.minimum(np.abs(z1), np.abs(z2))
     m_hi = np.maximum(np.abs(z1), np.abs(z2))

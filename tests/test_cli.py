@@ -353,7 +353,6 @@ class TestTrace:
         # admissibility audit; the c.n.u. block is F' itself, so its variety
         # reuses the audit's value
         import symdisk.numrange as numrange
-        import symdisk.variety as variety
         radii = numrange.numerical_radii
         calls = []
 
@@ -361,8 +360,7 @@ class TestTrace:
             calls.append(len(Fs))
             return radii(Fs, *args, **kwargs)
 
-        for module in (numrange, variety):
-            monkeypatch.setattr(module, "numerical_radii", counted)
+        monkeypatch.setattr(numrange, "numerical_radii", counted)
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}"]) == 0
         assert calls == [1, 1]
@@ -374,7 +372,7 @@ class TestTrace:
             out = tmp_path / name
             assert main(["trace", "--input", data, "--kernel",
                          f"model:{royal_matrix}", "--grid-n", "7",
-                         "--seed", "3", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -542,6 +540,18 @@ def test_verify_runs_sweeps(tmp_path, capsys):
 def test_negative_seed_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", str(DATA / "royal_pencil.json")],
+    ["pick", "--input", str(DATA / "datum_royal.json"), "--kernel", "szego"],
+    ["trace", "--input", str(DATA / "datum_royal.json"),
+     "--kernel", f"model:{DATA / 'royal_pencil.json'}"],
+])
+def test_seed_only_where_it_is_read(argv, capsys):
+    # only realize and verify draw random numbers
+    assert main(argv + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
+from symdisk import numrange
 from symdisk.errors import InputError, NumericalError
 from symdisk.numrange import _support_values, numerical_radii, pu_witness_search
 from symdisk.sweeps import haar_unitary, random_projection
@@ -388,3 +389,28 @@ class TestWitnessEquivalence:
             assert verdict == (witness is None)
             if witness is not None:
                 assert sd.verify_pu_reducing(P, U, witness)
+
+    def test_a_whole_cluster_in_one_closure(self, monkeypatch):
+        # U1 = I4 with P1 a rank-2 projection off the coordinate axes: the
+        # witness is the whole 4-dimensional eigenspace of PU + U*(I-P) at 1,
+        # which one closure finds and verify_pu_reducing audits once
+        rng = np.random.default_rng(5)
+        V1, V2, V = haar_unitary(rng, 4), haar_unitary(rng, 3), haar_unitary(rng, 7)
+        P = np.zeros((7, 7), dtype=complex)
+        U = np.zeros((7, 7), dtype=complex)
+        P[:4, :4] = V1[:, :2] @ V1[:, :2].conj().T
+        P[4:, 4:] = V2[:, :1] @ V2[:, :1].conj().T
+        U[:4, :4] = np.eye(4)
+        U[4:, 4:] = haar_unitary(rng, 3)
+        P, U = V @ P @ V.conj().T, V @ U @ V.conj().T
+        calls = []
+        audit = numrange.verify_pu_reducing
+
+        def counted(*args):
+            calls.append(1)
+            return audit(*args)
+
+        monkeypatch.setattr(numrange, "verify_pu_reducing", counted)
+        witness = pu_witness_search(P, U)
+        assert len(witness) == 4 and len(calls) == 1
+        assert np.linalg.norm(np.column_stack(witness).conj().T @ V[:, 4:]) < 1e-10

@@ -33,3 +33,13 @@ def test_equivalence_sweep_script_rejects_bad_arguments(args, monkeypatch, capsy
         runpy.run_path(str(path), run_name="__main__")
     assert exit_.value.code == 2
     assert "sweep:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script", ["run_equivalence_sweep.py", "run_uniqueness_traces.py"])
+def test_scripts_reject_a_negative_seed(script, monkeypatch, capsys):
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), "--seed", "-1"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err

@@ -31,20 +31,45 @@ def _count_numerical_radii(monkeypatch) -> list:
         calls.append(Fs)
         return original(Fs, cfg)
 
-    for module in (numrange, variety, sweeps):
+    for module in (numrange, sweeps):
         monkeypatch.setattr(module, "numerical_radii", counted)
     return calls
 
 
-def _pu_pairs(seed: int, n_cases: int, d_max: int = 4) -> list:
-    """The pairs (P, U) of a plain case-by-case pu_sweep loop."""
+def _pu_draws(seed: int, n_cases: int, d_max: int = 4) -> list:
+    """(P, U, k, r) per case of a plain case-by-case pu_sweep loop.
+
+    Every fourth pair is W (P1 (+) P2, U1 (+) U2) W* with P1, U1 diagonal of
+    order k and rank P2 = r; k and r are None on the other cases.
+    """
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(n_cases):
+    for case in range(n_cases):
         d = int(rng.integers(2, d_max + 1))
-        U = haar_unitary(rng, d)
-        out.append((random_projection(rng, d), U))
+        if case % 4 != 3:
+            U = haar_unitary(rng, d)
+            out.append((random_projection(rng, d), U, None, None))
+            continue
+        k = int(rng.integers(1, d))
+        P1 = rng.integers(0, 2, k)
+        U1 = np.exp(2j * np.pi * rng.uniform(size=k))
+        U2 = haar_unitary(rng, d - k)
+        r = int(rng.integers(1, d - k)) if d - k >= 2 else int(rng.integers(0, 2))
+        V = haar_unitary(rng, d - k)
+        W = haar_unitary(rng, d)
+        P = np.zeros((d, d), dtype=complex)
+        U = np.zeros((d, d), dtype=complex)
+        P[:k, :k] = np.diag(P1)
+        P[k:, k:] = V[:, :r] @ V[:, :r].conj().T
+        U[:k, :k] = np.diag(U1)
+        U[k:, k:] = U2
+        out.append((W @ P @ W.conj().T, W @ U @ W.conj().T, k, r))
     return out
+
+
+def _pu_pairs(seed: int, n_cases: int, d_max: int = 4) -> list:
+    """The pairs (P, U) of a plain case-by-case pu_sweep loop."""
+    return [(P, U) for P, U, _, _ in _pu_draws(seed, n_cases, d_max)]
 
 
 def _pu_cases(seed: int, n_cases: int, d_max: int = 4) -> list:
@@ -101,19 +126,6 @@ def _record_audited(monkeypatch) -> list:
     return seen
 
 
-def _record_varieties(monkeypatch) -> list:
-    """Every matrix the sweeps hand to pencil_varieties, in order."""
-    seen = []
-    original = sweeps.pencil_varieties
-
-    def recorded(Fs, cfg=sd.DEFAULT):
-        seen.extend(Fs)
-        return original(Fs, cfg)
-
-    monkeypatch.setattr(sweeps, "pencil_varieties", recorded)
-    return seen
-
-
 class TestGinibreContraction:
     def test_small_scalar_stays_a_numerical_contraction(self):
         # |z| = 0.169: nu is certified to tol_nu/2 absolute, which dividing
@@ -154,7 +166,7 @@ class TestPuSweep:
 
     def test_witness_search_takes_the_sweep_spectrum(self, monkeypatch):
         # each PU + U*(I-P) has its spectrum taken once, for the verdict, and
-        # the witness search reads the same one
+        # the witness search takes none
         import symdisk.linalg as linalg
         spectrum = linalg.spectrum
         seen = []
@@ -171,15 +183,12 @@ class TestPuSweep:
         assert sorted(seen) == sorted(cases)
 
     def test_witnesses_match_the_public_search(self):
-        # on the pairs of the verify seeds 0-19, the search from the sweep's T
-        # and its sorted spectrum finds the witness pu_witness_search finds
-        # from (P, U), so no verdict of verify moves
+        # on the pairs of the verify seeds 0-19, the sweep's search finds the
+        # witness pu_witness_search finds from (P, U), so no verdict of verify moves
         found_any = False
         for seed in range(20):
             for P, U in _pu_pairs(seed, 100):
-                T = numrange._pu_matrix(P, U, sd.DEFAULT)
-                eigs = np.sort(sd.spectrum(T), kind="stable")
-                found = numrange._pu_witness(P, U, T, eigs, sd.DEFAULT)
+                found = numrange._pu_witness(P, U, sd.DEFAULT)
                 ref = sd.pu_witness_search(P, U)
                 if found is None or ref is None:
                     assert found is ref
@@ -188,15 +197,6 @@ class TestPuSweep:
                     assert len(found) == len(ref)
                     assert all(np.array_equal(a, b) for a, b in zip(found, ref))
         assert found_any
-
-
-def test_g_closure_check_reuses_the_stored_radius(monkeypatch):
-    V = sd.PencilVariety(np.diag([1.0, 0.5, 0.0]).astype(complex))
-    audit, = sd.region_audit([V])
-    calls = _count_numerical_radii(monkeypatch)
-    assert sd.distinguished_property_check(V, audit.s, audit.p, g_closure_only=True)
-    assert not sd.distinguished_property_check(V, audit.s, audit.p)
-    assert calls == []
 
 
 def test_radius_counter_sees_the_one_matrix_call(monkeypatch):
@@ -232,9 +232,10 @@ class TestDrawOrder:
         # certify blocks that end inside an audit block change no matrix
         monkeypatch.setattr(sweeps, "_CERTIFY_BLOCK", sweeps._BLOCK + 5)
         audited = _record_audited(monkeypatch)
-        certified = _record_varieties(monkeypatch)
         assert sweeps.equivalence_sweep(n_cases=self.N_CASES, seed=2).passed
+        calls = _count_numerical_radii(monkeypatch)
         assert pu_sweep(n_cases=self.N_CASES, seed=2).passed
+        certified = [F for call in calls for F in call]
         for seen, expected in ((audited, _equivalence_cases(2, self.N_CASES)),
                                (certified, _pu_cases(2, self.N_CASES))):
             seen = [getattr(V, "F", V) for V in seen]
@@ -243,8 +244,9 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pu_cases(self, monkeypatch, seed):
-        seen = _record_varieties(monkeypatch)
+        calls = _count_numerical_radii(monkeypatch)
         assert pu_sweep(n_cases=self.N_CASES, seed=seed).passed
+        seen = [F for call in calls for F in call]
         expected = _pu_cases(seed, self.N_CASES)
         assert len(seen) == len(expected)
         assert all(np.array_equal(F, G) for F, G in zip(seen, expected))
@@ -292,6 +294,11 @@ class TestSweepArguments:
             sweep(n_cases=-5)
         assert sweep(n_cases=0).n_cases == 0
 
+    @pytest.mark.parametrize("sweep", [sweeps.equivalence_sweep, pu_sweep])
+    def test_negative_seed(self, sweep):
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            sweep(n_cases=2, seed=-1)
+
 
 def test_verify_certifies_each_draw_once(monkeypatch, capsys):
     # one numerical_radii call per sweep and certify block: the equivalence
@@ -308,3 +315,32 @@ def test_verify_certifies_each_draw_once(monkeypatch, capsys):
     certified = [F for call in calls for F in call]
     assert not any(F.shape == G.shape and np.array_equal(F, G)
                    for F in certified for G in scaled)
+
+
+def test_verify_finds_each_planted_piece(monkeypatch, capsys):
+    # verify --seed 7 hands every pair to the witness search, and a planted
+    # pair whose second projection is proper has a witness of the planted order k
+    found = []
+    search = sweeps._pu_witness
+
+    def recorded(P, U, cfg):
+        H = search(P, U, cfg)
+        found.append((P, U, 0 if H is None else len(H)))
+        return H
+
+    monkeypatch.setattr(sweeps, "_pu_witness", recorded)
+    assert main(["verify", "--seed", "7"]) == 0
+    draws = _pu_draws(7, 100)
+    assert len(found) == len(draws)
+    planted = proper = 0
+    for (P, U, dim), (P0, U0, k, r) in zip(found, draws):
+        assert np.array_equal(P, P0) and np.array_equal(U, U0)
+        if k is None:
+            continue
+        planted += 1
+        d = P.shape[0]
+        if 0 < r < d - k:
+            assert dim == k
+        proper += 0 < dim < d
+    assert planted == 25
+    assert proper >= 8

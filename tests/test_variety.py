@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
-from symdisk import variety
 from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region
 from symdisk.sweeps import ginibre_contraction, haar_unitary, random_projection
@@ -208,34 +207,6 @@ class TestRegionAudits:
                                                       for k in range(25)]
 
 
-class TestPencilVarieties:
-    def test_entries_equal_one_matrix_construction(self, rng):
-        Fs = [ginibre_contraction(rng, d) for d in (3, 1, 2, 3)]
-        for V, F in zip(variety.pencil_varieties(Fs), Fs):
-            one = sd.PencilVariety(F)
-            assert np.array_equal(V.F, one.F) and V.nu == one.nu
-            assert np.array_equal(V.eigenvalues, one.eigenvalues)
-
-    def test_errors_stay_in_place(self):
-        out = variety.pencil_varieties([np.eye(2) * 0.5, 2.0 * np.eye(2), np.ones((2, 3)),
-                                        np.array([[np.nan]])])
-        assert isinstance(out[0], sd.PencilVariety) and out[0].nu == 0.5
-        assert all(isinstance(e, InputError) for e in out[1:])
-        assert "not a numerical contraction" in str(out[1])
-
-    def test_one_radius_call(self, rng, monkeypatch):
-        calls = []
-        radii = variety.numerical_radii
-
-        def counted(Fs, cfg=sd.DEFAULT):
-            calls.append(len(Fs))
-            return radii(Fs, cfg)
-
-        monkeypatch.setattr(variety, "numerical_radii", counted)
-        variety.pencil_varieties([ginibre_contraction(rng, d) for d in (1, 2, 3, 2)])
-        assert calls == [4]
-
-
 class TestDistinguishedProperty:
     def test_royal_full_check(self, royal_F):
         V = sd.PencilVariety(royal_F)
@@ -243,16 +214,14 @@ class TestDistinguishedProperty:
         s, p = slice_samples(V, grid)
         assert sd.distinguished_property_check(V, s, p)
 
-    def test_identity_g_closure_vacuous(self):
-        V = sd.PencilVariety(np.eye(2))
-        s, p = slice_samples(V, (0.3, 0.5j, 0.8))
-        assert sd.distinguished_property_check(V, s, p, g_closure_only=True)
-
     def test_mixed_full_check_fails_on_unimodular_sheet(self):
         V = sd.PencilVariety(np.diag([1.0, 0.0]).astype(complex))
         s, p = slice_samples(V, (0.3, 0.5j, 0.8))
         assert not sd.distinguished_property_check(V, s, p)
-        assert sd.distinguished_property_check(V, s, p, g_closure_only=True)
+        # on the default audit samples as well, with a c.n.u. part of order 2
+        V = sd.PencilVariety(np.diag([1.0, 0.5, 0.0]).astype(complex))
+        audit, = sd.region_audit([V])
+        assert not sd.distinguished_property_check(V, audit.s, audit.p)
 
 
 class TestTheoremLevelProperties:
