@@ -26,7 +26,7 @@ def as_complex_matrix(A, square: bool = False) -> np.ndarray:
         raise InputError(f"expected a matrix, got array of ndim {M.ndim}")
     if square and M.shape[0] != M.shape[1]:
         raise InputError(f"expected a square matrix, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M.view(float))):
+    if not np.isfinite(M).all():
         raise InputError("matrix has non-finite entries")
     return M
 

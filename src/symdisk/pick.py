@@ -118,15 +118,25 @@ def psd_report(M, cfg: Tolerances = DEFAULT, *, kernel_diag=None) -> PsdReport:
     that of the targets.  Without it, S = M.  "Active" means lambda_min(S) <=
     tol_active * max(||S||, 1); the null vector is S's, mapped back by
     diag(k)^{-1/2} and normalized.  The reported eigenvalue is M's own.
+
+    Roundoff in M does not move it: when the active eigenvectors span N with
+    dim N >= 2 it is Pi e_k, Pi = N N* and k its largest diagonal entry, and
+    its first entry of modulus >= half the largest is made real positive.
     """
     H = hermitian_part(M, cfg)
     d = np.ones(len(H)) if kernel_diag is None else np.sqrt(np.asarray(kernel_diag).real)
     S = H / np.outer(d, d)
     vals, vecs = np.linalg.eigh(S)
+    N = vecs[:, vals <= cfg.tol_active * max(np.linalg.norm(S), 1.0)]
     gamma = None
-    if vals[0] <= cfg.tol_active * max(np.linalg.norm(S), 1.0):
-        gamma = vecs[:, 0] / d
+    if N.shape[1]:
+        if N.shape[1] > 1:
+            N = N @ N[np.argmax(np.linalg.norm(N, axis=1))].conj()[:, None]
+        gamma = N[:, 0] / d
         gamma = gamma / np.linalg.norm(gamma)
+        pivot = gamma[np.argmax(np.abs(gamma) >= 0.5 * np.abs(gamma).max())]
+        # a real pivot flips sign exactly: conj(pivot) / |pivot| can be 1 ulp off -1
+        gamma = gamma * (np.sign(pivot.real) if pivot.imag == 0 else np.conj(pivot) / abs(pivot))
     return PsdReport(float(np.linalg.eigvalsh(H)[0]), gamma)
 
 

@@ -150,17 +150,19 @@ def defining_poly(V: PencilVariety) -> BivarPoly:
 
 
 def slice_points(V: PencilVariety, p) -> np.ndarray:
-    """Row k holds every s with (s, p_k) on the variety, sorted by (real, imag).
+    """Row k holds every s with (s, p_k) on the variety, in canonical order.
 
     The rows are the spectra of the pencils F* + p_k F, from one stacked
-    ``eigvals`` call; the stable sort keeps the eigenvalue order of ties.  A
-    scalar p gives one row, from the same arithmetic as one entry of a stack.
+    ``eigvals`` call, sorted by real part rounded to a grid of
+    1e-8 * max(1, ||F||_F) * (1 + |p_k|), then by imaginary part descending:
+    points whose real parts differ by roundoff keep their order.  A scalar p
+    gives one row, from the same arithmetic as one entry of a stack.
     """
     return _slices(V.F[None], np.asarray(p, dtype=complex))[0]
 
 
 def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Entry [m, k] holds the sorted spectrum of F_m* + p_k F_m, for a stack F
+    """Entry [m, k] holds the canonically sorted spectrum of F_m* + p_k F_m, for a stack F
     of one order and the points p_k of p in flat order: one stacked ``eigvals`` call."""
     if not np.all(np.isfinite(p)):
         raise InputError("slice coordinates p must be finite")
@@ -172,10 +174,15 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     # another inner loop when a one-element stack of p meets a 1 x 1 F
     pencils = np.stack([pencil_matrix(Fk, 0.0, p[..., None, None]) for Fk in F])
     try:
-        eigs = np.linalg.eigvals(pencils)
+        eigs = np.linalg.eigvals(pencils).reshape(m, p.size, d)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
-    return np.sort(eigs.reshape(m, p.size, d), axis=2, kind="stable")
+    # real parts on a grid far above roundoff, so that points whose real
+    # parts tie up to roundoff are ordered by imaginary part, descending
+    grid = 1e-8 * np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))[:, None, None] \
+        * (1.0 + np.abs(p.ravel()))[:, None]
+    order = np.lexsort((-eigs.imag, np.round(eigs.real / grid)), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
 
 
 def membership_residual(V: PencilVariety, s, p) -> np.ndarray:

@@ -15,7 +15,8 @@ from symdisk.pick import AdmissibilityReport
 DATA = Path(__file__).resolve().parent.parent / "data"
 # stdout and CSV of `trace --grid-n 64` on the data/ royal and sheet data,
 # recorded before the stacked branch traces, the cached parser and the
-# one-format-string CSV writer
+# one-format-string CSV writer; stdout and --out report of `pick` on the same
+# data, recorded before the Gram matrices were built from node arrays
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # eight sheet nodes, two of them 0.02 apart (Gram condition number about 2e7)
 CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
@@ -176,6 +177,16 @@ class TestPick:
         f.write_text(json.dumps(datum))
         assert main(["pick", "--input", str(f), "--kernel", "szego"]) == 2
         assert "'nodes' and 'targets' must be lists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("datum", ["royal", "sheet"])
+    def test_golden_pick_output(self, tmp_path, capsys, datum):
+        # the printed Gram matrix, Pick matrix and gamma, and the --out report
+        out = tmp_path / "pick.json"
+        assert main(["pick", "--input", str(DATA / f"datum_{datum}.json"),
+                     "--kernel", f"model:{DATA / f'{datum}_pencil.json'}",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"pick_{datum}.stdout").read_text()
+        assert out.read_text() == (GOLDEN / f"pick_{datum}.json").read_text()
 
 
 class TestTrace:

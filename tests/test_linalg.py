@@ -62,6 +62,19 @@ class TestSpectrum:
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10 * np.linalg.norm(A)
 
 
+class TestAsComplexMatrix:
+    def test_non_contiguous_input(self):
+        # a transposed or reversed complex matrix has a non-contiguous last axis
+        F = np.arange(4).reshape(2, 2) * 0.1 + 0.1j
+        assert sd.numerical_radius(F.T) == sd.numerical_radius(np.ascontiguousarray(F.T))
+        assert np.array_equal(sd.spectrum(F[:, ::-1]),
+                              sd.spectrum(np.ascontiguousarray(F[:, ::-1])))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InputError, match="non-finite"):
+            sd.spectrum(np.array([[1.0, np.nan], [0.0, 1.0]]).T)
+
+
 class TestHermitianEig:
     def test_diag(self):
         vals, _ = sd.hermitian_eig(np.diag([1.0, 2.0]))

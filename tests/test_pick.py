@@ -161,6 +161,30 @@ class TestPsdReport:
         assert rep.null_vector is not None
         assert abs(abs(rep.null_vector[0]) - 1) < 1e-12
 
+    def test_null_vector_is_canonical_on_a_null_space_of_dimension_four(self):
+        # the all-ones Pick matrix of five sheet nodes: LAPACK's null vector of
+        # a four-dimensional null space moves by O(1) under 1e-16 perturbations
+        q = np.array([0.1, 0.3j, -0.4 + 0.2j, 0.5, -0.2 - 0.6j])
+        data = sd.PickData(tuple(sd.GammaPoint(0, x) for x in q), tuple(np.exp(0.3j) * q))
+        K = gram_on_nodes(data, kernels.model(np.zeros((2, 2))))
+        P = sd.pick_matrix(data, K)
+        gamma = sd.psd_report(P, kernel_diag=K.gram.diagonal()).null_vector
+        assert np.linalg.norm(P @ gamma) <= 1e-12
+        assert gamma[-1].real > 0 and abs(gamma[-1].imag) <= 1e-15
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            Z = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            g = sd.psd_report(P + 1e-16 * (Z + Z.conj().T) / 2,
+                              kernel_diag=K.gram.diagonal()).null_vector
+            assert np.abs(g - gamma).max() <= 1e-13
+
+    def test_pivot_is_the_first_entry_of_half_the_largest_modulus(self):
+        # gamma is (1, 3) / sqrt(10) up to sign: entry 0 is below half the
+        # largest modulus, so entry 1 is made positive
+        g = sd.psd_report(np.array([[9.0, -3.0], [-3.0, 1.0]])).null_vector
+        assert g[1] > 0 and abs(g[0] - g[1] / 3) < 1e-15
+        assert sd.psd_report(np.ones((2, 2))).null_vector[0] > 0
+
 
 class TestKernelBasisOperators:
     def test_single_node(self):

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
+from symdisk.cli import load_matrix
 from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region
 from symdisk.sweeps import ginibre_contraction, haar_unitary, random_projection
 from symdisk.variety import default_p_grid
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def poly_from_string_coeffs(coeffs):
@@ -79,6 +84,18 @@ class TestSlicePoints:
     def test_triangular(self, jordan_halves):
         V = sd.PencilVariety(jordan_halves)
         assert np.allclose(sd.slice_points(V, 0)[0], [0.5, 0.5], atol=1e-12)
+
+    def test_tied_real_parts_keep_their_order(self):
+        # the royal slices s = +-2 sqrt(p) at p < 0 have real parts that are
+        # roundoff; imaginary part descending orders them under perturbation
+        F = load_matrix(str(DATA / "royal_pencil.json"))
+        p = np.array([-0.81, -0.3, -0.5])
+        ref = sd.slice_points(sd.PencilVariety(F), p)
+        assert np.allclose(ref, 2j * np.sqrt(-p)[:, None] * [1, -1], atol=1e-12)
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            E = 1e-16 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            assert np.abs(sd.slice_points(sd.PencilVariety(F + E), p) - ref).max() <= 1e-12
 
     def test_membership_of_slices(self, rng):
         F = ginibre_contraction(rng, 3)
