@@ -24,7 +24,7 @@ from . import kernels
 from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
 from .extend import branch_trace, build_extension, unique_value
-from .gamma import GammaPoint
+from .gamma import GammaPoint, szego_kernel
 from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
                    psd_report)
@@ -133,9 +133,9 @@ def _csv(header, rows) -> str:
 
 
 def make_kernel(spec: str, data: PickData, cfg: Tolerances):
-    """Evaluator for a kernel spec: szego | model:<matrix> | table:<gram>."""
+    """Gram builder for a kernel spec: szego | model:<matrix> | table:<gram>."""
     if spec == "szego":
-        return kernels.szego()
+        return szego_kernel
     if spec.startswith("model:"):
         return kernels.model(load_matrix(spec[len("model:"):]), cfg)
     if spec.startswith("table:"):
@@ -213,7 +213,7 @@ def cmd_pick(args, cfg: Tolerances) -> int:
     data = load_pick_data(args.input, cfg)
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
-    P = pick_matrix(data, K, cfg)
+    P = pick_matrix(data, K)
     rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
     print("kernel gram:")
     for row in K.gram:
@@ -265,7 +265,7 @@ def cmd_trace(args, cfg: Tolerances) -> int:
     data = load_pick_data(args.input, cfg)
     k = make_kernel(args.kernel, data, cfg)
     K = gram_on_nodes(data, k, cfg)
-    P = pick_matrix(data, K, cfg)
+    P = pick_matrix(data, K)
     rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
     scale = max(1.0, float(np.linalg.norm(P)))
     if rep.min_eigenvalue < -cfg.tol_psd * scale:

@@ -165,16 +165,17 @@ def phi_operator(tau, s, p, cfg: Tolerances = DEFAULT, *,
     return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def szego_kernel(x: GammaPoint, y: GammaPoint) -> complex:
-    """Szego-type kernel of the domain,
+def szego_kernel(s, p) -> np.ndarray:
+    """Gram matrix [k(x_i, x_j)] of the Szego-type kernel of the domain,
 
         k(x, y) = 1 / ((1 - p*conj(q))^2 - (s - conj(t)*p)(conj(t) - s*conj(q)))
 
-    for x = (s, p), y = (t, q).  Hermitian: k(x, y) = conj(k(y, x)).
+    for x = (s, p), y = (t, q), over the points x_i = (s_i, p_i).  Hermitian.
     """
-    s, p = complex(x.s), complex(x.p)
-    t, q = complex(y.s), complex(y.p)
-    den = (1.0 - p * np.conj(q)) ** 2 - (s - np.conj(t) * p) * (np.conj(t) - s * np.conj(q))
-    if abs(den) <= 1e-14:
+    s = np.asarray(s, dtype=complex).reshape(-1, 1)
+    p = np.asarray(p, dtype=complex).reshape(-1, 1)
+    t, q = s.conj().T, p.conj().T
+    den = (1.0 - p * q) ** 2 - (s - t * p) * (t - s * q)
+    if np.any(np.abs(den) <= 1e-14):
         raise InputError("Szego kernel denominator vanishes")
     return 1.0 / den

@@ -1,8 +1,9 @@
-"""Kernel evaluators: abstract point-pair functions over the domain.
+"""Kernels on the domain as Gram builders.
 
-A kernel evaluator is any callable k(x, y) -> complex on GammaPoint pairs
-whose finite Gram matrices are Hermitian PSD with non-zero diagonal.  Three
-families plug in uniformly: the Szego-type kernel of the domain, model
+A kernel is any callable k(s, p) -> (n, n) complex array: the Gram matrix
+[k(x_i, x_j)] over the n points x_i = (s_i, p_i) of two equal-length arrays,
+Hermitian PSD with non-zero diagonal.  Three families plug in uniformly: the
+Szego-type kernel of the domain (:func:`symdisk.gamma.szego_kernel`), model
 kernels carried by a pencil variety, and user-supplied Gram tables.
 """
 
@@ -12,13 +13,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError
-from .gamma import GammaPoint, coincident, szego_kernel
+from .gamma import coincident
 from .variety import PencilVariety, pencil_matrix
-
-
-def szego() -> callable:
-    """The Szego-type kernel of the domain as an evaluator."""
-    return szego_kernel
 
 
 def unit_kernel_vector(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
@@ -62,52 +58,43 @@ def unit_kernel_vector(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
 _KERNEL_DEN_FLOOR = 1e-14
 
 
-def kernel_entry(ux: np.ndarray, uy: np.ndarray, x: GammaPoint, y: GammaPoint) -> complex:
-    """<u(y), u(x)> / (1 - p conj(q)) from the kernel vectors at x = (s, p), y = (t, q)."""
-    den = 1.0 - complex(x.p) * np.conj(complex(y.p))
-    if abs(den) <= _KERNEL_DEN_FLOOR:
-        raise InputError("kernel denominator 1 - p conj(q) vanishes")
-    return complex(np.vdot(ux, uy) / den)
-
-
 def model(F, cfg: Tolerances = DEFAULT) -> callable:
-    """Model kernel of a c.n.u. pencil variety,
+    """Model kernel of a c.n.u. pencil variety, as a Gram builder:
 
-        k(x, y) = <u(y), u(x)> / (1 - p * conj(q)),
+        gram(s, p)[i, j] = <u(x_j), u(x_i)> / (1 - p_i * conj(p_j))
 
-    with unit kernel vectors u chosen deterministically per point.  Values are
-    cached per point so repeated requests see one consistent vector choice.
+    for x_i = (s_i, p_i), from one stacked :func:`unit_kernel_vector` call,
+    which raises at the first point, in index order, off the variety.
     """
     V = PencilVariety(F, cfg)
-    cache: dict[tuple[complex, complex], np.ndarray] = {}
 
-    def u_of(x: GammaPoint) -> np.ndarray:
-        key = (complex(x.s), complex(x.p))
-        if key not in cache:
-            cache[key] = unit_kernel_vector(V, *key, cfg)[0][0]
-        return cache[key]
+    def gram(s, p) -> np.ndarray:
+        U, _ = unit_kernel_vector(V, s, p, cfg)
+        den = 1.0 - np.outer(p, np.conj(p))
+        if np.any(np.abs(den) <= _KERNEL_DEN_FLOOR):
+            raise InputError("kernel denominator 1 - p conj(q) vanishes")
+        return (U.conj() @ U.T) / den
 
-    def evaluate(x: GammaPoint, y: GammaPoint) -> complex:
-        return kernel_entry(u_of(x), u_of(y), x, y)
-
-    return evaluate
+    return gram
 
 
 def table(nodes, gram, cfg: Tolerances = DEFAULT) -> callable:
-    """Kernel defined by a Gram table on a fixed node list."""
+    """Kernel defined by a Gram table on a fixed node list: the Gram builder
+    of points (s_i, p_i) that each coincide with a table node."""
     G = np.asarray(gram, dtype=complex)
     ts = np.array([complex(x.s) for x in nodes], dtype=complex)
     tq = np.array([complex(x.p) for x in nodes], dtype=complex)
     if G.shape != (len(ts), len(ts)):
         raise InputError("gram table shape does not match the node list")
 
-    def index_of(x: GammaPoint) -> int:
-        hit = np.flatnonzero(coincident(x.s, x.p, ts, tq, cfg.tol_node)[0])
-        if not len(hit):
-            raise InputError(f"point ({x.s}, {x.p}) is not in the kernel table")
-        return int(hit[0])
+    def lookup(s, p) -> np.ndarray:
+        s, p = np.ravel(s), np.ravel(p)
+        hit = coincident(s, p, ts, tq, cfg.tol_node)
+        missing = np.flatnonzero(~hit.any(axis=1))
+        if len(missing):
+            k = missing[0]
+            raise InputError(f"point ({complex(s[k])}, {complex(p[k])}) is not in the kernel table")
+        idx = np.argmax(hit, axis=1)
+        return G[np.ix_(idx, idx)]
 
-    def evaluate(x: GammaPoint, y: GammaPoint) -> complex:
-        return complex(G[index_of(x), index_of(y)])
-
-    return evaluate
+    return lookup

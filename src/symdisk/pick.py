@@ -85,21 +85,16 @@ class KernelMatrix:
 
 
 def gram_on_nodes(data: PickData, k, cfg: Tolerances = DEFAULT) -> KernelMatrix:
-    """Evaluate a kernel on the datum's nodes into a KernelMatrix."""
-    n = len(data)
-    G = np.array([[k(data.nodes[i], data.nodes[j]) for j in range(n)]
-                  for i in range(n)], dtype=complex)
-    return KernelMatrix(data.nodes, hermitian_part(G, cfg, "kernel on the nodes"), cfg)
+    """The Gram matrix k(s, p) of a kernel over the datum's nodes, as a KernelMatrix."""
+    s = np.array([x.s for x in data.nodes])
+    p = np.array([x.p for x in data.nodes])
+    return KernelMatrix(data.nodes, hermitian_part(k(s, p), cfg, "kernel on the nodes"), cfg)
 
 
-def pick_matrix(data: PickData, k, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """The matrix [(1 - w_i conj(w_j)) k(node_i, node_j)]."""
-    if isinstance(k, KernelMatrix):
-        G = k.gram
-    else:
-        G = gram_on_nodes(data, k, cfg).gram
+def pick_matrix(data: PickData, K: KernelMatrix) -> np.ndarray:
+    """The matrix [(1 - w_i conj(w_j)) K_ij] of a datum and its kernel's Gram matrix."""
     w = np.array(data.targets)
-    return (1.0 - np.outer(w, w.conj())) * G
+    return (1.0 - np.outer(w, w.conj())) * K.gram
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def test_criterion_6_royal_datum_end_to_end():
 
 def test_criterion_7_szego_not_active_on_unique_datum():
     data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, 0.5))
-    P = sd.pick_matrix(data, kernels.szego())
+    P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
     target = np.array([[1, 1], [1, 64 / 27]])
     assert np.abs(P - target).max() <= 1e-12
     rep = sd.psd_report(P)

@@ -289,7 +289,7 @@ class TestTrace:
 
     def test_one_stacked_kernel_vector_call(self, monkeypatch, capsys):
         # the whole grid takes its kernel vectors and residuals from one stacked
-        # SVD; the other calls are the model kernel's, one at each of the 2 nodes
+        # SVD; the model kernel's Gram matrix takes one over the 2 nodes
         import symdisk.extend as extend
         import symdisk.kernels as kernels
         stacked = kernels.unit_kernel_vector
@@ -304,7 +304,7 @@ class TestTrace:
         assert main(["trace", "--input", str(DATA / "datum_royal.json"),
                      "--kernel", f"model:{DATA / 'royal_pencil.json'}",
                      "--grid-n", "64"]) == 0
-        assert sorted(sizes) == [1, 1, 64 * 2]
+        assert sorted(sizes) == [2, 64 * 2]
 
     def test_off_variety_grid_point_exit_2(self, tmp_path, capsys):
         # with tol_memb the smallest positive double (0 is not a valid tolerance)

@@ -19,8 +19,8 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def extended_kernel(model, x, y):
     """K(x, y) = <u(y), u(x)> / (1 - p conj(q)) on the model's variety."""
-    return kernels.kernel_entry(sd.kernel_vector_at(model, x), sd.kernel_vector_at(model, y),
-                                x, y)
+    return (np.vdot(sd.kernel_vector_at(model, x), sd.kernel_vector_at(model, y))
+            / (1.0 - complex(x.p) * np.conj(complex(y.p))))
 
 
 def node_trace(model, j, cfg=sd.DEFAULT, radius=None):

@@ -65,9 +65,26 @@ def test_table_kernel_looks_up_nodes():
     nodes = (sd.GammaPoint(0, 0), sd.GammaPoint(0.5, 0.06))
     G = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
     k = kernels.table(nodes, G)
-    assert k(sd.GammaPoint(0.5 + 4e-10, 0.06), nodes[0]) == -0.5j
-    with pytest.raises(InputError, match="not in the kernel table"):
-        k(sd.GammaPoint(0.5 + 2e-9, 0.06), nodes[0])
+    assert k([0.5 + 4e-10, 0], [0.06, 0])[0, 1] == -0.5j
+    # the error names the first point that matches no node
+    with pytest.raises(InputError, match=r"^point \(\(0\.500000002\+0j\), \(0\.06\+0j\)\) is not "
+                                         r"in the kernel table$"):
+        k([0, 0.5 + 2e-9, 0.5 + 3e-9], [0, 0.06, 0.06])
+
+
+def test_model_gram_takes_one_stacked_kernel_vector_call(monkeypatch, royal_F):
+    stacked = kernels.unit_kernel_vector
+    sizes = []
+
+    def counting(V, s, p, *args, **kwargs):
+        sizes.append(np.size(s))
+        return stacked(V, s, p, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "unit_kernel_vector", counting)
+    s = np.array([0, 1, 1j])
+    G = kernels.model(royal_F)(s, s * s / 4)
+    assert sizes == [3]
+    assert G.shape == (3, 3) and np.allclose(G, G.conj().T, atol=1e-15)
 
 
 class TestPickMatrix:
@@ -83,18 +100,18 @@ class TestPickMatrix:
 
     def test_single_node_szego(self):
         data = sd.PickData((sd.GammaPoint(0, 0),), (0,))
-        P = sd.pick_matrix(data, kernels.szego())
+        P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
         assert np.allclose(P, [[1]])
 
     def test_hermitian_and_reorder_invariant(self, rng):
         pts = random_g_points(rng, 4)
         w = 0.9 * rng.uniform(size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
         data = sd.PickData(tuple(pts), tuple(w))
-        P = sd.pick_matrix(data, kernels.szego())
+        P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
         assert np.linalg.norm(P - P.conj().T) <= 1e-12 * np.linalg.norm(P)
         perm = rng.permutation(4)
         data2 = sd.PickData(tuple(pts[i] for i in perm), tuple(w[i] for i in perm))
-        P2 = sd.pick_matrix(data2, kernels.szego())
+        P2 = sd.pick_matrix(data2, gram_on_nodes(data2, sd.szego_kernel))
         assert np.allclose(P2, P[np.ix_(perm, perm)], atol=1e-12)
 
 
@@ -126,8 +143,8 @@ class TestPsdReport:
         cfg = sd.with_overrides(sd.DEFAULT, tol_mod=1e-12)
         data = sd.PickData((sd.GammaPoint(0.9999999995, 0), sd.GammaPoint(0.1, 0)),
                            (0, 0.5), cfg)
-        K = gram_on_nodes(data, kernels.szego(), cfg)
-        rep = sd.psd_report(sd.pick_matrix(data, K, cfg), cfg, kernel_diag=K.gram.diagonal())
+        K = gram_on_nodes(data, sd.szego_kernel, cfg)
+        rep = sd.psd_report(sd.pick_matrix(data, K), cfg, kernel_diag=K.gram.diagonal())
         assert abs(rep.min_eigenvalue - 0.7575757563) < 1e-8
         assert rep.null_vector is None
 
@@ -208,7 +225,7 @@ class TestKernelBasisOperators:
 
     def test_gram_on_nodes_passes_cfg(self, data_sheet):
         cfg = sd.with_overrides(sd.DEFAULT, tol_psd=1e-6)
-        assert gram_on_nodes(data_sheet, kernels.szego(), cfg).cfg is cfg
+        assert gram_on_nodes(data_sheet, sd.szego_kernel, cfg).cfg is cfg
 
     def test_rank_collapse_rejected(self):
         K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.9)),
@@ -284,7 +301,7 @@ class TestAdmissibilityAudit:
         for _ in range(5):
             pts = random_g_points(rng, int(rng.integers(2, 5)))
             data = sd.PickData(tuple(pts), tuple(0.0 for _ in pts))
-            K = gram_on_nodes(data, kernels.szego())
+            K = gram_on_nodes(data, sd.szego_kernel)
             report = sd.admissibility_audit(K)
             assert report.passed, report.failures
 
@@ -317,7 +334,7 @@ class TestAdmissibilityAudit:
 
     def test_perturbed_fundamental_operator_fails_intertwining(self, rng):
         pts = random_g_points(rng, 3)
-        K = gram_on_nodes(sd.PickData(tuple(pts), (0, 0, 0)), kernels.szego())
+        K = gram_on_nodes(sd.PickData(tuple(pts), (0, 0, 0)), sd.szego_kernel)
         model = _fundamental_model(K, sd.DEFAULT)
         assert _audit_model(model, sd.DEFAULT).passed
         E = rng.standard_normal(model.F.shape) + 1j * rng.standard_normal(model.F.shape)
