@@ -25,8 +25,8 @@ from symdisk.pick import gram_on_nodes
 
 
 def run_datum(name, data, pencil, variety_desc, reference, sampler, n, seed):
-    print(f"--- {name}: nodes {[(x.s, x.p) for x in data.nodes]} "
-          f"targets {list(data.targets)}")
+    print(f"--- {name}: nodes {list(zip(data.s.tolist(), data.p.tolist()))} "
+          f"targets {data.targets.tolist()}")
     K = gram_on_nodes(data, kernels.model(pencil))
     P = sd.pick_matrix(data, K)
     rep = sd.psd_report(P, kernel_diag=K.gram.diagonal())
@@ -42,14 +42,12 @@ def run_datum(name, data, pencil, variety_desc, reference, sampler, n, seed):
             raise tr
         print(f"    node {j}: {tr.branch_count} branch(es), "
               f"sum error {tr.sum_errors[-1]:.2e}")
-    rng = np.random.default_rng(seed)
-    xs = [sampler(rng) for _ in range(n)]
-    res = sd.unique_value(model, K, rep.null_vector, data.targets,
-                          [x.s for x in xs], [x.p for x in xs])
+    s, p = sampler(np.random.default_rng(seed), n)
+    res = sd.unique_value(model, K, rep.null_vector, data.targets, s, p)
     if not res.flags.all():
         print(f"    {n - int(res.flags.sum())} of {n} samples inconclusive")
         return 1
-    worst = max((abs(w - reference(x)) for w, x in zip(res.values, xs)), default=0.0)
+    worst = float(np.abs(res.values - reference(s, p)).max(initial=0.0))
     print(f"    worst |formula - reference| over {n} samples: {worst:.3e}")
     return 0 if worst < 1e-8 else 1
 
@@ -62,27 +60,30 @@ def main() -> int:
     if args.seed < 0:
         ap.error(f"--seed must be non-negative, got {args.seed}")
 
-    def royal_sample(rng):
-        z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        return sd.GammaPoint(2 * z, z * z)
+    def disk_sample(rng, n):
+        r, t = rng.uniform(size=(n, 2)).T
+        return 0.9 * np.sqrt(r) * np.exp(2j * np.pi * t)
 
-    def sheet_sample(rng):
-        p = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        return sd.GammaPoint(0, p)
+    def royal_sample(rng, n):
+        z = disk_sample(rng, n)
+        return 2 * z, z * z
+
+    def sheet_sample(rng, n):
+        return np.zeros(n), disk_sample(rng, n)
 
     bad = run_datum(
         "datum A (royal)",
-        sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5)),
+        sd.PickData((0, 1), (0, 0.25), (0, -0.5)),
         np.array([[0, 2], [0, 0]], dtype=complex),
         "s^2 = 4p",
-        lambda x: -x.s / 2,
+        lambda s, p: -s / 2,
         royal_sample, args.samples, args.seed)
     bad += run_datum(
         "datum B (sheet)",
-        sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5)), (0, 0.5)),
+        sd.PickData((0, 0), (0, 0.5), (0, 0.5)),
         np.zeros((2, 2), dtype=complex),
         "s = 0",
-        lambda x: x.p,
+        lambda s, p: p,
         sheet_sample, args.samples, args.seed)
     return 1 if bad else 0
 

@@ -6,8 +6,8 @@ from .errors import (IllPlacedContour, InputError, NoActiveKernel,
                      NumericalError, SymdiskError)
 from .gamma import (GammaPoint, Region, classify_region, phi_operator,
                     stacked_fibers, symmetrize, szego_kernel)
-from .linalg import (SpectralProjection, hermitian_eig, null_space, psd_sqrt,
-                     spectral_projection, spectrum)
+from .linalg import (SpectralProjection, null_space, psd_sqrt, spectral_projection,
+                     spectrum)
 from .numrange import (CnuDecomposition, CnuVerdict, cnu_decompose, is_cnu,
                        numerical_radii, numerical_radius, pu_compress,
                        pu_witness_search, verify_pu_reducing)

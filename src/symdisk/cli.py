@@ -24,7 +24,7 @@ from . import kernels
 from .config import DEFAULT, Tolerances, with_overrides
 from .errors import InputError, NoActiveKernel, NumericalError, SymdiskError
 from .extend import branch_trace, build_extension, unique_value
-from .gamma import GammaPoint, szego_kernel
+from .gamma import szego_kernel
 from .linalg import cluster_eigenvalues
 from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
                    psd_report)
@@ -47,13 +47,17 @@ _TOL_TYPES = typing.get_type_hints(Tolerances)
 # ---------------------------------------------------------------- JSON I/O
 
 def _complex_from_json(obj) -> complex:
-    try:
-        if isinstance(obj, dict):
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        if isinstance(obj, (int, float)):
-            return complex(obj)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """A number, or an object with number values under "re", "im" or both and no
+    other key (a missing part is 0).  json.load gives an exact int or float for
+    a number, so the type() test leaves out bool."""
+    parts = obj if type(obj) is dict else {"re": obj}
+    re, im = parts.get("re", 0), parts.get("im", 0)
+    if 0 < len(parts) == ("re" in parts) + ("im" in parts) and \
+            type(re) in (int, float) and type(im) in (int, float):
+        try:
+            return complex(float(re), float(im))
+        except OverflowError:
+            pass
     raise InputError(f"expected a complex scalar, got {obj!r}")
 
 
@@ -90,13 +94,17 @@ def load_pick_data(path: str, cfg: Tolerances = DEFAULT) -> PickData:
         raise InputError(f"{path}: Pick data needs 'nodes' and 'targets'")
     if not isinstance(data["nodes"], list) or not isinstance(data["targets"], list):
         raise InputError(f"{path}: 'nodes' and 'targets' must be lists")
-    nodes = []
-    for nd in data["nodes"]:
-        if not isinstance(nd, dict) or "s" not in nd or "p" not in nd:
-            raise InputError(f"{path}: each node needs 's' and 'p'")
-        nodes.append(GammaPoint(_complex_from_json(nd["s"]), _complex_from_json(nd["p"])))
-    targets = [_complex_from_json(w) for w in data["targets"]]
-    return PickData(tuple(nodes), tuple(targets), cfg)
+    s, p = [], []
+    try:
+        for nd in data["nodes"]:
+            if not isinstance(nd, dict) or "s" not in nd or "p" not in nd:
+                raise InputError("each node needs 's' and 'p'")
+            s.append(_complex_from_json(nd["s"]))
+            p.append(_complex_from_json(nd["p"]))
+        targets = [_complex_from_json(w) for w in data["targets"]]
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}")
+    return PickData(s, p, targets, cfg)
 
 
 def _load_json(path: str):
@@ -139,7 +147,7 @@ def make_kernel(spec: str, data: PickData, cfg: Tolerances):
     if spec.startswith("model:"):
         return kernels.model(load_matrix(spec[len("model:"):]), cfg)
     if spec.startswith("table:"):
-        return kernels.table(data.nodes, load_matrix(spec[len("table:"):]), cfg)
+        return kernels.table(data.s, data.p, load_matrix(spec[len("table:"):]), cfg)
     raise InputError(f"unknown kernel spec {spec!r} "
                      "(use szego | model:<file> | table:<file>)")
 
@@ -209,12 +217,16 @@ def cmd_classify(args, cfg: Tolerances) -> int:
     return EXIT_OK
 
 
-def cmd_pick(args, cfg: Tolerances) -> int:
+def _pick_problem(args, cfg: Tolerances):
+    """The datum of --input, its --kernel Gram matrix, their Pick matrix and its PSD report."""
     data = load_pick_data(args.input, cfg)
-    k = make_kernel(args.kernel, data, cfg)
-    K = gram_on_nodes(data, k, cfg)
+    K = gram_on_nodes(data, make_kernel(args.kernel, data, cfg), cfg)
     P = pick_matrix(data, K)
-    rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
+    return data, K, P, psd_report(P, cfg, kernel_diag=K.gram.diagonal())
+
+
+def cmd_pick(args, cfg: Tolerances) -> int:
+    _, K, P, rep = _pick_problem(args, cfg)
     print("kernel gram:")
     for row in K.gram:
         print("  ", "  ".join(f"{z:.12g}" for z in row))
@@ -262,11 +274,7 @@ def cmd_pick(args, cfg: Tolerances) -> int:
 
 
 def cmd_trace(args, cfg: Tolerances) -> int:
-    data = load_pick_data(args.input, cfg)
-    k = make_kernel(args.kernel, data, cfg)
-    K = gram_on_nodes(data, k, cfg)
-    P = pick_matrix(data, K)
-    rep = psd_report(P, cfg, kernel_diag=K.gram.diagonal())
+    data, K, P, rep = _pick_problem(args, cfg)
     scale = max(1.0, float(np.linalg.norm(P)))
     if rep.min_eigenvalue < -cfg.tol_psd * scale:
         raise NoActiveKernel("datum is not solvable against this kernel")
@@ -322,8 +330,8 @@ def cmd_realize(args, cfg: Tolerances) -> int:
     defect = boundary_unitarity_audit(model, args.grid_n, cfg)
     print(f"boundary unitarity defect (grid {args.grid_n}x{args.grid_n}): {defect:.3e}")
     rng = np.random.default_rng(args.seed)
-    points = [random_g_point(rng) for _ in range(20)]
-    direct, other = inner_defect(model, [x.s for x in points], [x.p for x in points], cfg)
+    s, p = zip(*(random_g_point(rng) for _ in range(20)))
+    direct, other = inner_defect(model, s, p, cfg)
     agreement = [np.linalg.norm(a - b) for a, b in zip(direct, other)]
     # np.max keeps a nan that the builtin max would drop
     worst = float(np.max(agreement))

@@ -22,15 +22,14 @@ at a stack of variety points in one pass (gamma a Pick-matrix null vector).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError, SymdiskError
-from .gamma import GammaPoint, coincident
+from .gamma import GammaPoint, coincident, point_arrays
 from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector
 from .linalg import _projection_failures, cluster_indices, spectral_projection
 from .numrange import _peel_unitary
@@ -46,18 +45,27 @@ _EPS = np.finfo(float).eps
 _NULL_VECTOR_REL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionModel:
-    """A c.n.u. pencil together with kernel vectors at the nodes."""
-    F: np.ndarray
-    nodes: tuple
-    u_nodes: tuple
-    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
+    """The variety of a c.n.u. pencil F, with the kernel vector u_j (row j of
+    ``U``) at each node (s_j, p_j)."""
+    variety: PencilVariety
+    s: np.ndarray
+    p: np.ndarray
+    U: np.ndarray
 
-    @cached_property
-    def variety(self) -> PencilVariety:
-        """The pencil variety of F, built (and nu(F) computed) on first use."""
-        return PencilVariety(self.F, self.cfg)
+    def __post_init__(self):
+        s, p = point_arrays(self.s, self.p)
+        U = np.asarray(self.U, dtype=complex)
+        if U.shape != (len(s), self.variety.dim):
+            raise InputError("U needs one row of length dim F per node")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "U", U)
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.variety.F
 
 
 def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionModel:
@@ -82,35 +90,33 @@ def build_extension(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> ExtensionMode
     if F.shape[0] == 0:
         raise InputError("fundamental operator is entirely unitary; "
                          "no c.n.u. block to extend along")
-    nodes = K.nodes
-    us = []
-    for j, x in enumerate(nodes):
-        # model.D is cut to its numerical range, so u_j carries no noise from
-        # the discarded sqrt-eigenvalues of D
-        u_full = model.D @ model.ops.coord_vectors[j]
-        norm_u = np.linalg.norm(u_full)
-        if norm_u <= cfg.tol_ext:
-            raise NumericalError(f"kernel vector at node {j} collapsed")
-        tilted = dec.transform.conj().T @ u_full
-        leak = np.linalg.norm(tilted[:m_uni])
-        if leak > cfg.tol_ext * norm_u:
-            raise NumericalError(
-                f"node {j} leaks into the unitary block: {leak:.3e}")
-        u = tilted[m_uni:]
-        resid = np.linalg.norm(pencil_matrix(F, x.s, x.p).conj().T @ u)
-        if resid > cfg.tol_ext * max(1.0, norm_u):
-            raise NumericalError(
-                f"node {j} violates the pencil equation: residual {resid:.3e}")
-        us.append(u)
-    ext = ExtensionModel(F, tuple(nodes), tuple(us), cfg)
-    if m_uni == 0:
-        # nothing split off: F is a copy of F', whose nu the passed audit certified
-        ext.__dict__["variety"] = PencilVariety._of_certified(F, report.nu_fundamental, cfg)
-    # the splitting has the spectrum of F already
-    _with_eigenvalues(ext.variety, dec.cnu_eigenvalues)
-    if not is_distinguished(ext.variety, cfg):
+    # one matrix-vector product per node: a matrix product would move the
+    # last bits of u_j.  model.D is cut to its numerical range, so u_j carries
+    # no noise from the discarded sqrt-eigenvalues of D
+    u_full = (model.D @ model.ops.coords.T[:, :, None])[:, :, 0]
+    tilted = (dec.transform.conj().T @ u_full[:, :, None])[:, :, 0]
+    U = tilted[:, m_uni:]
+    norm_u = np.linalg.norm(u_full, axis=1)
+    leak = np.linalg.norm(tilted[:, :m_uni], axis=1)
+    resid = np.linalg.norm((pencil_matrix(F, K.s[:, None, None], K.p[:, None, None])
+                            .conj().swapaxes(1, 2) @ U[:, :, None])[:, :, 0], axis=1)
+    fails = np.array([norm_u <= cfg.tol_ext, leak > cfg.tol_ext * norm_u,
+                      resid > cfg.tol_ext * np.maximum(1.0, norm_u)])
+    if fails.any():
+        # the first node that fails, with the first check it fails
+        j = int(np.argmax(fails.any(axis=0)))
+        raise NumericalError((f"kernel vector at node {j} collapsed",
+                              f"node {j} leaks into the unitary block: {leak[j]:.3e}",
+                              f"node {j} violates the pencil equation: residual {resid[j]:.3e}")
+                             [int(np.argmax(fails[:, j]))])
+    # with nothing split off F is a copy of F', whose nu the passed audit
+    # certified; the splitting has the spectrum of F already
+    V = PencilVariety._of_certified(F, report.nu_fundamental, cfg) if m_uni == 0 \
+        else PencilVariety(F, cfg)
+    _with_eigenvalues(V, dec.cnu_eigenvalues)
+    if not is_distinguished(V, cfg):
         raise NumericalError("extension block is not completely non-unitary")
-    return ext
+    return ExtensionModel(V, K.s, K.p, U)
 
 
 def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
@@ -121,10 +127,9 @@ def kernel_vector_at(model: ExtensionModel, x: GammaPoint,
     on the model's variety.  When the null space has dimension > 1 that is one
     choice among many; the uniqueness-value ratio does not depend on it.
     """
-    hit = np.flatnonzero(coincident(x.s, x.p, [nd.s for nd in model.nodes],
-                                    [nd.p for nd in model.nodes], cfg.tol_node)[0])
+    hit = np.flatnonzero(coincident(x.s, x.p, model.s, model.p, cfg.tol_node)[0])
     if len(hit):
-        return model.u_nodes[hit[0]]
+        return model.U[hit[0]]
     return unit_kernel_vector(model.variety, complex(x.s), complex(x.p), cfg)[0][0]
 
 
@@ -173,14 +178,12 @@ def branch_trace(model: ExtensionModel, cfg: Tolerances = DEFAULT, *,
     """
     F = model.F
     d = F.shape[0]
-    nodes = model.nodes
-    if not nodes:
+    n_nodes, n = len(model.s), cfg.n_steps
+    if not n_nodes:
         return []
-    n_nodes, n = len(nodes), cfg.n_steps
-    sbar = np.array([np.conj(complex(nd.s)) for nd in nodes], dtype=complex)
+    sbar = np.conj(model.s)
     paths = []
-    for nd in nodes:
-        pbar = np.conj(complex(nd.p))
+    for pbar in np.conj(model.p):
         r = min(0.01, 0.5 * (1.0 - abs(pbar))) if radius is None else radius
         direction = pbar / abs(pbar) if abs(pbar) > 1e-14 else 1.0 + 0.0j
         if abs(pbar) + r >= 1.0 - 1e-12:
@@ -248,7 +251,7 @@ def branch_trace(model: ExtensionModel, cfg: Tolerances = DEFAULT, *,
             errors[node_of[i]] = exc
             continue
         P[r], defects[r] = proj.matrix, proj.idempotency_defect
-    u = np.array(model.u_nodes, dtype=complex).reshape(-1, d)
+    u = model.U
     vs = (P @ u[node_of[owner], :, None])[:, :, 0]
     sum_errors = np.full(len(live), np.nan)
     sum_errors[live] = np.linalg.norm(vs[first] - u[node_of[live]], axis=1)
@@ -400,23 +403,17 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
     n = len(K)
     if len(gamma) != n or len(w) != n:
         raise InputError("gamma and targets must match the node count")
-    ks = np.array([complex(x.s) for x in K.nodes], dtype=complex)
-    kq = np.array([complex(x.p) for x in K.nodes], dtype=complex)
-    ms = [nd.s for nd in model.nodes]
-    mq = [nd.p for nd in model.nodes]
-    if len(model.nodes) != n or not np.diagonal(coincident(ks, kq, ms, mq, cfg.tol_node)).all():
+    if len(model.s) != n or \
+            not np.diagonal(coincident(K.s, K.p, model.s, model.p, cfg.tol_node)).all():
         raise InputError("the extension model is not built on the kernel's nodes")
     pick = (1.0 - np.outer(w, w.conj())) * K.gram
     resid = np.linalg.norm(pick @ gamma)
     if resid > _NULL_VECTOR_REL * max(1.0, np.linalg.norm(pick)) * np.linalg.norm(gamma):
         raise InputError(f"gamma is not a Pick-matrix null vector: residual {resid:.3e}")
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if s.shape != p.shape:
-        raise InputError("s and p must have the same shape")
-    kden = 1.0 - p.reshape(-1, 1) * np.conj(kq)
+    s, p = point_arrays(s, p)
+    kden = 1.0 - p[:, None] * np.conj(K.p)
     vanishing = (np.abs(kden) <= _KERNEL_DEN_FLOOR).any(axis=1)
-    near = coincident(s, p, ms, mq, cfg.tol_node)
+    near = coincident(s, p, model.s, model.p, cfg.tol_node)
     at_node = near.any(axis=1)
     # a point is checked for membership before its kernel column is formed,
     # so an off-variety point ahead of the first vanishing denominator wins
@@ -425,9 +422,8 @@ def _uniqueness_ratios(model: ExtensionModel, K: KernelMatrix, gamma, targets, s
                                   skip=at_node | (np.arange(len(vanishing)) >= m))
     if vanishing.any():
         raise InputError("kernel denominator 1 - p conj(q) vanishes")
-    u_nodes = np.array(model.u_nodes, dtype=complex).reshape(n, model.F.shape[0])
-    U[at_node] = u_nodes[np.argmax(near[at_node], axis=1)]
-    col = (U.conj() @ u_nodes.T) / kden
+    U[at_node] = model.U[np.argmax(near[at_node], axis=1)]
+    col = (U.conj() @ model.U.T) / kden
     num = col @ gamma
     den = (w.conj() * col) @ gamma
     scale = np.abs(col) @ np.abs(gamma)

@@ -36,6 +36,16 @@ class Region(enum.Enum):
     SYM_EXTERIOR = "sym_exterior"     # both fibers outside the closed disk
 
 
+def point_arrays(s, p) -> tuple[np.ndarray, np.ndarray]:
+    """The points (s_k, p_k) as two flat complex arrays; ``s`` and ``p`` must
+    have the same shape, and a scalar pair counts as one point."""
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if s.shape != p.shape:
+        raise InputError("s and p must have the same shape")
+    return s.ravel(), p.ravel()
+
+
 def symmetrize(z1: complex, z2: complex) -> GammaPoint:
     """The symmetrization map (z1, z2) -> (z1+z2, z1*z2)."""
     return GammaPoint(complex(z1) + complex(z2), complex(z1) * complex(z2))
@@ -95,11 +105,9 @@ def coincident(s, p, t, q, tol: float) -> np.ndarray:
     The node-coincidence rule of every layer, called with tol = cfg.tol_node.
     Scalars count as one point.
     """
-    s = np.asarray(s, dtype=complex).reshape(-1, 1)
-    p = np.asarray(p, dtype=complex).reshape(-1, 1)
-    t = np.asarray(t, dtype=complex).ravel()
-    q = np.asarray(q, dtype=complex).ravel()
-    return np.abs(s - t) + np.abs(p - q) <= tol
+    s, p = point_arrays(s, p)
+    t, q = point_arrays(t, q)
+    return np.abs(s[:, None] - t) + np.abs(p[:, None] - q) <= tol
 
 
 # the pencil 2*I - s*tau counts as singular at or below this multiple of

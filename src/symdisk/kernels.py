@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError
-from .gamma import coincident
+from .gamma import coincident, point_arrays
 from .variety import PencilVariety, pencil_matrix
 
 
@@ -30,16 +30,11 @@ def unit_kernel_vector(V: PencilVariety, s, p, cfg: Tolerances = DEFAULT,
     mask ``skip`` is set are not checked (callers substitute stored vectors
     there).
     """
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if s.shape != p.shape:
-        raise InputError("s and p must have the same shape")
-    d = V.dim
-    if d == 0:
+    s, p = point_arrays(s, p)
+    if V.dim == 0:
         raise InputError("the variety of an empty pencil has no points")
-    pencils = pencil_matrix(V.F, s[..., None, None], p[..., None, None])
-    _, sv, Vh = np.linalg.svd(pencils.conj().swapaxes(-1, -2).reshape(-1, d, d))
-    s, p = s.ravel(), p.ravel()
+    pencils = pencil_matrix(V.F, s[:, None, None], p[:, None, None])
+    _, sv, Vh = np.linalg.svd(pencils.conj().swapaxes(-1, -2))
     off = sv[:, -1] > cfg.tol_memb * np.maximum(1.0, sv[:, 0])
     if skip is not None:
         off &= ~np.asarray(skip, dtype=bool)
@@ -78,17 +73,16 @@ def model(F, cfg: Tolerances = DEFAULT) -> callable:
     return gram
 
 
-def table(nodes, gram, cfg: Tolerances = DEFAULT) -> callable:
-    """Kernel defined by a Gram table on a fixed node list: the Gram builder
-    of points (s_i, p_i) that each coincide with a table node."""
+def table(t, q, gram, cfg: Tolerances = DEFAULT) -> callable:
+    """Kernel defined by a Gram table on fixed nodes (t_j, q_j): the Gram
+    builder of points (s_i, p_i) that each coincide with a table node."""
     G = np.asarray(gram, dtype=complex)
-    ts = np.array([complex(x.s) for x in nodes], dtype=complex)
-    tq = np.array([complex(x.p) for x in nodes], dtype=complex)
+    ts, tq = point_arrays(t, q)
     if G.shape != (len(ts), len(ts)):
         raise InputError("gram table shape does not match the node list")
 
     def lookup(s, p) -> np.ndarray:
-        s, p = np.ravel(s), np.ravel(p)
+        s, p = point_arrays(s, p)
         hit = coincident(s, p, ts, tq, cfg.tol_node)
         missing = np.flatnonzero(~hit.any(axis=1))
         if len(missing):

@@ -79,11 +79,6 @@ def hermitian_part(M, cfg: Tolerances = DEFAULT, what: str = "matrix") -> np.nda
     return (M + M.conj().T) / 2
 
 
-def hermitian_eig(H, cfg: Tolerances = DEFAULT):
-    """Eigendecomposition of a Hermitian matrix: ascending values, orthonormal vectors."""
-    return np.linalg.eigh(hermitian_part(H, cfg))
-
-
 def null_space(A, *, cfg: Tolerances = DEFAULT, scale: float | None = None):
     """Right singular vectors with singular value <= rank_tol * scale (default sigma_max)."""
     A = as_complex_matrix(A)
@@ -95,8 +90,8 @@ def null_space(A, *, cfg: Tolerances = DEFAULT, scale: float | None = None):
 
 
 def psd_eigh(M, cfg: Tolerances = DEFAULT):
-    """:func:`hermitian_eig` clipped at 0; rejects M indefinite beyond tol_psd*max(||M||, 1)."""
-    vals, vecs = hermitian_eig(M, cfg)
+    """eigh of Hermitian M clipped at 0; rejects M indefinite beyond tol_psd*max(||M||, 1)."""
+    vals, vecs = np.linalg.eigh(hermitian_part(M, cfg))
     if len(vals) and vals[0] < -cfg.tol_psd * max(np.linalg.norm(M), 1.0):
         raise InputError(f"matrix is indefinite: min eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None), vecs

@@ -17,83 +17,86 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import REGIONS, GammaPoint, Region, classify_region, coincident
+from .gamma import REGIONS, Region, classify_region, coincident, point_arrays
 from .linalg import as_complex_matrix, hermitian_part, psd_eigh
 from .numrange import numerical_radius
 
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PickData:
-    """Interpolation nodes in the open domain with unit-disk targets."""
-    nodes: tuple
-    targets: tuple
-    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
+    """Interpolation nodes (s_j, p_j) in the open domain with unit-disk targets w_j."""
+    s: np.ndarray
+    p: np.ndarray
+    targets: np.ndarray
+    cfg: Tolerances = field(default=DEFAULT, repr=False)
 
     def __post_init__(self):
-        nodes = tuple(GammaPoint(complex(x.s), complex(x.p)) for x in self.nodes)
-        targets = tuple(complex(w) for w in self.targets)
-        if len(nodes) != len(targets):
+        s, p = point_arrays(self.s, self.p)
+        w = np.asarray(self.targets, dtype=complex).ravel()
+        if len(s) != len(w):
             raise InputError("nodes and targets must have equal length")
-        if not nodes:
+        if not len(s):
             raise InputError("empty Pick datum")
         cfg = self.cfg
-        s = [x.s for x in nodes]
-        p = [x.p for x in nodes]
         pairs = np.argwhere(np.triu(coincident(s, p, s, p, cfg.tol_node), 1))
         if len(pairs):
             i, j = pairs[0]
             raise InputError(f"nodes {i} and {j} coincide")
         outside = np.flatnonzero(classify_region(s, p, cfg) != REGIONS.index(Region.OPEN_G))
         if len(outside):
-            x = nodes[outside[0]]
-            raise InputError(f"node {outside[0]} = ({x.s}, {x.p}) is not in the open domain")
-        for i, w in enumerate(targets):
-            # 1e-14, about 45 ulps: a unimodular target read back from JSON
-            if abs(w) > 1.0 + 1e-14:
-                raise InputError(f"target {i} has modulus {abs(w):.6f} > 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
+            k = outside[0]
+            raise InputError(f"node {k} = ({complex(s[k])}, {complex(p[k])}) "
+                             "is not in the open domain")
+        # 1e-14, about 45 ulps: a unimodular target read back from JSON; written
+        # so that a nan modulus fails too
+        big = np.flatnonzero(~(np.abs(w) <= 1.0 + 1e-14))
+        if len(big):
+            raise InputError(f"target {big[0]} has modulus {abs(w[big[0]]):.6f} > 1")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "targets", w)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """A kernel's Gram matrix on a node list (Hermitian PSD, positive diagonal)."""
-    nodes: tuple
+    """A kernel's Gram matrix on nodes (s_j, p_j) (Hermitian PSD, positive diagonal)."""
+    s: np.ndarray
+    p: np.ndarray
     gram: np.ndarray
-    cfg: Tolerances = field(default=DEFAULT, repr=False, compare=False)
+    cfg: Tolerances = field(default=DEFAULT, repr=False)
 
     def __post_init__(self):
-        nodes = tuple(GammaPoint(complex(x.s), complex(x.p)) for x in self.nodes)
+        s, p = point_arrays(self.s, self.p)
         G = as_complex_matrix(self.gram, square=True)
-        if G.shape[0] != len(nodes):
+        if G.shape[0] != len(s):
             raise InputError("gram dimension does not match the node count")
         vals = np.linalg.eigvalsh(hermitian_part(G, self.cfg, "gram matrix"))
         if len(vals) and vals[0] < -self.cfg.tol_psd * max(np.linalg.norm(G), 1.0):
             raise InputError(f"gram matrix is not PSD: min eigenvalue {vals[0]:.3e}")
         if np.any(G.diagonal().real <= 0):
             raise InputError("kernel diagonal entries must be positive")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "gram", G)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.s)
 
 
 def gram_on_nodes(data: PickData, k, cfg: Tolerances = DEFAULT) -> KernelMatrix:
     """The Gram matrix k(s, p) of a kernel over the datum's nodes, as a KernelMatrix."""
-    s = np.array([x.s for x in data.nodes])
-    p = np.array([x.p for x in data.nodes])
-    return KernelMatrix(data.nodes, hermitian_part(k(s, p), cfg, "kernel on the nodes"), cfg)
+    return KernelMatrix(data.s, data.p,
+                        hermitian_part(k(data.s, data.p), cfg, "kernel on the nodes"), cfg)
 
 
 def pick_matrix(data: PickData, K: KernelMatrix) -> np.ndarray:
     """The matrix [(1 - w_i conj(w_j)) K_ij] of a datum and its kernel's Gram matrix."""
-    w = np.array(data.targets)
+    w = data.targets
     return (1.0 - np.outer(w, w.conj())) * K.gram
 
 
@@ -141,14 +144,15 @@ class KernelBasisOperators:
 
     ``range_dim`` is the numerical rank of the Gram matrix; all operators are
     range_dim x range_dim.  ``D = U diag(sigma) U*`` with ``sigma`` descending.
-    ``coord_vectors[j]`` holds the coordinates of the j-th kernel function.
+    Column j of ``coords`` (range_dim x n) holds the coordinates of the j-th
+    kernel function.
     """
     Ms: np.ndarray
     Mp: np.ndarray
     D: np.ndarray
     U: np.ndarray
     sigma: np.ndarray
-    coord_vectors: tuple
+    coords: np.ndarray
     range_dim: int
 
 
@@ -167,8 +171,7 @@ def kernel_basis_operators(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> Kernel
     """
     G = K.gram
     n = len(K)
-    s = np.array([x.s for x in K.nodes])
-    p = np.array([x.p for x in K.nodes])
+    s, p = K.s, K.p
     vals, vecs = np.linalg.eigh((G + G.conj().T) / 2)
     vmax = max(vals.max(), _EPS) if n else _EPS
     keep = vals > cfg.rank_tol * vmax
@@ -188,9 +191,8 @@ def kernel_basis_operators(K: KernelMatrix, cfg: Tolerances = DEFAULT) -> Kernel
     qvals, qvecs = psd_eigh(Q, cfg)
     U, sigma, _ = np.linalg.svd((W / half).conj().T @ (qvecs * np.sqrt(qvals)),
                                 full_matrices=False)
-    coords = tuple((W * half).conj().T[:, j] for j in range(n))
     return KernelBasisOperators(Ms_star.conj().T, Mp_star.conj().T,
-                                (U * sigma) @ U.conj().T, U, sigma, coords, r)
+                                (U * sigma) @ U.conj().T, U, sigma, (W * half).conj().T, r)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
-from .gamma import REGIONS, Region, classify_region, stacked_fibers
+from .gamma import REGIONS, Region, classify_region, point_arrays, stacked_fibers
 from .linalg import as_complex_matrix, spectrum
 from .numrange import (CnuVerdict, check_numerical_contraction, cnu_verdict,
                        numerical_radius)
@@ -190,15 +190,11 @@ def membership_residual(V: PencilVariety, s, p) -> np.ndarray:
 
     All pencils go to one stacked SVD; 0-d ``s`` and ``p`` give one entry.
     """
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if s.shape != p.shape:
-        raise InputError("s and p must have the same shape")
+    s, p = point_arrays(s, p)
     if V.dim == 0:
         return np.full(s.size, np.inf)  # det of the empty pencil is 1: the variety is empty
-    sv = np.linalg.svd(pencil_matrix(V.F, s[..., None, None], p[..., None, None]),
-                       compute_uv=False)
-    return sv.reshape(s.size, V.dim)[:, -1]
+    return np.linalg.svd(pencil_matrix(V.F, s[:, None, None], p[:, None, None]),
+                         compute_uv=False)[:, -1]
 
 
 def is_distinguished(V: PencilVariety, cfg: Tolerances = DEFAULT) -> CnuVerdict:
@@ -283,8 +279,6 @@ def distinguished_property_check(V: PencilVariety, s, p, cfg: Tolerances = DEFAU
     larger fiber modulus sits in the tol_mod band around 1 (with the other not
     outside the closed disk), both moduli must be in the band.
     """
-    s = np.asarray(s, dtype=complex)
-    p = np.asarray(p, dtype=complex)
     z1, z2 = stacked_fibers(s, p)
     m_lo = np.minimum(np.abs(z1), np.abs(z2))
     m_hi = np.maximum(np.abs(z1), np.abs(z2))

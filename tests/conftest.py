@@ -26,19 +26,19 @@ def jordan_halves():
 @pytest.fixture
 def data_unique():
     """Extremal datum with a unique solution s/2."""
-    return sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, 0.5))
+    return sd.PickData((0, 1), (0, 0.25), (0, 0.5))
 
 
 @pytest.fixture
 def data_royal():
     """Extremal datum solved by both -s/2 and (2p-s)/(2-s)."""
-    return sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
+    return sd.PickData((0, 1), (0, 0.25), (0, -0.5))
 
 
 @pytest.fixture
 def data_sheet():
     """Extremal datum with uniqueness variety {s = 0}."""
-    return sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5)), (0, 0.5))
+    return sd.PickData((0, 0), (0, 0.5), (0, 0.5))
 
 
 @pytest.fixture

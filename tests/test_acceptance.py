@@ -66,7 +66,7 @@ def test_criterion_4_pu_sweep():
 
 def test_criterion_5_sheet_datum_end_to_end():
     t0 = time.monotonic()
-    data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5)), (0, 0.5))
+    data = sd.PickData((0, 0), (0, 0.5), (0, 0.5))
     K = gram_on_nodes(data, kernels.model(np.zeros((2, 2))))
     P = sd.pick_matrix(data, K)
     assert np.abs(P - np.ones((2, 2))).max() <= 1e-12
@@ -90,7 +90,7 @@ def test_criterion_5_sheet_datum_end_to_end():
 
 
 def test_criterion_6_royal_datum_end_to_end():
-    data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
+    data = sd.PickData((0, 1), (0, 0.25), (0, -0.5))
     K = gram_on_nodes(data, kernels.model(np.array([[0, 2], [0, 0]], dtype=complex)))
     P = sd.pick_matrix(data, K)
     evs = np.linalg.eigvalsh((P + P.conj().T) / 2)
@@ -121,7 +121,7 @@ def test_criterion_6_royal_datum_end_to_end():
 
 
 def test_criterion_7_szego_not_active_on_unique_datum():
-    data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, 0.5))
+    data = sd.PickData((0, 1), (0, 0.25), (0, 0.5))
     P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
     target = np.array([[1, 1], [1, 64 / 27]])
     assert np.abs(P - target).max() <= 1e-12
@@ -157,7 +157,7 @@ def test_criterion_8_realization_audits():
 
 
 def test_criterion_9_branch_tracing():
-    data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
+    data = sd.PickData((0, 1), (0, 0.25), (0, -0.5))
     K = gram_on_nodes(data, kernels.model(np.array([[0, 2], [0, 0]], dtype=complex)))
     model = sd.build_extension(K)
     n_steps = 20

@@ -99,6 +99,29 @@ class TestClassify:
         assert main(["classify", "--input", str(f)]) == 2
         assert why in capsys.readouterr().err
 
+    # an object with a key other than re and im, or with none, and a bool or
+    # string value (bare or under re) are not complex scalars
+    @pytest.mark.parametrize("entry", [{"Re": 0.5}, {"real": 0.3}, {}, {"re": 1, "imag": 0},
+                                       {"re": True}, {"re": "0.5"}, True, "0.5", None])
+    def test_malformed_scalar_exit_2(self, tmp_path, capsys, entry):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": [[0.5, 0], [0, entry]]}))
+        assert main(["classify", "--input", str(f)]) == 2
+        assert f"{f}: expected a complex scalar, got {entry!r}" in capsys.readouterr().err
+
+    def test_malformed_scalar_in_pick_data_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"nodes": [{"s": 0, "p": {"re": 0}},
+                                              {"s": {"real": 1}, "p": 0.25}],
+                                    "targets": [0, 0.5]}))
+        assert main(["pick", "--input", str(data), "--kernel", "szego"]) == 2
+        assert f"{data}: expected a complex scalar, got {{'real': 1}}" in capsys.readouterr().err
+
+    def test_numbers_and_partial_objects_are_scalars(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": [[0.5, {"im": 0}], [0, {"re": 0.5}]]}))
+        assert main(["classify", "--input", str(f)]) == 0
+
     def test_json_report(self, jordan_matrix, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["classify", "--input", jordan_matrix, "--out", str(out)]) == 0
@@ -115,6 +138,11 @@ class TestPick:
         assert "positive semidefinite: True" in out
         assert "active: no null vector" in out
         assert "PASS" in out
+
+    def test_nan_target_exit_2(self, tmp_path, capsys):
+        data = write_data(tmp_path / "d.json", [(0, 0), (1, 0.25)], [0, np.nan])
+        assert main(["pick", "--input", data, "--kernel", "szego"]) == 2
+        assert "input error: target 1 has modulus nan > 1" in capsys.readouterr().err
 
     def test_sheet_datum_model_kernel_active(self, tmp_path, zero_matrix, capsys):
         data = write_data(tmp_path / "d.json", [(0, 0), (0, 0.5)], [0, 0.5])

@@ -93,6 +93,13 @@ def test_every_public_name_has_a_caller():
     assert orphans == []
 
 
+def test_point_arrays_are_checked_in_gamma_only():
+    # one helper, gamma.point_arrays, validates and flattens (s, p) arrays
+    message = '"s and p must have the same shape"'
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if message in path.read_text()] == ["gamma.py"]
+
+
 def test_every_cfg_parameter_is_read():
     # a function that takes cfg and never reads it ignores a user's override
     unread = []

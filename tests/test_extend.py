@@ -26,7 +26,8 @@ def extended_kernel(model, x, y):
 def node_trace(model, j, cfg=sd.DEFAULT, radius=None):
     """The branch trace of node j on its own: branch_trace on a model that holds
     node j alone, numbered j, with that node's error raised."""
-    alone = sd.ExtensionModel(model.F, (model.nodes[j],), (model.u_nodes[j],), model.cfg)
+    one = slice(j, j + 1)
+    alone = sd.ExtensionModel(model.variety, model.s[one], model.p[one], model.U[one])
     tr, = sd.branch_trace(alone, cfg, radius=radius)
     if isinstance(tr, Exception):
         raise tr
@@ -63,8 +64,7 @@ def royal_direct(royal_F):
     """Extension data written directly in the royal pencil's own basis."""
     def u_of(z):
         return np.array([1, np.conj(z)], dtype=complex) / np.sqrt(1 + abs(z) ** 2)
-    return sd.ExtensionModel(royal_F,
-                             (sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)),
+    return sd.ExtensionModel(sd.PencilVariety(royal_F), (0, 1), (0, 0.25),
                              (u_of(0), u_of(0.5)))
 
 
@@ -80,26 +80,33 @@ class TestBuildExtension:
 
     def test_single_node(self, rng):
         x = random_g_points(rng, 1)[0]
-        K = sd.KernelMatrix((x,), np.array([[2.0]]))
+        K = sd.KernelMatrix(x.s, x.p, np.array([[2.0]]))
         model = sd.build_extension(K)
         beta = disk_beta(x)
         assert model.F.shape == (1, 1)
         assert abs(model.F[0, 0] - np.conj(beta)) < 1e-10
         # u = D k in orthonormal coordinates: sqrt(1 - |p|^2 |Mp|...) scale
         expected = np.sqrt(2.0) * np.sqrt(1 - abs(x.p) ** 2)
-        assert abs(np.linalg.norm(model.u_nodes[0]) - expected) < 1e-10
+        assert abs(np.linalg.norm(model.U[0]) - expected) < 1e-10
 
     def test_node_pencil_residuals(self, model_royal, data_royal):
-        for j, nd in enumerate(data_royal.nodes):
-            pencil = model_royal.F + np.conj(nd.p) * model_royal.F.conj().T \
-                - np.conj(nd.s) * np.eye(2)
-            assert np.linalg.norm(pencil @ model_royal.u_nodes[j]) <= 1e-10
+        for s, p, u in zip(data_royal.s, data_royal.p, model_royal.U):
+            pencil = model_royal.F + np.conj(p) * model_royal.F.conj().T \
+                - np.conj(s) * np.eye(2)
+            assert np.linalg.norm(pencil @ u) <= 1e-10
 
     def test_cnu_invariant(self, model_royal):
         assert bool(sd.is_cnu(model_royal.F))
 
-    def test_variety_built_once(self, model_royal):
-        assert model_royal.variety is model_royal.variety
+    def test_variety_built_once(self, kernel_royal, monkeypatch):
+        # nothing splits off the royal F': the audit's nu(F') certifies the
+        # variety, and no PencilVariety computes nu again
+        built = []
+        post_init = sd.PencilVariety.__post_init__
+        monkeypatch.setattr(sd.PencilVariety, "__post_init__",
+                            lambda V: built.append(V) or post_init(V))
+        model = sd.build_extension(kernel_royal)
+        assert built == [] and model.variety.F is model.F
 
     def test_block_spectrum_computed_once(self, monkeypatch, capsys, tmp_path):
         # the splitting's c.n.u. spectrum is the extension variety's: across a
@@ -122,6 +129,35 @@ class TestBuildExtension:
         assert matrices and len(matrices) == len(set(matrices))
 
 
+class TestNodeChecks:
+    """The three checks of build_extension on each u_j, forced by tolerance overrides."""
+
+    def test_collapsed_vector(self, kernel_royal):
+        cfg = sd.with_overrides(sd.DEFAULT, tol_ext=10.0)
+        with pytest.raises(sd.NumericalError, match=r"^kernel vector at node 0 collapsed$"):
+            sd.build_extension(kernel_royal, cfg)
+
+    def test_leak_into_unitary_block(self):
+        # the model kernel of diag(a, b) on two nodes of the line s = conj(a) + a p
+        # and one of s = conj(b) + b p: F' is normal with eigenvalues near 0 and b,
+        # and a band of 0.25 around the circle counts b as unimodular, so the
+        # third node's vector lies in the unitary block
+        a, b = 0.3, 0.8j
+        p = np.array([0.1, -0.4j, 0.5])
+        s = np.array([np.conj(a) + a * p[0], np.conj(a) + a * p[1], np.conj(b) + b * p[2]])
+        cfg = sd.with_overrides(sd.DEFAULT, tol_mod=0.25)
+        K = sd.KernelMatrix(s, p, kernels.model(np.diag([a, b]))(s, p), cfg)
+        with pytest.raises(sd.NumericalError,
+                           match=r"^node 2 leaks into the unitary block: 1\.000e\+00$"):
+            sd.build_extension(K, cfg)
+
+    def test_pencil_residual(self, kernel_royal):
+        cfg = sd.with_overrides(sd.DEFAULT, tol_ext=1e-300)
+        with pytest.raises(sd.NumericalError,
+                           match=r"^node 0 violates the pencil equation: residual \d"):
+            sd.build_extension(kernel_royal, cfg)
+
+
 class TestComplexNodePipeline:
     def test_extension_reproduces_complex_gram(self, rng):
         # complex p-coordinates exercise every conjugation in the pipeline
@@ -142,7 +178,7 @@ class TestComplexNodePipeline:
             if len(nodes) < 3:
                 continue
             nodes = nodes[:3]
-            data = sd.PickData(tuple(nodes), tuple(0.0 for _ in nodes))
+            data = sd.PickData([x.s for x in nodes], [x.p for x in nodes], [0.0] * 3)
             K = gram_on_nodes(data, kernels.model(F0))
             try:
                 model = sd.build_extension(K)
@@ -179,7 +215,7 @@ class TestKernelVectorAt:
 
     def test_nodes_return_stored(self, model_royal):
         u = sd.kernel_vector_at(model_royal, sd.GammaPoint(0, 0))
-        assert u is model_royal.u_nodes[0]
+        assert np.shares_memory(u, model_royal.U) and np.array_equal(u, model_royal.U[0])
 
     def test_off_node_is_unit_kernel_vector(self, model_royal):
         V = model_royal.variety
@@ -199,8 +235,9 @@ class TestExtendedKernel:
                                          model_royal, kernel_royal):
         for model, K in ((model_sheet, kernel_sheet), (model_royal, kernel_royal)):
             scale = np.linalg.norm(K.gram)
-            for i, x in enumerate(K.nodes):
-                for j, y in enumerate(K.nodes):
+            nodes = [sd.GammaPoint(s, p) for s, p in zip(K.s, K.p)]
+            for i, x in enumerate(nodes):
+                for j, y in enumerate(nodes):
                     got = extended_kernel(model, x, y)
                     assert abs(got - K.gram[i, j]) <= 1e-9 * scale
 
@@ -279,8 +316,7 @@ class TestBranchTrace:
                              ids=["origin_node", "near_branch_node"])
     def test_royal_datum_near_branch_point(self, zs):
         F = load_matrix(str(DATA / "royal_pencil.json"))
-        data = sd.PickData(tuple(sd.GammaPoint(2 * z, z * z) for z in zs),
-                           tuple(-z for z in zs))
+        data = sd.PickData([2 * z for z in zs], [z * z for z in zs], [-z for z in zs])
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
         for tol_proj in (1e-8, 1e-13):
             cfg = sd.with_overrides(sd.DEFAULT, tol_proj=tol_proj)
@@ -294,7 +330,7 @@ class TestBranchTrace:
         # the disk radius; a 64-node trapezoid contour left ||P^2 - P|| = 1.008e-08
         F = load_matrix(str(DATA / "royal_pencil.json"))
         z = np.sqrt(0.6)
-        data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(2 * z, 0.6)), (0, -z))
+        data = sd.PickData((0, 2 * z), (0, 0.6), (0, -z))
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
         tr = node_trace(model, 1, sd.with_overrides(sd.DEFAULT, n_steps=4), radius=0.6)
         assert len(contour_calls) == 1
@@ -303,7 +339,7 @@ class TestBranchTrace:
     def test_ill_conditioned_eigenvectors_take_the_contour(self, contour_calls):
         # criterion 9's nilpotent model: at |z| ~ 1e-24 the eigenvectors of
         # F + z F* are nearly parallel, cond(V) ~ 1e12, so eps cond(V) > tol_proj
-        data = sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(1, 0.25)), (0, -0.5))
+        data = sd.PickData((0, 1), (0, 0.25), (0, -0.5))
         F = np.array([[0, 2], [0, 0]], dtype=complex)
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
         tr = node_trace(model, 0, sd.with_overrides(sd.DEFAULT, n_steps=3), radius=1e-24)
@@ -340,7 +376,7 @@ class TestBranchTrace:
         tr = node_trace(model_royal, 0, cfg)
         routed = np.flatnonzero(np.finfo(float).eps * np.array(tr.eigvec_conditions) > 1e-13)
         assert len(routed) == 9
-        F, u = model_royal.F, model_royal.u_nodes[0]
+        F, u = model_royal.F, model_royal.U[0]
         with mpmath.workdps(50):
             for k in routed:
                 E, V = mpmath.eig(mpmath.matrix((F + tr.z_path[k] * F.conj().T).tolist()))
@@ -369,7 +405,7 @@ class TestBranchTrace:
         F = np.diag([1.0, 1.0], 1).astype(complex)
         vals, vecs = np.linalg.eig(F + 0.6 * F.conj().T)
         top = np.argmax(vals.real)
-        model = sd.ExtensionModel(F, (sd.GammaPoint(np.conj(vals[top]), 0.6),), (vecs[:, top],))
+        model = sd.ExtensionModel(sd.PencilVariety(F), np.conj(vals[top]), 0.6, vecs[None, :, top])
         tr = node_trace(model, 0, sd.with_overrides(sd.DEFAULT, n_steps=4), radius=0.6)
         assert tr.z_path[0] == 0
         assert np.isnan(tr.eigvec_conditions[0]) and np.isfinite(tr.eigvec_conditions[1:]).all()
@@ -400,22 +436,21 @@ class TestBranchTraces:
         elif which == "origin_node":
             zs = (0, 0.3 + 0.2j, -0.4 + 0.1j)
             F = load_matrix(str(DATA / "royal_pencil.json"))
-            data = sd.PickData(tuple(sd.GammaPoint(2 * z, z * z) for z in zs),
-                               tuple(-z for z in zs))
+            data = sd.PickData([2 * z for z in zs], [z * z for z in zs], [-z for z in zs])
             model = sd.build_extension(gram_on_nodes(data, kernels.model(F)))
         else:
             ps = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j, -0.05 + 0.82j)
-            data = sd.PickData(tuple(sd.GammaPoint(0, p) for p in ps), ps)
+            data = sd.PickData(np.zeros(5), ps, ps)
             model = sd.build_extension(gram_on_nodes(data, kernels.model(np.zeros((2, 2)))))
         traces = sd.branch_trace(model)
-        assert len(traces) == len(model.nodes)
+        assert len(traces) == len(model.s)
         for j, tr in enumerate(traces):
             _same_trace(tr, node_trace(model, j))
 
     def test_each_node_keeps_its_own_error(self):
         # the royal datum at dist_guard = 0.9: the node at the branch point
         # finds no admissible contour, the other traces as on its own
-        data = sd.PickData((sd.GammaPoint(1, 0.25), sd.GammaPoint(0, 0)), (-0.5, 0))
+        data = sd.PickData((1, 0), (0.25, 0), (-0.5, 0))
         cfg = sd.with_overrides(sd.DEFAULT, dist_guard=0.9)
         F = load_matrix(str(DATA / "royal_pencil.json"))
         model = sd.build_extension(gram_on_nodes(data, kernels.model(F, cfg), cfg), cfg)
@@ -467,7 +502,7 @@ class TestUniqueValue:
         gamma = np.array([1, -1]) / np.sqrt(2)
         # all-zero targets make the Pick matrix the gram itself; use a gram
         # null vector so the precondition holds, then the denominator is 0
-        K = sd.KernelMatrix(kernel_sheet.nodes, np.ones((2, 2)))
+        K = sd.KernelMatrix(kernel_sheet.s, kernel_sheet.p, np.ones((2, 2)))
         w, flag = unique_value_at(model_sheet, K, gamma, (0, 0), sd.GammaPoint(0, 0.3))
         assert flag == 0 and np.isnan(w)
 
@@ -501,7 +536,7 @@ class TestUniqueValues:
     def _grid(model, extra=()):
         ps = [0.3, -0.2 + 0.4j, 0.7j, 0.85, -0.6]
         pts = [(s, p) for p in ps for s in sd.slice_points(model.variety, p)[0]]
-        pts += [(complex(x.s), complex(x.p)) for x in model.nodes] + list(extra)
+        pts += list(zip(model.s, model.p)) + list(extra)
         return np.array([a for a, _ in pts]), np.array([b for _, b in pts])
 
     @pytest.mark.parametrize("which", ["royal", "sheet"])
@@ -516,15 +551,15 @@ class TestUniqueValues:
         ref, flags = self._per_point(model, K, gamma, data.targets, s, p)
         assert np.array_equal(got.flags, flags) and flags.all()
         assert np.abs(got.values - ref).max() <= 1e-13
-        for j, x in enumerate(model.nodes):
+        for j in range(len(model.s)):
             # the stored u_j reproduce the target at its node
-            at = np.flatnonzero((s == x.s) & (p == x.p))
+            at = np.flatnonzero((s == model.s[j]) & (p == model.p[j]))
             assert abs(got.values[at[0]] - data.targets[j]) <= 1e-12
         resid = [sd.membership_residual(model.variety, a, b)[0] for a, b in zip(s, p)]
         assert np.abs(got.residuals - resid).max() <= 1e-15
 
     def test_vanishing_denominator_nan_flag_zero(self, model_sheet, kernel_sheet):
-        K = sd.KernelMatrix(kernel_sheet.nodes, np.ones((2, 2)))
+        K = sd.KernelMatrix(kernel_sheet.s, kernel_sheet.p, np.ones((2, 2)))
         gamma = np.array([1, -1]) / np.sqrt(2)
         s, p = np.zeros(3), np.array([0.3, -0.4j, 0.5])
         got = sd.unique_value(model_sheet, K, gamma, (0, 0), s, p)

@@ -18,53 +18,60 @@ CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
 
 @pytest.fixture
 def kernel_close_sheet():
-    data = sd.PickData(tuple(sd.GammaPoint(0, p) for p in CLOSE_SHEET_P), CLOSE_SHEET_P)
+    data = sd.PickData(np.zeros(len(CLOSE_SHEET_P)), CLOSE_SHEET_P, CLOSE_SHEET_P)
     return gram_on_nodes(data, kernels.model(np.zeros((2, 2))))
 
 
 class TestPickData:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
-            sd.PickData((sd.GammaPoint(0, 0),), (0, 0.5))
+            sd.PickData(0, 0, (0, 0.5))
 
     def test_rejects_coincident_nodes(self):
         with pytest.raises(InputError):
-            sd.PickData((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0)), (0, 0.5))
+            sd.PickData((0, 0), (0, 0), (0, 0.5))
 
     def test_rejects_node_outside_domain(self):
         with pytest.raises(InputError):
-            sd.PickData((sd.GammaPoint(2, 1),), (0,))
+            sd.PickData(2, 1, 0)
 
     def test_rejects_large_target(self):
         with pytest.raises(InputError):
-            sd.PickData((sd.GammaPoint(0, 0),), (1.5,))
+            sd.PickData(0, 0, 1.5)
+
+    def test_rejects_nan_target(self):
+        with pytest.raises(InputError, match=r"^target 1 has modulus nan > 1$"):
+            sd.PickData((0, 0), (0, 0.5), (0, complex(np.nan, 0)))
+
+    def test_holds_flat_complex_arrays(self):
+        data = sd.PickData([[0, 1]], [[0, 0.25]], [[0, 0.5]])
+        for a in (data.s, data.p, data.targets):
+            assert a.dtype == complex and a.shape == (2,)
+        with pytest.raises(InputError, match="^s and p must have the same shape$"):
+            sd.PickData([[0, 1]], [0, 0.25], [0, 0.5])
 
     def test_honours_cfg(self):
         # s = 1 - 5e-10 lies in the default boundary band but not in a 1e-12 one
-        node = sd.GammaPoint(0.9999999995, 0)
         with pytest.raises(InputError, match="not in the open domain"):
-            sd.PickData((node,), (0,))
+            sd.PickData(0.9999999995, 0, 0)
         cfg = sd.with_overrides(sd.DEFAULT, tol_mod=1e-12)
-        assert sd.PickData((node,), (0,), cfg).cfg is cfg
+        assert sd.PickData(0.9999999995, 0, 0, cfg).cfg is cfg
         # two nodes 1e-8 apart coincide at a tol_node of 1e-7
-        pair = (sd.GammaPoint(0, 0), sd.GammaPoint(1e-8, 0))
-        sd.PickData(pair, (0, 0))
+        sd.PickData((0, 1e-8), (0, 0), (0, 0))
         with pytest.raises(InputError, match="coincide"):
-            sd.PickData(pair, (0, 0), sd.with_overrides(sd.DEFAULT, tol_node=1e-7))
+            sd.PickData((0, 1e-8), (0, 0), (0, 0), sd.with_overrides(sd.DEFAULT, tol_node=1e-7))
 
     def test_first_error_reported(self):
         # coincidence is checked before the domain, each in node order
-        out, inside = sd.GammaPoint(2, 1), sd.GammaPoint(0.1, 0.02)
         with pytest.raises(InputError, match=r"^nodes 1 and 3 coincide$"):
-            sd.PickData((out, inside, sd.GammaPoint(0, 0), inside, inside), (0,) * 5)
+            sd.PickData((2, 0.1, 0, 0.1, 0.1), (1, 0.02, 0, 0.02, 0.02), (0,) * 5)
         with pytest.raises(InputError, match=r"^node 1 = \(\(3\+0j\), \(2\+0j\)\) is not in"):
-            sd.PickData((inside, sd.GammaPoint(3, 2), out), (0,) * 3)
+            sd.PickData((0.1, 3, 2), (0.02, 2, 1), (0,) * 3)
 
 
 def test_table_kernel_looks_up_nodes():
-    nodes = (sd.GammaPoint(0, 0), sd.GammaPoint(0.5, 0.06))
     G = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    k = kernels.table(nodes, G)
+    k = kernels.table((0, 0.5), (0, 0.06), G)
     assert k([0.5 + 4e-10, 0], [0.06, 0])[0, 1] == -0.5j
     # the error names the first point that matches no node
     with pytest.raises(InputError, match=r"^point \(\(0\.500000002\+0j\), \(0\.06\+0j\)\) is not "
@@ -99,18 +106,18 @@ class TestPickMatrix:
         assert np.allclose(P, target, atol=1e-12)
 
     def test_single_node_szego(self):
-        data = sd.PickData((sd.GammaPoint(0, 0),), (0,))
+        data = sd.PickData(0, 0, 0)
         P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
         assert np.allclose(P, [[1]])
 
     def test_hermitian_and_reorder_invariant(self, rng):
         pts = random_g_points(rng, 4)
         w = 0.9 * rng.uniform(size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
-        data = sd.PickData(tuple(pts), tuple(w))
+        data = sd.PickData(*zip(*pts), w)
         P = sd.pick_matrix(data, gram_on_nodes(data, sd.szego_kernel))
         assert np.linalg.norm(P - P.conj().T) <= 1e-12 * np.linalg.norm(P)
         perm = rng.permutation(4)
-        data2 = sd.PickData(tuple(pts[i] for i in perm), tuple(w[i] for i in perm))
+        data2 = sd.PickData(data.s[perm], data.p[perm], w[perm])
         P2 = sd.pick_matrix(data2, gram_on_nodes(data2, sd.szego_kernel))
         assert np.allclose(P2, P[np.ix_(perm, perm)], atol=1e-12)
 
@@ -141,8 +148,7 @@ class TestPsdReport:
         # Szego Pick matrix with eigenvalues 0.76 and 1e9: well conditioned
         # once scaled by the kernel diagonal, so not active
         cfg = sd.with_overrides(sd.DEFAULT, tol_mod=1e-12)
-        data = sd.PickData((sd.GammaPoint(0.9999999995, 0), sd.GammaPoint(0.1, 0)),
-                           (0, 0.5), cfg)
+        data = sd.PickData((0.9999999995, 0.1), (0, 0), (0, 0.5), cfg)
         K = gram_on_nodes(data, sd.szego_kernel, cfg)
         rep = sd.psd_report(sd.pick_matrix(data, K), cfg, kernel_diag=K.gram.diagonal())
         assert abs(rep.min_eigenvalue - 0.7575757563) < 1e-8
@@ -182,7 +188,7 @@ class TestPsdReport:
         # the all-ones Pick matrix of five sheet nodes: LAPACK's null vector of
         # a four-dimensional null space moves by O(1) under 1e-16 perturbations
         q = np.array([0.1, 0.3j, -0.4 + 0.2j, 0.5, -0.2 - 0.6j])
-        data = sd.PickData(tuple(sd.GammaPoint(0, x) for x in q), tuple(np.exp(0.3j) * q))
+        data = sd.PickData(np.zeros(5), q, np.exp(0.3j) * q)
         K = gram_on_nodes(data, kernels.model(np.zeros((2, 2))))
         P = sd.pick_matrix(data, K)
         gamma = sd.psd_report(P, kernel_diag=K.gram.diagonal()).null_vector
@@ -205,7 +211,7 @@ class TestPsdReport:
 
 class TestKernelBasisOperators:
     def test_single_node(self):
-        K = sd.KernelMatrix((sd.GammaPoint(0, 0),), np.array([[1.0]]))
+        K = sd.KernelMatrix(0, 0, np.array([[1.0]]))
         ops = kernel_basis_operators(K)
         assert np.allclose(ops.Ms, 0) and np.allclose(ops.Mp, 0)
         assert np.allclose(ops.D, [[1.0]])
@@ -217,19 +223,17 @@ class TestKernelBasisOperators:
     def test_kernel_matrix_honours_cfg(self):
         # a Hermitian defect of 1e-11 passes tol_herm = 1e-10 but not the default
         G = np.array([[1.0, 1e-11], [0.0, 1.0]])
-        nodes = (sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5))
         with pytest.raises(InputError, match="not Hermitian"):
-            sd.KernelMatrix(nodes, G)
+            sd.KernelMatrix((0, 0), (0, 0.5), G)
         cfg = sd.with_overrides(sd.DEFAULT, tol_herm=1e-10)
-        assert sd.KernelMatrix(nodes, G, cfg).cfg is cfg
+        assert sd.KernelMatrix((0, 0), (0, 0.5), G, cfg).cfg is cfg
 
     def test_gram_on_nodes_passes_cfg(self, data_sheet):
         cfg = sd.with_overrides(sd.DEFAULT, tol_psd=1e-6)
         assert gram_on_nodes(data_sheet, sd.szego_kernel, cfg).cfg is cfg
 
     def test_rank_collapse_rejected(self):
-        K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.9)),
-                            np.ones((2, 2)))
+        K = sd.KernelMatrix((0, 0), (0, 0.9), np.ones((2, 2)))
         with pytest.raises(InputError):
             kernel_basis_operators(K)
 
@@ -238,15 +242,14 @@ class TestKernelBasisOperators:
         assert np.all(ops.sigma >= 0) and np.all(np.diff(ops.sigma) <= 0)
         assert np.allclose(ops.D, (ops.U * ops.sigma) @ ops.U.conj().T, atol=1e-14)
         # D^2 is the Gram of D on the kernel functions: [(1 - p_i conj(p_j)) G_ij]
-        C = np.column_stack(ops.coord_vectors)
+        C = ops.coords
         p = np.array(CLOSE_SHEET_P)
         Q = (1 - np.outer(p, p.conj())) * kernel_close_sheet.gram
         assert np.linalg.norm(C.conj().T @ ops.D @ ops.D @ C - Q) <= 1e-10 * np.linalg.norm(Q)
 
     def test_indefinite_defect_rejected(self):
         # a Gram with ||Mp|| > 1: (1 - p_i conj(p_j)) G_ij is indefinite
-        K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.5)),
-                            np.array([[1.0, 0.99], [0.99, 1.0]]))
+        K = sd.KernelMatrix((0, 0), (0, 0.5), np.array([[1.0, 0.99], [0.99, 1.0]]))
         with pytest.raises(InputError, match="indefinite"):
             kernel_basis_operators(K)
 
@@ -255,7 +258,7 @@ class TestFundamentalOperator:
     def test_single_node_is_conj_beta(self, rng):
         for _ in range(5):
             x = random_g_points(rng, 1)[0]
-            K = sd.KernelMatrix((x,), np.array([[1.0 + rng.uniform()]]))
+            K = sd.KernelMatrix(x.s, x.p, np.array([[1.0 + rng.uniform()]]))
             F = _fundamental_model(K, sd.DEFAULT).F
             assert abs(F[0, 0] - np.conj(disk_beta(x))) < 1e-10
 
@@ -289,7 +292,7 @@ class TestFundamentalOperator:
             nodes = nodes[:4]
             if len(nodes) < 2:
                 continue
-            data = sd.PickData(tuple(nodes), tuple(0.0 for _ in nodes))
+            data = sd.PickData(*zip(*nodes), np.zeros(len(nodes)))
             K = gram_on_nodes(data, kernels.model(F0))
             Fp = _fundamental_model(K, sd.DEFAULT).F
             assert sd.numerical_radius(Fp) <= 1.0 + 1e-10
@@ -300,7 +303,7 @@ class TestAdmissibilityAudit:
     def test_szego_restrictions_pass(self, rng):
         for _ in range(5):
             pts = random_g_points(rng, int(rng.integers(2, 5)))
-            data = sd.PickData(tuple(pts), tuple(0.0 for _ in pts))
+            data = sd.PickData(*zip(*pts), np.zeros(len(pts)))
             K = gram_on_nodes(data, sd.szego_kernel)
             report = sd.admissibility_audit(K)
             assert report.passed, report.failures
@@ -311,8 +314,7 @@ class TestAdmissibilityAudit:
         assert report.nu_fundamental <= 1e-10
 
     def test_rank_collapse_errors(self):
-        K = sd.KernelMatrix((sd.GammaPoint(0, 0), sd.GammaPoint(0, 0.9)),
-                            np.ones((2, 2)))
+        K = sd.KernelMatrix((0, 0), (0, 0.9), np.ones((2, 2)))
         with pytest.raises(InputError):
             sd.admissibility_audit(K)
 
@@ -321,9 +323,9 @@ class TestAdmissibilityAudit:
         # ||Mp|| = 1, so D has a null direction that roundoff lifts to about
         # 1e-8; the audit must not count it against F'
         F = np.array([[0, 0.5], [0.5, 0]])
-        nodes = tuple(sd.GammaPoint(e * (1 + p) / 2, p)
-                      for p in (0.3, -0.4j, 0.5 + 0.2j) for e in (1, -1))
-        K = gram_on_nodes(sd.PickData(nodes, (0,) * 6), kernels.model(F))
+        p = np.repeat([0.3, -0.4j, 0.5 + 0.2j], 2)
+        s = np.tile([1, -1], 3) * (1 + p) / 2
+        K = gram_on_nodes(sd.PickData(s, p, np.zeros(6)), kernels.model(F))
         report = sd.admissibility_audit(K)
         assert report.passed, report
 
@@ -334,7 +336,7 @@ class TestAdmissibilityAudit:
 
     def test_perturbed_fundamental_operator_fails_intertwining(self, rng):
         pts = random_g_points(rng, 3)
-        K = gram_on_nodes(sd.PickData(tuple(pts), (0, 0, 0)), sd.szego_kernel)
+        K = gram_on_nodes(sd.PickData(*zip(*pts), (0, 0, 0)), sd.szego_kernel)
         model = _fundamental_model(K, sd.DEFAULT)
         assert _audit_model(model, sd.DEFAULT).passed
         E = rng.standard_normal(model.F.shape) + 1j * rng.standard_normal(model.F.shape)
