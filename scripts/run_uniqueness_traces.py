@@ -59,6 +59,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.seed < 0:
         ap.error(f"--seed must be non-negative, got {args.seed}")
+    if args.samples < 0:
+        ap.error(f"--samples must be non-negative, got {args.samples}")
 
     def disk_sample(rng, n):
         r, t = rng.uniform(size=(n, 2)).T

@@ -31,7 +31,7 @@ from .pick import (PickData, admissibility_audit, gram_on_nodes, pick_matrix,
 from .realization import (RealizationModel, boundary_unitarity_audit,
                           inner_defect)
 from .sweeps import equivalence_sweep, pu_sweep, random_g_point
-from .variety import (PencilVariety, defining_poly, is_distinguished,
+from .variety import (PencilVariety, default_p_grid, defining_poly, is_distinguished,
                       region_audit, slice_points)
 
 EXIT_OK = 0
@@ -159,10 +159,11 @@ _PRINT_FLOOR = 1e-12
 def _poly_string(P) -> str:
     terms = []
     C = P.coeffs
+    floor = _PRINT_FLOOR * max(1.0, np.abs(C).max())
     for i in range(C.shape[0]):
         for j in range(C.shape[1]):
             c = C[i, j]
-            if abs(c) <= _PRINT_FLOOR * max(1.0, np.abs(C).max()):
+            if abs(c) <= floor:
                 continue
             base = []
             if i:
@@ -183,11 +184,7 @@ def cmd_classify(args, cfg: Tolerances) -> int:
     clusters = cluster_eigenvalues(eigs, float(np.linalg.norm(V.F)), cfg)
     verdict = is_distinguished(V, cfg)
     poly = defining_poly(V)
-    grid = None
-    if args.grid_radius:
-        grid = [r * np.exp(2j * np.pi * k / args.grid_n)
-                for r in args.grid_radius for k in range(args.grid_n)]
-    audit = region_audit([V], grid, cfg)[0]
+    audit = region_audit([V], default_p_grid(args.grid_radius, args.grid_n), cfg)[0]
     print(f"nu(F) = {nu:.12f}")
     print("spectrum:", ", ".join(
         f"{ev:.12g}" + (f" (x{m})" if m > 1 else "") for ev, m in clusters))
@@ -291,10 +288,7 @@ def cmd_trace(args, cfg: Tolerances) -> int:
               f"final sum error {tr.sum_errors[-1]:.3e}, "
               f"contour radius {tr.contour_radius:.3e}")
     V = model.variety
-    # one scalar expression per slice: numpy's array division would move the
-    # last bit of p for grid sizes that are not powers of two
-    p_grid = np.array([args.grid_radius * np.exp(2j * np.pi * i / args.grid_n)
-                       for i in range(args.grid_n)], dtype=complex)
+    p_grid = default_p_grid((args.grid_radius,), args.grid_n)
     s = slice_points(V, p_grid).ravel()
     p = np.repeat(p_grid, V.dim)
     w, flags, resid = unique_value(model, K, gamma, data.targets, s, p, cfg)

@@ -124,51 +124,54 @@ _PENCIL_SINGULAR = 1e-13
 _PENCIL_MARGIN = 1e-6
 
 
-def phi_operator(tau, s, p, cfg: Tolerances = DEFAULT, *,
-                 tau_norm: float | None = None) -> np.ndarray:
-    """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}.
+def _pencil_check(tau, s, t: float, cfg: Tolerances) -> None:
+    """Raise unless t = ||tau||_2 <= 1 + tol_op and each P = 2*I - s_k*tau,
+    for tau of shape (1, h, h) and s of shape (n, 1, 1), is nonsingular.
 
-    ``s`` and ``p`` are equal-length sequences; the result has shape
-    (len(s), h, h).  The contraction check on tau runs once per stack, on
-    ``tau_norm`` when the caller has ||tau||_2 already (a realization model
-    keeps it).  The pencil P = 2*I - s*tau is singular when
-    sigma_min <= _PENCIL_SINGULAR * max(sigma_max, 1); with t = ||tau||_2,
+    P is singular when sigma_min <= _PENCIL_SINGULAR * max(sigma_max, 1);
     Weyl's inequality gives sigma_min >= 2 - |s| t and sigma_max <= 2 + |s| t.
     Where that bound does not clear the threshold by a wide margin (on the
     torus, the diagonal z1 = z2) the inverse decides instead, by
     sigma_min >= 1 / ||P^{-1}||_F and sigma_max <= ||P||_F, and the SVD runs
     only where neither bound does.
     """
-    tau = as_complex_matrix(tau, square=True)
-    s = np.asarray(s, dtype=complex)[:, None, None]
-    p = np.asarray(p, dtype=complex)[:, None, None]
-    t = np.linalg.norm(tau, 2) if tau_norm is None else tau_norm
     if t > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
-    # tau and I get the stack axis too: numpy multiplies a (1, 1, 1) complex
-    # array by a (1, 1) one in another inner loop than by a (1, 1, 1) one,
-    # and only the latter keeps the last bits of a scalar times a 1 x 1 tau
-    tau = tau[None]
-    eye = np.eye(tau.shape[1])[None]
-    pencil = 2.0 * eye - s * tau
     st = np.abs(s[:, 0, 0]) * t
     # written so that a non-finite s, or a norm that overflows, stays
     # undecided and goes to the SVD; an exactly singular member leaves the
     # whole inverse screen undecided
     undecided = np.flatnonzero(~(2.0 - st > _PENCIL_MARGIN * (2.0 + st)))
-    if len(undecided):
-        P = pencil[undecided]
-        with np.errstate(invalid="ignore", over="ignore"):
-            try:
-                undecided = undecided[~(1.0 > _PENCIL_MARGIN
-                                        * np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
-                                        * np.linalg.norm(np.linalg.inv(P), axis=(1, 2)))]
-            except np.linalg.LinAlgError:
-                pass
-    if len(undecided):
-        sv = np.linalg.svd(pencil[undecided], compute_uv=False)
+    if not len(undecided):
+        return
+    P = 2.0 * np.eye(tau.shape[1])[None] - s[undecided] * tau
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            P = P[~(1.0 > _PENCIL_MARGIN * np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
+                    * np.linalg.norm(np.linalg.inv(P), axis=(1, 2)))]
+        except np.linalg.LinAlgError:
+            pass
+    if len(P):
+        sv = np.linalg.svd(P, compute_uv=False)
         if np.any(sv[:, -1] <= _PENCIL_SINGULAR * np.maximum(sv[:, 0], 1.0)):
             raise InputError("singular pencil 2*I - s*tau")
+
+
+def phi_operator(tau, s, p, cfg: Tolerances = DEFAULT, *,
+                 tau_norm: float | None = None) -> np.ndarray:
+    """Stack of phi(tau, s_k, p_k) = (2*tau*p_k - s_k*I)(2*I - s_k*tau)^{-1}, shape
+    (len(s), h, h) for equal-length ``s`` and ``p``, after one :func:`_pencil_check`
+    (on ``tau_norm`` when the caller has ||tau||_2 already)."""
+    tau = as_complex_matrix(tau, square=True)
+    s = np.asarray(s, dtype=complex)[:, None, None]
+    p = np.asarray(p, dtype=complex)[:, None, None]
+    # tau and I get the stack axis too: numpy multiplies a (1, 1, 1) complex
+    # array by a (1, 1) one in another inner loop than by a (1, 1, 1) one,
+    # and only the latter keeps the last bits of a scalar times a 1 x 1 tau
+    tau = tau[None]
+    _pencil_check(tau, s, np.linalg.norm(tau[0], 2) if tau_norm is None else tau_norm, cfg)
+    eye = np.eye(tau.shape[1])[None]
+    pencil = 2.0 * eye - s * tau
     rhs = 2.0 * p * tau - s * eye
     return np.linalg.solve(pencil.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
 

@@ -218,10 +218,12 @@ class RegionAuditReport:
     r2_free: bool       # no R2 hits (holds for every numerical contraction)
 
 
-def default_p_grid(radii=(0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35),
-                   n_angles: int = 16) -> np.ndarray:
+def default_p_grid(radii=None, n_angles: int = 16) -> np.ndarray:
     """Slice grid avoiding the |p| = 1 band, inside and outside the disk:
-    ``n_angles`` points on each circle of radius ``radii``, circle by circle."""
+    ``n_angles`` points on each circle of radius ``radii``, circle by circle
+    (by default 0.15, 0.35, 0.55, 0.75, 0.92, 1.08 and 1.35)."""
+    if radii is None:
+        radii = (0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35)
     # the angles are divided as reals: numpy divides a complex array by
     # multiplying with the reciprocal, which moves last bits when n_angles is
     # not a power of two

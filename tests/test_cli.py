@@ -75,6 +75,16 @@ class TestClassify:
                      "--grid-n", n]) == 2
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_grid_n_without_grid_radius(self, capsys, n):
+        # the default seven radii with n angles each; the royal pencil has order 2
+        assert main(["classify", "--input", str(DATA / "royal_pencil.json"),
+                     "--grid-n", str(n)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("region audit: "))
+        counts = eval(line[len("region audit: "):line.index("}") + 1])
+        assert sum(counts.values()) == 7 * n * 2
+
     def test_peak_between_scan_angles_exit_2(self, tmp_path, capsys):
         # nu = 1.00002 at an angle halfway between two of the 257 scan angles
         f = write_matrix(tmp_path / "m.json",

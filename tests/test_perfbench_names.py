@@ -31,7 +31,8 @@ TRACED_COMMANDS = {
               ["variety.slice_points", "variety.membership_residual", "gamma.classify_region",
                "kernels.unit_kernel_vector", "extend.branch_trace", "extend.unique_value"]),
     "realize": (["realize", "--input", str(DATA / "mobius_model.json"), "--grid-n", "8"],
-                ["gamma.phi_operator", "realization.inner_defect"]),
+                ["gamma.phi_operator", "realization.boundary_unitarity_audit",
+                 "realization.inner_defect"]),
 }
 
 

@@ -28,7 +28,23 @@ def overflow_model():
 
 def _psi(m, x):
     """Psi(x) of a model that is not validated: _transfer on a one-element stack."""
-    return _transfer(m, [x.s], [x.p], sd.DEFAULT)[2][0]
+    return _transfer(m, [x.s], [x.p], sd.DEFAULT)[1][0]
+
+
+def _pencil(m, s, p):
+    """T = 2I + s(D - tau) - 2p D tau at the points (s_k, p_k), written out
+    with the constants on a stack axis."""
+    s = np.asarray(s, dtype=complex)[:, None, None]
+    p = np.asarray(p, dtype=complex)[:, None, None]
+    return 2.0 * np.eye(len(m.tau))[None] + s * (m.D - m.tau)[None] - 2.0 * p * (m.D @ m.tau)[None]
+
+
+def _pencil_solution(m, T, s, p):
+    """X = T^{-1} C and Psi = A + (2p B tau - s B) X, written out."""
+    s = np.asarray(s, dtype=complex)[:, None, None]
+    p = np.asarray(p, dtype=complex)[:, None, None]
+    X = np.linalg.solve(T, np.broadcast_to(m.C, (len(T),) + m.C.shape))
+    return X, m.A[None] + (2.0 * p * (m.B @ m.tau)[None] - s * m.B[None]) @ X
 
 
 def random_model(rng, d=None, h=None):
@@ -99,14 +115,14 @@ class TestInnerDefect:
 class TestInnerDefectStack:
     @staticmethod
     def _per_point(m, x):
-        """Both defect forms at one point, with the formula written out."""
+        """Both defect forms at one point, with the formulas written out."""
         h = m.tau.shape[0]
         s, p = complex(x.s), complex(x.p)
         phi = np.linalg.solve((2.0 * np.eye(h) - s * m.tau).T,
                               (2.0 * p * m.tau - s * np.eye(h)).T).T
-        inv = np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
-        psi = m.A + m.B @ phi @ inv
-        direct = np.eye(m.A.shape[0]) - psi.conj().T @ psi
+        X, psi = _pencil_solution(m, _pencil(m, [s], [p]), [s], [p])
+        inv = ((2.0 * np.eye(h)[None] - np.array([s])[:, None, None] * m.tau[None]) @ X)[0]
+        direct = np.eye(m.A.shape[0]) - psi[0].conj().T @ psi[0]
         return direct, inv.conj().T @ (np.eye(h) - phi.conj().T @ phi) @ inv
 
     def test_stack_equals_per_point(self, rng):
@@ -135,18 +151,21 @@ class TestInnerDefectStack:
 
 
 def _transfer_svd_at_every_point(m, s, p, cfg=sd.DEFAULT):
-    """_transfer with the singular check of I - D phi run as an SVD at every point."""
-    phi = phi_operator(m.tau, s, p, cfg)
-    M = np.eye(m.tau.shape[0]) - m.D @ phi
-    sv = np.linalg.svd(M, compute_uv=False)
+    """_transfer with the singular checks of 2I - s tau and of T run as an SVD at every point."""
+    h = m.tau.shape[0]
+    pencil = 2.0 * np.eye(h) - np.asarray(s, dtype=complex)[:, None, None] * m.tau
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-13 * np.maximum(sv[:, 0], 1.0)):
+        raise InputError("singular pencil 2*I - s*tau")
+    T = _pencil(m, s, p)
+    sv = np.linalg.svd(T, compute_uv=False)
     if np.any(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)):
         raise NumericalError("I - D phi is singular at the requested point")
-    inv = np.linalg.solve(M, np.broadcast_to(m.C, (len(M),) + m.C.shape))
-    return phi, inv, m.A + m.B @ phi @ inv
+    return _pencil_solution(m, T, s, p)
 
 
 def _transfer_outcome(f, m, s, p):
-    """The (phi, inv, Psi) stacks f returns, or the type of the exception it raises."""
+    """The (X, Psi) stacks f returns, or the type of the exception it raises."""
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             return f(m, s, p, sd.DEFAULT)
@@ -162,11 +181,11 @@ def _assert_same_transfer(new, old):
 
 
 class TestTransferCheck:
-    """_transfer decides the singular I - D phi by an inverse bound, then an SVD;
-    it must raise exactly when an SVD at every point raises, and return the
-    same bits otherwise."""
+    """_transfer decides the singular pencil T = 2I + s(D - tau) - 2p D tau by
+    an inverse bound, then an SVD; it must raise exactly when an SVD at every
+    point raises, and return the same bits otherwise."""
 
-    # sigma_min(I - D phi) relative to max(sigma_max, 1): around the 1e-12
+    # sigma_min(T) relative to max(sigma_max, 1): around the 1e-12
     # rule, around the 1e-6 screen margin, and far from both
     PLACEMENTS = tuple(1e-12 + d for d in (-1e-13, -3e-14, -1e-14, 1e-14, 3e-14, 1e-13,
                                            1e-12, 1e-11, 1e-10)) + \
@@ -181,16 +200,16 @@ class TestTransferCheck:
 
     @staticmethod
     def _placed_model(rng, tau, s, p, rel, smax):
-        """A model whose I - D phi at (s, p) has the singular values smax, ...,
+        """A model whose T at (s, p) has the singular values smax, ...,
         rel * max(smax, 1), or only rel * max(smax, 1) when h = 1."""
         h = tau.shape[0]
-        phi = phi_operator(tau, [s], [p])[0]
         smin = rel * max(smax, 1.0)
         sig = np.sort(np.concatenate([[smax], rng.uniform(smin, smax, h - 2), [smin]])
                       )[::-1] if h > 1 else np.array([smin])
         U, V = haar_unitary(rng, h), haar_unitary(rng, h)
-        M0 = U @ np.diag(sig) @ V.conj().T
-        D = (np.eye(h) - M0) @ np.linalg.inv(phi)
+        T0 = U @ np.diag(sig) @ V.conj().T
+        # T = P - D N with P = 2I - s tau and N = 2p tau - sI, invertible off the torus diagonal
+        D = (2.0 * np.eye(h) - s * tau - T0) @ np.linalg.inv(2.0 * p * tau - s * np.eye(h))
         C = rng.standard_normal((h, 2)) + 1j * rng.standard_normal((h, 2))
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         B = rng.standard_normal((2, h)) + 1j * rng.standard_normal((2, h))
@@ -257,7 +276,7 @@ class TestTransferCheck:
 
     @pytest.mark.parametrize("h", [1, 2, 4])
     def test_exactly_singular_member_reaches_the_svd(self, monkeypatch, rng, h):
-        # tau = I at (s, p) = (0, 1) gives phi = I exactly, so I - D phi = diag(0, 0.7, ...)
+        # tau = I at (s, p) = (0, 1) gives T = 2(I - D) = diag(0, 1.4, ...) exactly
         tau = np.eye(h, dtype=complex)
         D = np.diag([1.0] + [0.3] * (h - 1)).astype(complex)
         m = sd.RealizationModel(tau, np.zeros((1, 1)), np.zeros((1, h)),
@@ -308,10 +327,7 @@ class TestBoundaryAudit:
             for b in range(n):
                 x = sd.symmetrize(np.exp(1j * (2 * np.pi * (a + 0.5) / n)),
                                   np.exp(1j * (2 * np.pi * (b + 0.5) / n)))
-                s, p = complex(x.s), complex(x.p)
-                phi = np.linalg.solve((2.0 * np.eye(h) - s * m.tau).T,
-                                      (2.0 * p * m.tau - s * np.eye(h)).T).T
-                ref = m.A + m.B @ phi @ np.linalg.solve(np.eye(h) - m.D @ phi, m.C)
+                ref = _pencil_solution(m, _pencil(m, [x.s], [x.p]), [x.s], [x.p])[1][0]
                 psi = _psi(m, x)
                 assert np.array_equal(psi, ref)
                 defect = np.eye(d) - psi.conj().T @ psi
@@ -358,6 +374,57 @@ class TestBoundaryAudit:
         assert set(seen) == {(z1 + z2, z1 * z2) for z1 in torus for z2 in torus}
         block = max(1, realization._AUDIT_BLOCK_ENTRIES // (d + h) ** 2)
         assert len(calls) <= -(-len(seen) // block) + n
+
+    def test_one_solve_per_stack_and_no_phi_operator(self, monkeypatch, rng):
+        # the pencil T replaces the phi solve: one stacked solve per _transfer call
+        counts = {"solve": 0, "transfer": 0}
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            counts["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counting_transfer(m, s, p, cfg):
+            counts["transfer"] += 1
+            return _transfer(m, s, p, cfg)
+
+        def no_phi(*args, **kwargs):
+            raise AssertionError("the audit called phi_operator")
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(realization, "_transfer", counting_transfer)
+        monkeypatch.setattr(realization, "phi_operator", no_phi)
+        monkeypatch.setattr(sd.gamma, "phi_operator", no_phi)
+        for d, h, n in ((1, 1, 64), (2, 3, 16), (8, 8, 64)):
+            assert sd.boundary_unitarity_audit(random_model(rng, d=d, h=h), n) <= 1e-10
+        assert counts["solve"] == counts["transfer"] > 3
+
+    @pytest.mark.parametrize("d,h", [(1, 2), (1, 4), (2, 5), (3, 8)])
+    def test_psi_matches_the_phi_route(self, d, h):
+        # h > d leaves h - d singular values of D at 1, so ||D||_2 = 1.  The
+        # midpoint grid holds the torus diagonal z1 = z2, where |s| = 2 and
+        # the pencil P = 2I - s tau is as ill conditioned as z is close to an
+        # eigenvalue of conj(tau); both routes then carry a rounding error of
+        # a few eps * cond(P), so the 1e-12 agreement is asserted where
+        # cond(P) <= 1e3 and a few eps * cond(P) above that
+        rng = np.random.default_rng(100 * d + h)
+        n = 16
+        torus = np.exp(1j * (2 * np.pi * (np.arange(n) + 0.5) / n))
+        z1, z2 = np.meshgrid(torus, torus)
+        inside = random_g_points(rng, 20)
+        s = np.concatenate([(z1 + z2).ravel(), [x.s for x in inside]])
+        p = np.concatenate([(z1 * z2).ravel(), [x.p for x in inside]])
+        diagonal = np.arange(n) * (n + 1)
+        for _ in range(5):
+            m = random_model(rng, d=d, h=h)
+            assert abs(np.linalg.norm(m.D, 2) - 1.0) <= 1e-12
+            phi = phi_operator(m.tau, s, p)
+            ref = m.A + m.B @ phi @ np.linalg.solve(
+                np.eye(h) - m.D @ phi, np.broadcast_to(m.C, (len(s), h, d)))
+            cond = np.linalg.cond(2.0 * np.eye(h) - s[:, None, None] * m.tau)
+            assert (cond[diagonal] <= 1e3).any()
+            gap = np.abs(sd.eval_model(m, s, p) - ref).max(axis=(1, 2))
+            assert (gap <= np.maximum(1e-12, 1e-15 * cond)).all()
 
     def test_takes_tau_norm_once(self, monkeypatch, rng):
         # one ||tau||_2 per model, not one per torus row
@@ -414,16 +481,22 @@ class TestAuditFailureOrder:
         z1, z2 = (complex(np.exp(1j * (2 * np.pi * (k + 0.5) / self.N))) for k in (a, b))
         return sd.GammaPoint(z1 + z2, z1 * z2)
 
+    @staticmethod
+    def _placed(t, x, target):
+        """The d with 2 + s(d - t) - 2p d t = target at x = (s, p): the diagonal
+        entry of T for tau_ii = t and D_ii = d."""
+        return (target - 2.0 + x.s * t) / (x.s - 2.0 * x.p * t)
+
     def _model(self, overflow_at, singular_at, kind):
-        """tau = diag(1, t), D = diag(D1, D2): I - D phi is 1e-10 from singular at
+        """tau = diag(1, t), D = diag(D1, D2): T is 1e-10 (2 - s) from singular at
         overflow_at, so ||I - Psi* Psi||_F overflows there only, and the pencil
-        (kind "pencil", singular_at on the diagonal) or I - D phi (kind
+        2I - s tau (kind "pencil", singular_at on the diagonal) or T (kind
         "transfer") is singular at singular_at."""
         x0, x1 = self._point(*overflow_at), self._point(*singular_at)
         t = np.conj(x1.s / 2) if kind == "pencil" else 1.0
         tau = np.diag([1.0, t]).astype(complex)
-        d1 = (1 - 1e-10) / sd.phi_operator(tau, [x0.s], [x0.p])[0, 0, 0]
-        d2 = 0.0 if kind == "pencil" else 1 / sd.phi_operator(tau, [x1.s], [x1.p])[0, 1, 1]
+        d1 = self._placed(1.0, x0, 1e-10 * (2.0 - x0.s))
+        d2 = 0.0 if kind == "pencil" else self._placed(t, x1, 0.0)
         m = sd.RealizationModel(tau, np.zeros((1, 1)), np.ones((1, 2)),
                                 np.array([[1e70], [1.0]]), np.diag([d1, d2]))
         assert realization._AUDIT_BLOCK_ENTRIES // 3 ** 2 >= self.N * (self.N + 1) // 2

@@ -43,3 +43,14 @@ def test_scripts_reject_a_negative_seed(script, monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert exit_.value.code == 2
     assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+def test_uniqueness_traces_script_rejects_negative_samples(monkeypatch, capsys):
+    path = SCRIPTS / "run_uniqueness_traces.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--samples", "-3"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "--samples must be non-negative" in captured.err
+    assert "datum A" not in captured.out
