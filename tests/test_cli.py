@@ -16,7 +16,9 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 # stdout and CSV of `trace --grid-n 64` on the data/ royal and sheet data,
 # recorded before the stacked branch traces, the cached parser and the
 # one-format-string CSV writer; stdout and --out report of `pick` on the same
-# data, recorded before the Gram matrices were built from node arrays
+# data, recorded before the Gram matrices were built from node arrays; stdout
+# and --out report of `classify` on the data/ pencils, recorded before the
+# default grid's outer circles were taken as reflections of its inner ones
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # eight sheet nodes, two of them 0.02 apart (Gram condition number about 2e7)
 CLOSE_SHEET_P = (-0.4 + 0.6j, -0.1 + 0.05j, 0.72 - 0.16j, -0.56 - 0.23j,
@@ -225,6 +227,15 @@ class TestPick:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"pick_{datum}.stdout").read_text()
         assert out.read_text() == (GOLDEN / f"pick_{datum}.json").read_text()
+
+
+@pytest.mark.parametrize("pencil", ["royal_pencil", "sheet_pencil", "jordan_halves"])
+def test_golden_classify_output(tmp_path, capsys, pencil):
+    # nu, spectrum, defining polynomial and the default-grid region census
+    out = tmp_path / "classify.json"
+    assert main(["classify", "--input", str(DATA / f"{pencil}.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"classify_{pencil}.stdout").read_text()
+    assert out.read_text() == (GOLDEN / f"classify_{pencil}.json").read_text()
 
 
 class TestTrace:
