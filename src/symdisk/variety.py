@@ -7,9 +7,12 @@ polynomial, slicing, membership residuals, the distinguished classification,
 region audits, and the sampled boundary-property check.  Slices and residuals
 take arrays of points, and region audits a list of varieties:
 :func:`region_audit` slices every variety of one order in one stacked
-``eigvals``.  A caller that certified nu(F) itself, such as the sweeps with
-one :func:`symdisk.numrange.numerical_radii` call per block, builds the
-variety with ``PencilVariety._of_certified``.
+``eigvals``.  Every variety is invariant under the torus reflection
+(s, p) -> (conj(s)/conj(p), 1/conj(p)), so a slice at |p| > 1 is read off
+the slice at 1/conj(p); the default slice grid pairs its two outer circles
+with two inner ones this way.  A caller that certified nu(F) itself, such as
+the sweeps with one :func:`symdisk.numrange.numerical_radii` call per block,
+builds the variety with ``PencilVariety._of_certified``.
 """
 
 from __future__ import annotations
@@ -155,28 +158,54 @@ def slice_points(V: PencilVariety, p) -> np.ndarray:
     The rows are the spectra of the pencils F* + p_k F, from one stacked
     ``eigvals`` call, sorted by real part rounded to a grid of
     1e-8 * max(1, ||F||_F) * (1 + |p_k|), then by imaginary part descending:
-    points whose real parts differ by roundoff keep their order.  A scalar p
-    gives one row, from the same arithmetic as one entry of a stack.
+    points whose real parts differ by roundoff keep their order.  A row with
+    |p_k| > 1 is read off the spectrum at the reflected point 1/conj(p_k),
+    and then each distinct point is solved once.  A scalar p gives one row,
+    from the same arithmetic as one entry of a stack.
     """
     return _slices(V.F[None], np.asarray(p, dtype=complex))[0]
 
 
+def _reflection(p: np.ndarray) -> np.ndarray:
+    """1/conj(p): the torus reflection (s, p) -> (conj(s)/conj(p), 1/conj(p)) maps every
+    variety onto itself, since F* + p F - s I = p (F* + q F - conj(s/p) I)* at q = 1/conj(p)."""
+    return 1.0 / p.conj()
+
+
 def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Entry [m, k] holds the canonically sorted spectrum of F_m* + p_k F_m, for a stack F
-    of one order and the points p_k of p in flat order: one stacked ``eigvals`` call."""
+    of one order and the points p_k of p in flat order: one stacked ``eigvals`` call.
+
+    A point with |p_k| > 1 takes the spectrum at q_k = 1/conj(p_k) as
+    s = p_k conj(s_q); when there is one, the pencils are solved once per
+    distinct q_k (equal bits)."""
     if not np.all(np.isfinite(p)):
         raise InputError("slice coordinates p must be finite")
     m, d = F.shape[:2]
     if d == 0:
         return np.zeros((m, p.size, 0), dtype=complex)
+    outside = (np.abs(p) > 1.0).ravel()
+    reflected = outside.any()
+    q, first, inverse = p, slice(None), slice(None)
+    if reflected:
+        q = p.copy()
+        q.flat[outside] = _reflection(p.ravel()[outside])
+        _, first, inverse = np.unique(q.ravel().view("V16"), return_index=True,
+                                      return_inverse=True)
     # the pencils of each matrix on their own, so its slices do not depend on
-    # the rest of the stack; p keeps its shape, since numpy rounds p F in
-    # another inner loop when a one-element stack of p meets a 1 x 1 F
-    pencils = np.stack([pencil_matrix(Fk, 0.0, p[..., None, None]) for Fk in F])
+    # the rest of the stack; q keeps p's shape, since numpy rounds q F in
+    # another inner loop when a one-element stack of q meets a 1 x 1 F
+    pencils = np.stack([pencil_matrix(Fk, 0.0, q[..., None, None]) for Fk in F])
     try:
-        eigs = np.linalg.eigvals(pencils).reshape(m, p.size, d)
+        eigs = np.linalg.eigvals(pencils.reshape(m, p.size, d, d)[:, first])[:, inverse]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
+    if reflected:
+        # p conj(s_q) from real products: numpy's complex multiply rounds by
+        # operand shape, and the bits of a row must depend on its own p alone
+        pk, sq = p.ravel()[outside, None], eigs[:, outside]
+        eigs[:, outside] = (pk.real * sq.real + pk.imag * sq.imag) \
+            + 1j * (pk.imag * sq.real - pk.real * sq.imag)
     # real parts on a grid far above roundoff, so that points whose real
     # parts tie up to roundoff are ordered by imaginary part, descending
     grid = 1e-8 * np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))[:, None, None] \
@@ -220,15 +249,22 @@ class RegionAuditReport:
 
 def default_p_grid(radii=None, n_angles: int = 16) -> np.ndarray:
     """Slice grid avoiding the |p| = 1 band, inside and outside the disk:
-    ``n_angles`` points on each circle of radius ``radii``, circle by circle
-    (by default 0.15, 0.35, 0.55, 0.75, 0.92, 1.08 and 1.35)."""
-    if radii is None:
-        radii = (0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35)
+    ``n_angles`` points on each circle of radius ``radii``, circle by circle.
+
+    By default the radii are 0.15, 0.35, 0.55, 0.75, 0.92, 1/0.92 and 4/3,
+    and the 0.75 and 0.92 circles are the reflections 1/conj(p) of the two
+    outer ones, bit for bit as :func:`slice_points` reflects: each outer
+    slice is read off an inner one, and a default audit solves 5 of the 7
+    circles."""
     # the angles are divided as reals: numpy divides a complex array by
     # multiplying with the reciprocal, which moves last bits when n_angles is
     # not a power of two
     circle = np.exp(1j * (2 * np.pi * np.arange(n_angles) / n_angles))
-    return (np.asarray(radii, dtype=float)[:, None] * circle).ravel()
+    if radii is not None:
+        return (np.asarray(radii, dtype=float)[:, None] * circle).ravel()
+    outer = np.array([1 / 0.92, 4 / 3])[:, None] * circle
+    inner = np.array([0.15, 0.35, 0.55])[:, None] * circle
+    return np.concatenate([inner, _reflection(outer[::-1]), outer]).ravel()
 
 
 _DEFAULT_P_GRID = default_p_grid()
@@ -239,9 +275,10 @@ def region_audit(Vs, p_grid=None, cfg: Tolerances = DEFAULT) -> list[RegionAudit
 
     A c.n.u. pencil avoids both R1 and R2 (strict PASS); a general numerical
     contraction still never meets R2.  The slices of all varieties of one
-    order come from one stacked ``eigvals`` over varieties x ``p_grid``, and
-    all sampled points are labelled in one
-    :func:`symdisk.gamma.classify_region` call.  Report k equals
+    order come from one stacked ``eigvals`` over varieties x the distinct
+    points of ``p_grid`` once |p| > 1 is reflected to 1/conj(p) (80 of the
+    112 points of the default grid), and all sampled points are labelled in
+    one :func:`symdisk.gamma.classify_region` call.  Report k equals
     ``region_audit([Vs[k]], p_grid, cfg)[0]``: the points, codes and counts
     of one variety do not depend on the others.
     """

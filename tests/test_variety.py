@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from symdisk.cli import load_matrix
 from symdisk.errors import InputError
 from symdisk.gamma import REGIONS, Region
 from symdisk.sweeps import ginibre_contraction, haar_unitary, random_projection
-from symdisk.variety import default_p_grid
+from symdisk.variety import _reflection, default_p_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -22,6 +23,28 @@ def slice_samples(V, grid):
     """Every variety point over the slice grid, as arrays s and p."""
     s, p = zip(*[(s, p) for p in grid for s in sd.slice_points(V, p)[0]])
     return np.array(s, dtype=complex), np.array(p, dtype=complex)
+
+
+def seeded_set(rng) -> list:
+    """F of orders 0 to 16, c.n.u. and (from order 1) with a planted unimodular eigenvalue."""
+    Fs = [np.zeros((0, 0), dtype=complex)]
+    for d in range(1, 17):
+        Fs.append(ginibre_contraction(rng, d))
+        F = ginibre_contraction(rng, d)
+        F[0, :] = F[:, 0] = 0.0
+        F[0, 0] = np.exp(2j * np.pi * rng.uniform())
+        W = haar_unitary(rng, d)
+        Fs.append(W @ F @ W.conj().T)
+    return Fs
+
+
+def multiset_gap(got, ref) -> float:
+    """Largest distance of a greedy one-to-one matching of two equal-length lists."""
+    ref, gap = list(ref), 0.0
+    for z in got:
+        k = int(np.argmin(np.abs(np.subtract(ref, z))))
+        gap = max(gap, abs(ref.pop(k) - z))
+    return gap
 
 
 class TestDefiningPoly:
@@ -68,6 +91,23 @@ class TestDefiningPoly:
             scale = max(1.0, abs(det))
             assert abs(P(s, p) - det) <= 1e-9 * scale
 
+    def test_coefficients_mirror_under_the_torus_reflection(self, rng):
+        # det(F* + pF - sI) = p^d conj(det(F* + F/conj(p) - conj(s/p) I)), so
+        # c[i, d-i-j] = conj(c[i, j]) for i + j <= d and c[i, j] = 0 above;
+        # both miss by roundoff that grows about twofold per order, measured
+        # at most 1/8 of the bound here (8.8e-12 of max |c| at d = 16)
+        for d in range(1, 17):
+            for _ in range(3):
+                F = 0.9 * ginibre_contraction(rng, d)
+                c = sd.defining_poly(sd.PencilVariety(F)).coeffs
+                C = np.zeros((d + 1, d + 1), dtype=complex)
+                C[:c.shape[0], :c.shape[1]] = c
+                i, j = np.nonzero(np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d)
+                bound = 4e-15 * 2.0 ** d * np.abs(C).max()
+                assert np.abs(C[i, d - i - j] - C[i, j].conj()).max() <= bound
+                C[i, j] = 0.0
+                assert np.abs(C).max() <= bound
+
 
 class TestSlicePoints:
     def test_derived_slice(self, royal_F):
@@ -103,6 +143,38 @@ class TestSlicePoints:
         for p in (0.3, -0.5j, 0.8):
             for s in sd.slice_points(V, p)[0]:
                 assert sd.membership_residual(V, s, p)[0] <= 1e-8
+
+    def test_reflected_rows_match_eigvals(self, rng):
+        # rows at |p| > 1 come from the pencils at 1/conj(p); measured at most
+        # 6.4e-15 (1 + |p|) from a direct eigvals, as multisets
+        for F in seeded_set(rng):
+            p = np.exp(2j * np.pi * rng.uniform(size=3))[:, None] \
+                * [1 + 1e-9, 1 / 0.92, 2.0, 50.0]
+            rows = sd.slice_points(sd.PencilVariety(F), p)
+            assert rows.shape == (p.size, len(F))
+            for pk, row in zip(p.ravel(), rows):
+                ref = np.linalg.eigvals(F.conj().T + pk * F) if len(F) else []
+                assert multiset_gap(row, ref) <= 5e-14 * (1 + abs(pk))
+
+    def test_scalar_row_equals_stack_row(self, rng):
+        # bit for bit, reflected or not, and for 1 x 1 F
+        p = np.concatenate([default_p_grid(n_angles=4), [0.0, 2.0, 0.5, 2.0, -3j],
+                            1.7 * np.exp(2j * np.pi * rng.uniform(size=6))])
+        for d in (1, 1, 2, 3):
+            V = sd.PencilVariety(ginibre_contraction(rng, d))
+            rows = sd.slice_points(V, p)
+            for pk, row in zip(p, rows):
+                assert np.array_equal(sd.slice_points(V, pk)[0], row)
+            assert np.array_equal(sd.slice_points(V, p[::-1]), rows[::-1])
+
+    def test_reflection_divides_only_outside_the_disk(self, jordan_halves):
+        V = sd.PencilVariety(jordan_halves)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sd.slice_points(V, [0.0, 2.0, 0.0, 1.0]).shape == (4, 2)
+            assert sd.slice_points(V, 0.0).shape == (1, 2)
+            with pytest.raises(InputError, match="must be finite"):
+                sd.slice_points(V, [0.0, 2.0, np.inf])
 
 
 class TestMembership:
@@ -200,25 +272,50 @@ class TestRegionAudits:
             assert (batched.strict_pass, batched.r2_free) == (one.strict_pass, one.r2_free)
 
     def test_one_slice_call_per_order(self, rng, monkeypatch):
+        # the default grid's two outer circles are read off two inner ones:
+        # 80 of its 112 pencils per variety are solved
         calls = []
         eigvals = np.linalg.eigvals
 
         def counted(a):
-            calls.append(np.shape(a)[-1])
+            calls.append(np.shape(a)[:2] + np.shape(a)[-1:])
             return eigvals(a)
 
         Vs = _mixed_varieties(rng)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         sd.region_audit(Vs)
-        assert sorted(calls) == sorted({V.dim for V in Vs} - {0})
+        orders = [V.dim for V in Vs]
+        assert sorted(calls, key=lambda c: c[-1]) == [(orders.count(d), 80, d)
+                                                      for d in sorted(set(orders) - {0})]
 
     def test_empty_list(self):
         assert sd.region_audit([]) == []
 
+    @pytest.mark.parametrize("n", [16, 4])
+    def test_default_grid_outer_points_reflect_to_inner_points(self, n):
+        circles = default_p_grid(n_angles=n).reshape(7, n)
+        assert np.array_equal(_reflection(circles[5:]), circles[[4, 3]])
+        radii = [0.15, 0.35, 0.55, 0.75, 0.92, 1 / 0.92, 4 / 3]
+        assert np.allclose(np.abs(circles[:, 0]), radii, rtol=1e-15, atol=0)
+
+    def test_census_equals_direct_eigvals_census(self, rng):
+        grid = default_p_grid()
+        for V, audit in zip(*(lambda Vs: (Vs, sd.region_audit(Vs)))(
+                [sd.PencilVariety(F) for F in seeded_set(rng)])):
+            s = np.array([np.linalg.eigvals(V.F.conj().T + p * V.F) for p in grid]).ravel()
+            codes = sd.classify_region(s, np.repeat(grid, V.dim))
+            assert audit.counts == {r.value: int(np.sum(codes == k)) for k, r in enumerate(REGIONS)}
+
     def test_default_grid_is_the_circle_by_circle_grid(self):
-        radii, n = (0.15, 0.35, 0.55, 0.75, 0.92, 1.08, 1.35), 16
-        expected = [r * np.exp(2j * np.pi * k / n) for r in radii for k in range(n)]
-        assert default_p_grid().tolist() == expected
+        # circles of radius 0.15, 0.35, 0.55, then the reflections 1/conj(p)
+        # of the 4/3 and 1/0.92 circles (radii 0.75 and 0.92), then those two
+        for n in (16, 4):
+            circle = [[r * np.exp(2j * np.pi * k / n) for k in range(n)]
+                      for r in (0.15, 0.35, 0.55, 1 / 0.92, 4 / 3)]
+            reflected = [1 / p.conjugate() for p in circle[4] + circle[3]]
+            expected = circle[0] + circle[1] + circle[2] + reflected + circle[3] + circle[4]
+            assert default_p_grid(n_angles=n).tolist() == expected
+        assert default_p_grid().tolist() == default_p_grid(n_angles=16).tolist()
         # angles 2 pi k / n with n not a power of two, bit for bit
         assert default_p_grid((0.5,), 25).tolist() == [0.5 * np.exp(2j * np.pi * k / 25)
                                                       for k in range(25)]
