@@ -583,6 +583,27 @@ class TestTolOverridesAndThreads:
         assert "bad tolerance value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", str(DATA / "jordan_halves.json")],
+    ["pick", "--input", str(DATA / "datum_royal.json"),
+     "--kernel", f"model:{DATA / 'royal_pencil.json'}"],
+    ["trace", "--input", str(DATA / "datum_royal.json"),
+     "--kernel", f"model:{DATA / 'royal_pencil.json'}", "--grid-n", "4"],
+    ["realize", "--input", str(DATA / "mobius_model.json"), "--grid-n", "4"],
+    ["verify", "--seed", "0"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing/out.json", "existing"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, target):
+    # a missing directory fails making the temporary file, a directory fails
+    # replacing it; either way the temporary file is gone
+    (tmp_path / "existing").mkdir()
+    out = tmp_path / target
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"input error: cannot write {out}: " in capsys.readouterr().err
+    assert list(tmp_path.glob("**/*.tmp")) == []
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["existing"]
+
+
 def test_verify_runs_sweeps(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main(["verify", "--seed", "7", "--out", str(out)]) == 0
