@@ -51,16 +51,21 @@ def cluster_indices(values, tol: float) -> list[list[int]]:
     """Greedy clusters of values in (real, imag) order, as index lists.
 
     A value joins the first cluster whose current mean lies within ``tol``.
+    Each cluster keeps its mean, taken again with ``np.mean`` only when the
+    cluster grows.
     """
     values = np.asarray(values, dtype=complex)
     groups: list[list[int]] = []
+    means: list[complex] = []
     for i in np.argsort(values, kind="stable").tolist():
-        for g in groups:
-            if abs(values[i] - np.mean(values[g])) <= tol:
-                g.append(i)
-                break
-        else:
+        v = complex(values[i])
+        k = next((k for k, m in enumerate(means) if abs(v - m) <= tol), None)
+        if k is None:
             groups.append([i])
+            means.append(v)
+        else:
+            groups[k].append(i)
+            means[k] = complex(np.mean(values[groups[k]]))
     return groups
 
 

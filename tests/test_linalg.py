@@ -103,6 +103,22 @@ class TestClustering:
             (complex(np.mean(eigs[g])), len(g)) for g in groups]
         assert [len(g) for g in groups] == [1, 2, 1, 3, 1]   # (real, imag) order
 
+    def test_mean_taken_once_per_join(self, monkeypatch):
+        # the first cluster whose np.mean lies within tol, as comparing every
+        # value with every mean gives, with np.mean taken once per join
+        from symdisk.linalg import cluster_indices
+        rng = np.random.default_rng(3)
+        centres = rng.normal(size=6) + 1j * rng.normal(size=6)
+        values = centres[rng.integers(0, 6, size=40)] + 1e-9 * rng.normal(size=40)
+        ref: list = []
+        for i in np.argsort(values, kind="stable").tolist():
+            g = next((g for g in ref if abs(values[i] - np.mean(values[g])) <= 1e-8), None)
+            ref.append([i]) if g is None else g.append(i)
+        mean, calls = np.mean, []
+        monkeypatch.setattr(np, "mean", lambda a: calls.append(len(a)) or mean(a))
+        assert cluster_indices(values, 1e-8) == ref
+        assert len(ref) == 6 and len(calls) == len(values) - len(ref)
+
 
 class TestNullSpace:
     def test_simple(self):
