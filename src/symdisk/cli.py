@@ -118,19 +118,19 @@ def _load_json(path: str):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it, which is
-    removed whatever happens; InputError if either cannot be written."""
-    tmp = None
+    """Write ``text`` to ``path`` through a temporary file beside it, removed if
+    the write fails; InputError if either cannot be written."""
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _csv(header, rows) -> str:

@@ -184,7 +184,8 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     m, d = F.shape[:2]
     if d == 0:
         return np.zeros((m, p.size, 0), dtype=complex)
-    outside = (np.abs(p) > 1.0).ravel()
+    modulus = np.abs(p.ravel())
+    outside = modulus > 1.0
     reflected = outside.any()
     q, first, inverse = p, slice(None), slice(None)
     if reflected:
@@ -209,7 +210,7 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     # real parts on a grid far above roundoff, so that points whose real
     # parts tie up to roundoff are ordered by imaginary part, descending
     grid = 1e-8 * np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))[:, None, None] \
-        * (1.0 + np.abs(p.ravel()))[:, None]
+        * (1.0 + modulus)[:, None]
     order = np.lexsort((-eigs.imag, np.round(eigs.real / grid)), axis=-1)
     return np.take_along_axis(eigs, order, axis=-1)
 
