@@ -184,27 +184,30 @@ def _slices(F: np.ndarray, p: np.ndarray) -> np.ndarray:
     m, d = F.shape[:2]
     if d == 0:
         return np.zeros((m, p.size, 0), dtype=complex)
-    modulus = np.abs(p.ravel())
-    outside = modulus > 1.0
-    reflected = outside.any()
-    q, first, inverse = p, slice(None), slice(None)
+    flat = p.ravel()
+    modulus = np.abs(flat)
+    reflected = modulus.max(initial=0.0) > 1.0
+    q = p
     if reflected:
+        outside = modulus > 1.0
         q = p.copy()
-        q.flat[outside] = _reflection(p.ravel()[outside])
+        q.flat[outside] = _reflection(flat[outside])
         _, first, inverse = np.unique(q.ravel().view("V16"), return_index=True,
                                       return_inverse=True)
     # the pencils of each matrix on their own, so its slices do not depend on
     # the rest of the stack; q keeps p's shape, since numpy rounds q F in
     # another inner loop when a one-element stack of q meets a 1 x 1 F
-    pencils = np.stack([pencil_matrix(Fk, 0.0, q[..., None, None]) for Fk in F])
+    pencils = np.stack([pencil_matrix(Fk, 0.0, q[..., None, None]) for Fk in F]) \
+        .reshape(m, p.size, d, d)
     try:
-        eigs = np.linalg.eigvals(pencils.reshape(m, p.size, d, d)[:, first])[:, inverse]
+        eigs = np.linalg.eigvals(pencils[:, first] if reflected else pencils)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed to converge: {exc}")
     if reflected:
+        eigs = eigs[:, inverse]
         # p conj(s_q) from real products: numpy's complex multiply rounds by
         # operand shape, and the bits of a row must depend on its own p alone
-        pk, sq = p.ravel()[outside, None], eigs[:, outside]
+        pk, sq = flat[outside, None], eigs[:, outside]
         eigs[:, outside] = (pk.real * sq.real + pk.imag * sq.imag) \
             + 1j * (pk.imag * sq.real - pk.real * sq.imag)
     # real parts on a grid far above roundoff, so that points whose real

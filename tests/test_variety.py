@@ -173,6 +173,7 @@ class TestSlicePoints:
             warnings.simplefilter("error")
             assert sd.slice_points(V, [0.0, 2.0, 0.0, 1.0]).shape == (4, 2)
             assert sd.slice_points(V, 0.0).shape == (1, 2)
+            assert sd.slice_points(V, []).shape == (0, 2)
             with pytest.raises(InputError, match="must be finite"):
                 sd.slice_points(V, [0.0, 2.0, np.inf])
 
@@ -300,11 +301,12 @@ class TestRegionAudits:
 
     def test_census_equals_direct_eigvals_census(self, rng):
         grid = default_p_grid()
-        for V, audit in zip(*(lambda Vs: (Vs, sd.region_audit(Vs)))(
-                [sd.PencilVariety(F) for F in seeded_set(rng)])):
-            s = np.array([np.linalg.eigvals(V.F.conj().T + p * V.F) for p in grid]).ravel()
+        Vs = [sd.PencilVariety(F) for F in seeded_set(rng)]
+        for V, audit in zip(Vs, sd.region_audit(Vs)):
+            s = np.concatenate([np.linalg.eigvals(V.F.conj().T + p * V.F) for p in grid])
             codes = sd.classify_region(s, np.repeat(grid, V.dim))
-            assert audit.counts == {r.value: int(np.sum(codes == k)) for k, r in enumerate(REGIONS)}
+            assert audit.counts == {r.value: int(np.sum(codes == k))
+                                    for k, r in enumerate(REGIONS)}
 
     def test_default_grid_is_the_circle_by_circle_grid(self):
         # circles of radius 0.15, 0.35, 0.55, then the reflections 1/conj(p)
