@@ -160,8 +160,8 @@ def slice_points(V: PencilVariety, p) -> np.ndarray:
     1e-8 * max(1, ||F||_F) * (1 + |p_k|), then by imaginary part descending:
     points whose real parts differ by roundoff keep their order.  A row with
     |p_k| > 1 is read off the spectrum at the reflected point 1/conj(p_k),
-    and then each distinct point is solved once.  A scalar p gives one row,
-    from the same arithmetic as one entry of a stack.
+    and a call with such a row solves each distinct point once.  A scalar p
+    gives one row, from the same arithmetic as one entry of a stack.
     """
     return _slices(V.F[None], np.asarray(p, dtype=complex))[0]
 
