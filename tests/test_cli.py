@@ -448,6 +448,14 @@ class TestRealize:
         assert main(["realize", "--input", str(f), "--grid-n", "16"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_golden_output(self, tmp_path, capsys):
+        # the boundary defect, the inner-defect agreement and the --out report
+        out = tmp_path / "realize.json"
+        assert main(["realize", "--input", str(DATA / "mobius_model.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "realize_mobius.stdout").read_text()
+        assert out.read_text() == (GOLDEN / "realize_mobius.json").read_text()
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_empty_grid_exit_2(self, capsys, n):
         assert main(["realize", "--input", str(DATA / "mobius_model.json"),
