@@ -133,6 +133,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}")
 
 
+def _check_out(path: str) -> None:
+    """The InputError of :func:`_write_atomic`, raised before any work, unless
+    ``path`` is not a directory and its directory exists and is writable."""
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK | os.X_OK):
+        raise InputError(f"cannot write {path}: its directory is missing or not writable")
+
+
 def _csv(header, rows) -> str:
     """CSV text of a table whose rows all have the column types of its first:
     floats printed with 17 significant digits (round-trip exact), the rest with str."""
@@ -460,6 +469,8 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        if args.out:
+            _check_out(args.out)
         return _HANDLERS[args.command](args, cfg)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

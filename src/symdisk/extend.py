@@ -21,7 +21,6 @@ at a stack of variety points in one pass (gamma a Pick-matrix null vector).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ from .config import DEFAULT, Tolerances
 from .errors import IllPlacedContour, InputError, NumericalError, SymdiskError
 from .gamma import GammaPoint, coincident, point_arrays
 from .kernels import _KERNEL_DEN_FLOOR, unit_kernel_vector
-from .linalg import _projection_failures, cluster_indices, spectral_projection
+from .linalg import _projection_failures, cluster_indices, solve_stack, spectral_projection
 from .numrange import _peel_unitary
 from .pick import KernelMatrix, _audit_model, _fundamental_model
 from .variety import (PencilVariety, _with_eigenvalues, is_distinguished,
@@ -204,7 +203,7 @@ def branch_trace(model: ExtensionModel, cfg: Tolerances = DEFAULT, *,
     V = vecs[:, 1:].reshape(-1, d, d)
     pencils = pencils[:, 1:].reshape(-1, d, d)
     node_of = np.repeat(np.arange(n_nodes), n)
-    Vinv = _inverses(V)
+    Vinv = solve_stack(V)
     with np.errstate(over="ignore", invalid="ignore"):
         cond = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
     on_contour = ~(_EPS * cond <= cfg.tol_proj)  # a singular V (nan) takes it too
@@ -369,18 +368,6 @@ def _disk_radii(dist: np.ndarray, eps: np.ndarray, cfg: Tolerances):
             stuck[hit] = k
         radii[:, k] = eps
     return radii, stuck
-
-
-def _inverses(V: np.ndarray) -> np.ndarray:
-    """The inverse of each matrix of a stack; nan for a singular one."""
-    try:
-        return np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        out = np.full_like(V, np.nan)
-        for k, Vk in enumerate(V):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[k] = np.linalg.inv(Vk)
-        return out
 
 
 class UniqueValues(NamedTuple):

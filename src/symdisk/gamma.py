@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError
-from .linalg import as_complex_matrix
+from .linalg import _SCREEN_MARGIN, any_singular, as_complex_matrix, solve_stack
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,6 @@ def coincident(s, p, t, q, tol: float) -> np.ndarray:
 _PENCIL_SINGULAR = 1e-13
 
 
-# margin of the two screens of the pencil check: the SVD decides only where
-# neither 2 - |s| t > margin * (2 + |s| t) (Weyl) nor
-# 1 > margin * max(||P||_F, 1) * ||P^{-1}||_F holds; it dwarfs the 1e-13
-# threshold plus the n*eps rounding of t, |s| and the pencil, and at a
-# condition of 1e6 or less the computed inverse is off by about h*1e6*eps
-_PENCIL_MARGIN = 1e-6
-
-
 def _pencil_check(tau, s, t: float, cfg: Tolerances) -> None:
     """Raise unless t = ||tau||_2 <= 1 + tol_op and each P = 2*I - s_k*tau,
     for tau of shape (1, h, h) and s of shape (n, 1, 1), is nonsingular.
@@ -131,30 +123,17 @@ def _pencil_check(tau, s, t: float, cfg: Tolerances) -> None:
     P is singular when sigma_min <= _PENCIL_SINGULAR * max(sigma_max, 1);
     Weyl's inequality gives sigma_min >= 2 - |s| t and sigma_max <= 2 + |s| t.
     Where that bound does not clear the threshold by a wide margin (on the
-    torus, the diagonal z1 = z2) the inverse decides instead, by
-    sigma_min >= 1 / ||P^{-1}||_F and sigma_max <= ||P||_F, and the SVD runs
-    only where neither bound does.
+    torus, the diagonal z1 = z2) :func:`symdisk.linalg.any_singular` decides
+    from the inverse, with an SVD only where its bound cannot.
     """
     if t > 1.0 + cfg.tol_op:
         raise InputError("tau must be a contraction")
     st = np.abs(s[:, 0, 0]) * t
-    # written so that a non-finite s, or a norm that overflows, stays
-    # undecided and goes to the SVD; an exactly singular member leaves the
-    # whole inverse screen undecided
-    undecided = np.flatnonzero(~(2.0 - st > _PENCIL_MARGIN * (2.0 + st)))
-    if not len(undecided):
-        return
+    # written so that a non-finite s, or a norm that overflows, stays undecided
+    undecided = ~(2.0 - st > _SCREEN_MARGIN * (2.0 + st))
     P = 2.0 * np.eye(tau.shape[1])[None] - s[undecided] * tau
-    with np.errstate(invalid="ignore", over="ignore"):
-        try:
-            P = P[~(1.0 > _PENCIL_MARGIN * np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
-                    * np.linalg.norm(np.linalg.inv(P), axis=(1, 2)))]
-        except np.linalg.LinAlgError:
-            pass
-    if len(P):
-        sv = np.linalg.svd(P, compute_uv=False)
-        if np.any(sv[:, -1] <= _PENCIL_SINGULAR * np.maximum(sv[:, 0], 1.0)):
-            raise InputError("singular pencil 2*I - s*tau")
+    if any_singular(P, solve_stack(P), _PENCIL_SINGULAR):
+        raise InputError("singular pencil 2*I - s*tau")
 
 
 def phi_operator(tau, s, p, cfg: Tolerances = DEFAULT, *,

@@ -1,13 +1,15 @@
 """Dense complex linear algebra used by every other module.
 
-General eigenvalues, Hermitian and PSD eigensolves, null spaces and PSD
-square roots are numpy/LAPACK calls behind validated contracts; Riesz
+General eigenvalues, Hermitian and PSD eigensolves, null spaces, PSD
+square roots and stacked solves are numpy/LAPACK calls behind validated
+contracts, and one screen decides which members of a stack are singular; Riesz
 projections onto the eigenvalues in a disk (from the matrix sign function)
 and the audit every spectral projection passes are built on top of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,11 @@ from .errors import IllPlacedContour, InputError, NumericalError
 
 _EPS = np.finfo(float).eps
 _MAX_SIGN_STEPS = 60
+# margin of any_singular's inverse screen, and of the Weyl screen in front of
+# gamma's pencil check: at a condition of 1e6 or less the computed inverse is
+# off by about h * 1e6 * eps, and the margin dwarfs the callers' rules (1e-12,
+# 1e-13) plus the n * eps rounding of the norms
+_SCREEN_MARGIN = 1e-6
 
 
 def as_complex_matrix(A, square: bool = False) -> np.ndarray:
@@ -107,6 +114,40 @@ def psd_sqrt(M, cfg: Tolerances = DEFAULT) -> np.ndarray:
     vals, vecs = psd_eigh(M, cfg)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2
+
+
+def solve_stack(M: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """M_k^{-1} rhs_k for each matrix of the stack M, or M_k^{-1} when ``rhs``
+    is None, from one stacked LAPACK call; nan for each member whose
+    factorization fails, the others solved one at a time."""
+    def solve(k=slice(None)):
+        return np.linalg.inv(M[k]) if rhs is None else np.linalg.solve(M[k], rhs[k])
+
+    try:
+        return solve()
+    except np.linalg.LinAlgError:
+        out = np.full((M if rhs is None else rhs).shape, np.nan, dtype=complex)
+        for k in range(len(M)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = solve(k)
+        return out
+
+
+def any_singular(M: np.ndarray, M_inv: np.ndarray, rule: float) -> bool:
+    """Whether some member of the stack M, with M_inv from :func:`solve_stack`,
+    has sigma_min <= rule * max(sigma_max, 1).
+
+    sigma_min >= 1 / ||M^{-1}||_F and sigma_max <= ||M||_F decide every member
+    where they clear the rule by the factor _SCREEN_MARGIN; the SVD runs on the
+    rest, among them every non-finite M or inverse and every overflowing norm.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        undecided = ~(1.0 > _SCREEN_MARGIN * np.maximum(np.linalg.norm(M, axis=(1, 2)), 1.0)
+                      * np.linalg.norm(M_inv, axis=(1, 2)))
+    if not undecided.any():
+        return False
+    sv = np.linalg.svd(M[undecided], compute_uv=False)
+    return bool(np.any(sv[:, -1] <= rule * np.maximum(sv[:, 0], 1.0)))
 
 
 @dataclass(frozen=True)

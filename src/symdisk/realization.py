@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NumericalError
 from .gamma import _pencil_check, phi_operator
-from .linalg import as_complex_matrix
+from .linalg import any_singular, as_complex_matrix, solve_stack
 
 # slack of the Frobenius screen in boundary_unitarity_audit: the computed
 # ||X||_F and SVD ||X||_2 carry relative errors of a few d*eps, far below 1e-10
@@ -39,10 +39,6 @@ _SCREEN_FLOOR = 1e-150
 # max(sigma_max, 1): a condition of 1e12 or more, where rounding alone moves
 # T^{-1} C by about 1e12*eps = 2e-4, far above tol_id and tol_inner
 _SINGULAR_TRANSFER = 1e-12
-# margin of the inverse screen of that rule: where cond(T) <= 1e6 the computed
-# inverse carries a relative error of about h * 1e6 * eps, far inside the 1e6
-# gap between this margin and the 1e-12 rule
-_TRANSFER_MARGIN = 1e-6
 # matrix entries per stacked call of boundary_unitarity_audit: a 1 x 1 model
 # takes its whole half grid in one call, while an 8 x 8 one stays at a few MB
 # of temporaries (its full 64 x 64 grid in one stack added 28 MB peak RSS)
@@ -99,10 +95,8 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     of the equal-length sequences ``s`` and ``p``.
 
     After the check of 2I - s tau, one solve T^{-1} [C | I] gives X and the
-    inverse.  T is singular when sigma_min <= _SINGULAR_TRANSFER *
-    max(sigma_max, 1); since sigma_min >= 1 / ||T^{-1}||_F and
-    sigma_max <= ||T||_F, the SVD runs only where that bound does not clear
-    the threshold by a wide margin.
+    inverse, from which :func:`symdisk.linalg.any_singular` decides whether T
+    is singular, sigma_min <= _SINGULAR_TRANSFER * max(sigma_max, 1).
     """
     s = np.asarray(s, dtype=complex)[:, None, None]
     p = np.asarray(p, dtype=complex)[:, None, None]
@@ -110,22 +104,9 @@ def _transfer(m: RealizationModel, s, p, cfg: Tolerances):
     _pencil_check(tau, s, m.tau_norm, cfg)
     h, d = m.C.shape
     T = 2.0 * np.eye(h)[None] + s * d_minus_tau - 2.0 * p * d_tau
-    # one factorization per point gives both T^{-1} C and the inverse; written
-    # so that a non-finite T, or a norm that overflows, stays undecided
-    with np.errstate(invalid="ignore", over="ignore"):
-        try:
-            X = np.linalg.solve(T, np.broadcast_to(c_eye, (len(T), h, d + h)))
-            undecided = ~(1.0 > _TRANSFER_MARGIN
-                          * np.maximum(np.linalg.norm(T, axis=(1, 2)), 1.0)
-                          * np.linalg.norm(X[:, :, d:], axis=(1, 2)))
-        except np.linalg.LinAlgError:
-            # an exactly singular member: the whole stack goes to the SVD
-            X = None
-            undecided = np.ones(len(T), dtype=bool)
-    if undecided.any():
-        sv = np.linalg.svd(T[undecided], compute_uv=False)
-        if X is None or np.any(sv[:, -1] <= _SINGULAR_TRANSFER * np.maximum(sv[:, 0], 1.0)):
-            raise NumericalError("I - D phi is singular at the requested point")
+    X = solve_stack(T, np.broadcast_to(c_eye, (len(T), h, d + h)))
+    if any_singular(T, X[:, :, d:], _SINGULAR_TRANSFER):
+        raise NumericalError("I - D phi is singular at the requested point")
     # contiguous: numpy multiplies a strided (h, 1) view in a loop that moves Psi's last bits
     X = np.ascontiguousarray(X[:, :, :d])
     return X, A + (2.0 * p * b_tau - s * B) @ X

@@ -5,15 +5,19 @@ them); tolerances and runtime budgets are pinned here and nowhere else.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
 import symdisk as sd
 from symdisk import kernels
+from symdisk.cli import load_matrix
 from symdisk.pick import gram_on_nodes
 from symdisk.sweeps import equivalence_sweep, haar_unitary, pu_sweep
 
 from conftest import random_g_points
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _report(n, text):
@@ -173,3 +177,26 @@ def test_criterion_9_branch_tracing():
     assert max(tr.projection_defects) <= 1e-10
     _report(9, f"two branches +-2 sqrt(z), sum error {tr.sum_errors[-1]:.2e} at "
                f"|z| = 1e-8, projection defects <= {max(tr.projection_defects):.2e}")
+
+
+def test_criterion_10_data_pencils_are_torus_symmetric():
+    # the algebraic characterization of W_F: q(s, p) = det(F* + pF - sI)
+    # satisfies q(s, p) = p^d conj(q(conj(s/p), 1/conj(p))), i.e. its
+    # coefficients obey c[i, d-i-j] = conj(c[i, j]) for i + j <= d, with no
+    # terms above total degree d (bound of the seeded property test)
+    worst = 0.0
+    for name in ("royal_pencil", "sheet_pencil", "jordan_halves"):
+        F = load_matrix(str(DATA / f"{name}.json"))
+        d = len(F)
+        c = sd.defining_poly(sd.PencilVariety(F)).coeffs
+        C = np.zeros((d + 1, d + 1), dtype=complex)
+        C[:c.shape[0], :c.shape[1]] = c
+        i, j = np.nonzero(np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d)
+        scale = np.abs(C).max()
+        mirror = np.abs(C[i, d - i - j] - C[i, j].conj()).max()
+        C[i, j] = 0.0
+        excess = np.abs(C).max()
+        assert mirror <= 4e-15 * 2.0 ** d * scale and excess <= 4e-15 * 2.0 ** d * scale
+        worst = max(worst, mirror / scale, excess / scale)
+    _report(10, f"data/ pencils obey c[i, d-i-j] = conj(c[i, j]) with no terms above "
+                f"degree d, worst residual {worst:.1e} of max |c|")

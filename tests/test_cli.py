@@ -602,12 +602,15 @@ class TestTolOverridesAndThreads:
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("target", ["missing/out.json", "existing"])
 def test_unwritable_out_exit_2(tmp_path, capsys, argv, target):
-    # a missing directory fails making the temporary file, a directory fails
-    # replacing it; either way the temporary file is gone
+    # a missing directory and a directory as the target both fail before any
+    # work, and no temporary file is left
     (tmp_path / "existing").mkdir()
     out = tmp_path / target
     assert main(argv + ["--out", str(out)]) == 2
-    assert f"input error: cannot write {out}: " in capsys.readouterr().err
+    # checked before the subcommand runs, so nothing reaches stdout
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: cannot write {out}: " in captured.err
     assert list(tmp_path.glob("**/*.tmp")) == []
     assert sorted(q.name for q in tmp_path.iterdir()) == ["existing"]
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import symdisk as sd
 from symdisk.errors import IllPlacedContour, InputError, NumericalError
-from symdisk.linalg import audit_projections, psd_eigh
+from symdisk.linalg import any_singular, audit_projections, psd_eigh, solve_stack
 
 
 def _sorted(eigs):
@@ -222,6 +222,68 @@ class TestMatrixSign:
         A = Q @ (T + 4 * np.triu(np.ones((8, 8)), 1)) @ Q.conj().T
         with pytest.raises(NumericalError, match="did not converge"):
             sd.spectral_projection(A, 0.0, 0.01)
+
+
+class TestSolveStack:
+    @staticmethod
+    def _transfer_stack(h):
+        """T = 2I + s(D - tau) - 2p D tau with tau = I and D = diag(1, 0.3, ...)
+        on a torus row with (s, p) = (0, 1) planted at index 3, where
+        T = 2(I - D) = diag(0, 1.4, ...) exactly, and the rhs [C | I]."""
+        D = np.diag([1.0] + [0.3] * (h - 1)).astype(complex)
+        z1 = np.exp(2j * np.pi * 0.3)
+        z2 = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+        s = np.insert(z1 + z2, 3, 0.0)[:, None, None]
+        p = np.insert(z1 * z2, 3, 1.0)[:, None, None]
+        T = 2.0 * np.eye(h)[None] + s * (D - np.eye(h)) - 2.0 * p * D
+        rhs = np.broadcast_to(np.hstack([np.ones((h, 1)), np.eye(h)]), (len(T), h, h + 1))
+        return T, rhs
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_exactly_singular_member_is_nan_alone(self, h):
+        T, rhs = self._transfer_stack(h)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(T, rhs)
+        for out, one in ((solve_stack(T, rhs), lambda k: np.linalg.solve(T[k], rhs[k])),
+                         (solve_stack(T), lambda k: np.linalg.inv(T[k]))):
+            assert np.isnan(out[3]).all()
+            for k in np.delete(np.arange(len(T)), 3):
+                assert np.array_equal(out[k], one(k))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_without_rhs_is_inv(self, rng, d):
+        M = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        assert np.array_equal(solve_stack(M), np.linalg.inv(M))
+
+
+class TestAnySingular:
+    @staticmethod
+    def _svd_shapes(monkeypatch, M, rule):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        try:
+            return any_singular(M, solve_stack(M), rule), shapes
+        finally:
+            monkeypatch.setattr(np.linalg, "svd", svd)
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_only_the_singular_member_reaches_the_svd(self, monkeypatch, h):
+        T, _ = TestSolveStack._transfer_stack(h)
+        assert self._svd_shapes(monkeypatch, T, 1e-12) == (True, [(1, h, h)])
+        assert self._svd_shapes(monkeypatch, np.delete(T, 3, axis=0), 1e-12) == (False, [])
+
+    def test_rule_decides_the_undecided(self, monkeypatch):
+        # sigma_min / sigma_max = 1e-9: past the screen margin, so the SVD
+        # runs, and singular only under a rule of 1e-9 or more
+        M = np.diag([1.0, 1e-9]).astype(complex)[None]
+        assert self._svd_shapes(monkeypatch, M, 1e-12) == (False, [(1, 2, 2)])
+        assert self._svd_shapes(monkeypatch, M, 1e-9)[0]
 
 
 class TestAuditProjections:

@@ -299,6 +299,35 @@ class TestRegionAudits:
         radii = [0.15, 0.35, 0.55, 0.75, 0.92, 1 / 0.92, 4 / 3]
         assert np.allclose(np.abs(circles[:, 0]), radii, rtol=1e-15, atol=0)
 
+    def test_census_mirrors_on_a_reciprocal_grid(self, rng):
+        # the torus reflection (s, p) -> (conj(s/p), 1/conj(p)) maps W_F onto
+        # itself, swaps open_G and sym_exterior and keeps R1, R2 and bG: the
+        # census on |p| = 2 is the census on |p| = 0.5 with the two swapped
+        angles = np.exp(2j * np.pi * (np.arange(16) + 0.25) / 16)
+        data = [load_matrix(str(DATA / f"{name}.json"))
+                for name in ("royal_pencil", "sheet_pencil", "jordan_halves")]
+        cnu = data + [0.9 * ginibre_contraction(rng, d) for d in (2, 3, 5)]
+        planted = []
+        for d in (1, 2, 3, 5):
+            F = 0.9 * ginibre_contraction(rng, d)
+            F[0, :] = F[:, 0] = 0.0
+            F[0, 0] = np.exp(2j * np.pi * rng.uniform())
+            W = haar_unitary(rng, d)
+            planted.append(W @ F @ W.conj().T)
+        Vs = [sd.PencilVariety(F) for F in cnu + planted]
+        inner = sd.region_audit(Vs, 0.5 * angles)
+        outer = sd.region_audit(Vs, 2.0 * angles)
+        swap = {Region.OPEN_G.value: Region.SYM_EXTERIOR.value,
+                Region.SYM_EXTERIOR.value: Region.OPEN_G.value}
+        for a, b in zip(inner, outer):
+            assert b.counts == {swap.get(r, r): n for r, n in a.counts.items()}
+        for V, a, b in zip(Vs, inner[:len(cnu)], outer[:len(cnu)]):
+            assert a.counts[Region.OPEN_G.value] == b.counts[Region.SYM_EXTERIOR.value] \
+                == 16 * V.dim
+        # the unimodular eigenvalue puts one point per slice in R1 on both circles
+        for a in inner[len(cnu):]:
+            assert a.counts[Region.R1.value] == 16
+
     def test_census_equals_direct_eigvals_census(self, rng):
         grid = default_p_grid()
         Vs = [sd.PencilVariety(F) for F in seeded_set(rng)]
